@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .fields import GF, lift_rationals, primes_from
-from .linalg import matmul, nullspace
+from .linalg import identity, matmul, nullspace, rank
 from .linsys import LinearSys
 from .poly import MultiPoly, monomials_below_degree
 
@@ -160,6 +160,35 @@ def multiplicity_sequence(f, point, tangents):
 # imposing chains on linear systems
 
 
+def _combine(rows, polys, ring):
+    """The polynomials sum_j row[j] * polys[j], one per coefficient row."""
+    field = ring.field
+    out = []
+    for row in rows:
+        acc = ring.zero()
+        for cval, g in zip(row, polys):
+            if not field.is_zero(cval):
+                acc = acc + g * cval
+        out.append(acc)
+    return out
+
+
+def _chain_step(V, cur, ring, m, tangent, prev):
+    """One point of a chain.  cur[i] is the member with coefficient vector
+    V[i], transformed so far; blow it up along `tangent` (dividing the
+    exceptional factor to the power `prev`, the previous multiplicity), then
+    keep the combinations vanishing to order m at the origin: the nullspace
+    N of their Taylor rows, folded into V and cur."""
+    field = ring.field
+    if tangent is not None:
+        cur = [_blow_transform(g, tangent, prev) for g in cur]
+    if m == 0:
+        return V, cur
+    rows = [[g.terms.get(t, field.zero) for g in cur] for t in monomials_below_degree(2, m)]
+    N = nullspace(rows, field, ncols=len(cur))
+    return matmul(N, V, field), _combine(N, cur, ring)
+
+
 def impose_chain(L, specs):
     """Subsystem of L whose members realize every chain: multiplicity
     mults[0] at the point, then mults[k] at the k-th infinitely near point
@@ -168,10 +197,8 @@ def impose_chain(L, specs):
     if ambient.kind != "affine" or ambient.dims[0] != 2:
         raise ValueError("chains of infinitely near points need the affine plane")
     field = ambient.field
-    n = L.nsections()
-    V = [
-        [field.one if j == i else field.zero for j in range(n)] for i in range(n)
-    ]
+    ring = ambient.ring
+    V = identity(L.nsections(), field)
     sections = L.sections()
     for spec in specs:
         if not isinstance(spec, BlowupChainSpec):
@@ -179,42 +206,15 @@ def impose_chain(L, specs):
         if not V:
             break
         point = tuple(field.coerce(v) for v in ambient.point(spec.point).coords)
-        cur = []
-        for row in V:
-            acc = ambient.ring.zero()
-            for cval, s in zip(row, sections):
-                if not field.is_zero(cval):
-                    acc = acc + s * cval
-            cur.append(acc.translate(point))
-        tangents = [
+        cur = [g.translate(point) for g in _combine(V, sections, ring)]
+        tangents = [None] + [
             t if isinstance(t, TangentDirection) else TangentDirection(field, t)
             for t in spec.tangents
         ]
-        for k, m in enumerate(spec.mults):
-            if k > 0:
-                cur = [_blow_transform(g, tangents[k - 1], spec.mults[k - 1]) for g in cur]
-            if m == 0:
-                continue
-            targets = monomials_below_degree(2, m)
-            rows = [
-                [g.terms.get(t, field.zero) for g in cur] for t in targets
-            ]
-            N = nullspace(rows, field, ncols=len(cur))
-            if not N:
-                V = []
-                cur = []
+        for tangent, m, prev in zip(tangents, spec.mults, [0] + spec.mults):
+            V, cur = _chain_step(V, cur, ring, m, tangent, prev)
+            if not V:
                 break
-            V = matmul(N, V, field)
-            newcur = []
-            for row in N:
-                acc = ambient.ring.zero()
-                for cval, g in zip(row, cur):
-                    if not field.is_zero(cval):
-                        acc = acc + g * cval
-                newcur.append(acc)
-            cur = newcur
-    if not V:
-        return LinearSys.empty(ambient, L.degree)
     return LinearSys.from_nullspace(L, V)
 
 
@@ -255,42 +255,6 @@ def quadrifolium():
     return f * field.inv(lead)
 
 
-def _pencil_prefix(p):
-    """State of the depth-9 chain of double points at the origin after the
-    seven fixed tangent directions [1,1] .. [1,7]: the admissible coefficient
-    vectors and the transformed sections still awaiting the 8th direction."""
-    K = GF(p, 2)
-    from .ambient import affine_space
-
-    A2 = affine_space(K, 2)
-    L = LinearSys.complete(A2, 6)
-    sections = L.sections()
-    n = len(sections)
-    V = [[K.one if j == i else K.zero for j in range(n)] for i in range(n)]
-    cur = list(sections)
-    tangents = [TangentDirection(K, (1, k)) for k in range(1, 8)]
-    for k in range(8):
-        if k > 0:
-            cur = [_blow_transform(g, tangents[k - 1], 2) for g in cur]
-        targets = monomials_below_degree(2, 2)
-        rows = [[g.terms.get(t, K.zero) for g in cur] for t in targets]
-        N = nullspace(rows, K, ncols=len(cur))
-        V = matmul(N, V, K)
-        cur = [
-            _combine_polys(row, cur, A2.ring) for row in N
-        ]
-    return K, A2, L, V, cur
-
-
-def _combine_polys(coeffs, polys, ring):
-    field = ring.field
-    acc = ring.zero()
-    for cval, g in zip(coeffs, polys):
-        if not field.is_zero(cval):
-            acc = acc + g * cval
-    return acc
-
-
 def sextic_pencil_scan(p, cross_check=0, rng=None):
     """Values a in GF(p^2)* for which the sextics with nine infinitely near
     double points at the origin along [1,1],..,[1,7],[1,a] form a pencil
@@ -301,7 +265,17 @@ def sextic_pencil_scan(p, cross_check=0, rng=None):
     polynomial evaluations at c = 1/a.  With cross_check > 0, that many
     random candidates are re-verified through the full chain machinery.
     """
-    K, A2, L, V, cur = _pencil_prefix(p)
+    from .ambient import affine_space
+
+    K = GF(p, 2)
+    A2 = affine_space(K, 2)
+    L = LinearSys.complete(A2, 6)
+    # the depth-9 chain of double points up to the 8th point, whose tangent
+    # directions [1,1] .. [1,7] are fixed
+    V, cur = identity(L.nsections(), K), L.sections()
+    for k in range(8):
+        tangent = TangentDirection(K, (1, k)) if k else None
+        V, cur = _chain_step(V, cur, A2.ring, 2, tangent, 2)
     nsec = len(cur)
     # after the last substitution x -> x*y, y^2 division and recentering at c,
     # the three order-<2 coefficients of each g are univariate in c:
@@ -334,7 +308,7 @@ def sextic_pencil_scan(p, cross_check=0, rng=None):
         c = K.inv(a)
         vals = [(horner(u0, c), horner(ux, c), horner(uy, c)) for u0, ux, uy in upolys]
         rows = [list(col) for col in zip(*vals)]
-        r = _tiny_rank(rows, K)
+        r = rank(rows, K)
         if nsec - r == 2:
             hits.append(a)
     hits.sort()
@@ -356,33 +330,6 @@ def sextic_pencil_scan(p, cross_check=0, rng=None):
             if (full.nsections() == 2) != (a in hits):
                 raise RuntimeError(f"pencil scan disagrees with the chain at a={a}")
     return hits
-
-
-def _tiny_rank(rows, field):
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    r = 0
-    for j in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if not field.is_zero(rows[i][j]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = field.inv(rows[r][j])
-        rows[r] = [field.mul(v, inv) for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not field.is_zero(rows[i][j]):
-                f = rows[i][j]
-                rows[i] = [
-                    field.sub(x, field.mul(f, y)) for x, y in zip(rows[i], rows[r])
-                ]
-        r += 1
-        if r == len(rows):
-            break
-    return r
 
 
 def pencil_parameter_lift(start_prime=59, target_modulus=10**25, max_primes=40, primes=None):

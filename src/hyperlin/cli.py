@@ -229,16 +229,8 @@ def _apply_operation(L, data, path):
     _fail(path, f"unknown operation {op!r}")
 
 
-def _describe_field(field):
-    if field.kind == "rational":
-        return "QQ"
-    if field.kind == "prime":
-        return f"GF({field.p})"
-    return f"GF({field.p}^{field.k})"
-
-
 def _describe_ambient(ambient):
-    base = _describe_field(ambient.field)
+    base = repr(ambient.field)
     if ambient.kind == "affine":
         return f"A^{ambient.dims[0]} over {base}"
     if ambient.kind == "projective":
@@ -247,7 +239,7 @@ def _describe_ambient(ambient):
     return f"{parts} over {base}"
 
 
-def run_job(data, seed=0):
+def run_job(data):
     """Execute a parsed job dict; returns the report payload."""
     _check_keys(
         data, "job", required=("field", "ambient", "system"),
@@ -400,7 +392,7 @@ def _repro_quintics(names):
         this_ok = len(pts) == expected_count and hist == expected_hist
         ok = ok and this_ok
         hist_str = ", ".join(f"{k}:{v}" for k, v in sorted(hist.items()))
-        lines.append(f"{name} over {_describe_field(P3.field)}:")
+        lines.append(f"{name} over {P3.field!r}:")
         lines.extend(f"  {r.line()}" for r in reports)
         lines.append(
             f"  total {len(pts)} ({hist_str}); expected {expected_count} "
@@ -489,9 +481,16 @@ def _run_scan(args):
     return payload, lines
 
 
+def _positive_int(data, key, least):
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        _fail(f"job.{key}", f"expected an integer >= {least}, got {value!r}")
+    return value
+
+
 def _run_lift(args):
     primes = None
-    target_modulus = 10 ** 25
+    options = {}
     if args.job:
         data = _read_json(args.job)
         _check_keys(
@@ -501,15 +500,15 @@ def _run_lift(args):
         if data["task"] != "sextic-pencil-lift":
             _fail("job.task", f"unknown lift task {data['task']!r}")
         primes = data.get("primes")
-        target_modulus = data.get("target_modulus", target_modulus)
+        for key, least in (("start_prime", 2), ("target_modulus", 1), ("max_primes", 1)):
+            if key in data:
+                options[key] = _positive_int(data, key, least)
     if args.primes:
         try:
             primes = [int(p) for p in args.primes.split(",") if p.strip()]
         except ValueError:
             raise JobError(f"--primes: cannot parse {args.primes!r}")
-    e1, e2, modulus, used = pencil_parameter_lift(
-        target_modulus=target_modulus, primes=primes
-    )
+    e1, e2, modulus, used = pencil_parameter_lift(primes=primes, **options)
     lines = [
         f"primes: {', '.join(str(p) for p in used)}",
         f"modulus: {modulus}",
@@ -579,7 +578,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            payload = run_job(_read_json(args.job), seed=args.seed)
+            payload = run_job(_read_json(args.job))
             _emit(payload, _render_job(payload), args.as_json)
             return 0
         if args.command == "repro":

@@ -14,20 +14,12 @@ from __future__ import annotations
 
 from math import comb
 
+import numpy as np
+
 from .groebner import groebner_basis, normal_form
-from .linalg import (
-    clear_denominators,
-    matmul,
-    nullspace,
-    nullspace_mod_p,
-    nullspace_rational,
-    rank_mod_p,
-    _mod_rows,
-)
+from .linalg import gf_numpy_path, matmul, nullspace, rref, rref_with_transform, solve_nullspace
 from .linsys import LinearSys
 from .poly import MultiPoly, grevlex_key, monomials_below_degree
-
-_BIG = 50_000  # matrix-entry count beyond which the numpy kernels take over
 
 
 class SchemeSpec:
@@ -135,34 +127,24 @@ def point_condition_rows(L, point, multiplicity):
 
 def _mass_evaluation_rows(L, points):
     """Evaluation of every basis monomial at every (simple) point, vectorized
-    over GF(p).  Exact: products are reduced mod p while still below 2^53."""
-    import numpy as np
-
-    ambient = L.ambient
-    p = ambient.field.p
-    mons = L.monomials()
-    E = np.array(mons, dtype=np.int64)
-    nv = E.shape[1]
-    maxdeg = [int(E[:, i].max()) for i in range(nv)]
-    coords = np.array([[pt.coords[i] for i in range(nv)] for pt in points], dtype=np.int64)
-    out = np.empty((len(points), len(mons)), dtype=np.float64)
-    chunk = max(1, min(len(points), 512))
-    for start in range(0, len(points), chunk):
-        stop = min(start + chunk, len(points))
-        block = None
-        for i in range(nv):
-            # power table: coords[r,i]^d for d = 0..maxdeg[i]
-            tbl = np.empty((stop - start, maxdeg[i] + 1), dtype=np.float64)
-            tbl[:, 0] = 1.0
-            for d in range(1, maxdeg[i] + 1):
-                tbl[:, d] = np.mod(tbl[:, d - 1] * coords[start:stop, i], p)
-            gathered = tbl[:, E[:, i]]
-            if block is None:
-                block = gathered
-            else:
-                block = np.mod(block * gathered, p)
-        out[start:stop] = block
-    return out.astype(np.int64)
+    over GF(p) in int64 with a reduction after every multiply: exact for
+    p < 2^31, where every product stays below p^2 < 2^62."""
+    p = L.ambient.field.p
+    E = np.array(L.monomials(), dtype=np.int64)
+    X = np.array([pt.coords for pt in points], dtype=np.int64)
+    out = np.ones((len(points), len(E)), dtype=np.int64)
+    factor = np.empty_like(out)
+    for i in range(E.shape[1]):
+        # power table: X[r, i]^d for d = 0..max degree in variable i
+        tbl = np.ones((len(X), int(E[:, i].max()) + 1), dtype=np.int64)
+        for d in range(1, tbl.shape[1]):
+            tbl[:, d] = tbl[:, d - 1] * X[:, i] % p
+        # exponents index tbl in range; "clip" makes take write to `factor`
+        # without the full-size buffer it uses for mode="raise"
+        np.take(tbl, E[:, i], axis=1, out=factor, mode="clip")
+        out *= factor
+        out %= p
+    return out
 
 
 def impose_points(L, points, multiplicities):
@@ -181,31 +163,20 @@ def impose_points(L, points, multiplicities):
         pts.append((ambient.point(pt.coords if hasattr(pt, "coords") else pt), m))
     if not pts:
         return L
-
-    nsec = L.nsections()
-    nmons = ambient.monomial_count(L.degree) if L.is_complete else len(L.monomials())
-    total_rows = sum(len(monomials_below_degree(ambient.total_vars(), m)) for _, m in pts)
-    simple_gf = (
-        field.kind == "prime"
-        and field.k == 1
-        and field.p < (1 << 31)
-        and L.is_complete
+    if (
+        L.is_complete
         and all(m == 1 for _, m in pts)
-        and len(pts) * nmons > _BIG
-    )
-    if simple_gf:
-        C = _mass_evaluation_rows(L, [pt for pt, _ in pts])
-        return _system_from_conditions_gf(L, C)
-
-    rows = []
-    for pt, m in pts:
-        rows.extend(point_condition_rows(L, pt, m))
+        and gf_numpy_path(field, len(pts), L.nsections())
+    ):
+        rows = _mass_evaluation_rows(L, [pt for pt, _ in pts])
+    else:
+        rows = [row for pt, m in pts for row in point_condition_rows(L, pt, m)]
     return _impose_rows(L, rows)
 
 
 def _impose_rows(L, rows):
     """Cut L down by condition rows given over its monomial support."""
-    if not rows:
+    if len(rows) == 0:
         return L
     field = L.ambient.field
     if not L.is_complete:
@@ -213,52 +184,10 @@ def _impose_rows(L, rows):
         M = L.matrix()
         Mt = [list(col) for col in zip(*M)] if M else []
         rows = matmul(rows, Mt, field)
-    n = L.nsections()
-    big = len(rows) * n > _BIG
-    if big and field.kind == "prime" and field.k == 1 and field.p < (1 << 31):
-        import numpy as np
-
-        C = np.array([[v % field.p for v in row] for row in rows], dtype=np.int64)
-        return _system_from_conditions_gf(L, C)
-    if big and field.kind == "rational":
-        return _impose_rows_rational_big(L, rows)
-    basis = nullspace(rows, field, ncols=n)
+    count, basis = solve_nullspace(rows, field, L.nsections())
+    if callable(basis):
+        return LinearSys.from_nullspace(L, None, nsections=count, pending=basis)
     return LinearSys.from_nullspace(L, basis)
-
-
-def _system_from_conditions_gf(L, C):
-    """Nullspace of an integer condition matrix over GF(p), numpy path."""
-    N = nullspace_mod_p(C, L.ambient.field.p)
-    vectors = [[int(v) for v in row] for row in N]
-    return LinearSys.from_nullspace(L, vectors)
-
-
-def _impose_rows_rational_big(L, rows):
-    """Large rational condition matrices: certify the rank with one word-size
-    prime when it is full (row or column) rank, deferring the exact basis;
-    otherwise fall back to the verified multi-prime nullspace."""
-    from .fields import primes_from
-
-    n = L.nsections()
-    int_rows = [clear_denominators(r) for r in rows]
-    int_rows = [r for r in int_rows if any(r)]
-    if not int_rows:
-        return L
-    p = primes_from((1 << 30) + 1, 1)[0]
-    r = rank_mod_p(_mod_rows(int_rows, p), p)
-    if r == n:
-        return LinearSys.empty(L.ambient, L.degree)
-    if r == len(int_rows):
-        # full row rank mod p pins the rank exactly; basis only on demand
-        def factory():
-            result = nullspace_rational(int_rows)
-            if result.rank != r:
-                raise RuntimeError("rank certificate contradicted by reconstruction")
-            return result.basis
-
-        return LinearSys.from_nullspace(L, None, nsections=n - r, pending=factory)
-    result = nullspace_rational(int_rows)
-    return LinearSys.from_nullspace(L, result.basis, nsections=n - result.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +256,6 @@ def impose_containment(L, scheme):
 
 def _intersect_with_span(L, polys):
     """Subsystem spanned by the intersection of L with span(polys)."""
-    from .linalg import rref_with_transform
-
     ambient = L.ambient
     field = ambient.field
     mons = sorted(
@@ -350,8 +277,6 @@ def _intersect_with_span(L, polys):
             for e, c in q.terms.items():
                 vec[colmap[e]] = c
             vectors.append(vec)
-        from .linalg import rref
-
         R, _ = rref(vectors, field)
         return LinearSys.from_nullspace(L, R)
 
@@ -371,14 +296,7 @@ def _intersect_with_span(L, polys):
         stacked.append(r)
     _, _, _, N = rref_with_transform(stacked, field)
     # each left-null row (u | w) gives u . L_rows inside the intersection
-    uparts = [row[:nL] for row in N]
-    if not uparts:
-        return LinearSys.empty(ambient, L.degree)
-    from .linalg import rref
-
-    R, _ = rref(uparts, field)
-    if not R:
-        return LinearSys.empty(ambient, L.degree)
+    R, _ = rref([row[:nL] for row in N], field)
     return LinearSys.from_nullspace(L, R)
 
 

@@ -3,16 +3,24 @@
 Three tiers, all exact:
 
 - generic dense routines over any CoefficientField (lists of raw values),
-  used for small systems and for extension fields;
-- numpy kernels over GF(p): an int64 row-loop RREF for moderate sizes and a
-  blocked float64 forward elimination whose trailing updates run as one
-  matrix product per panel (exact while block*p^2 < 2^53), used for the
-  large point-condition matrices;
+  all built on one Gauss-Jordan loop, used for small systems and for
+  extension fields;
+- numpy kernels over GF(p): an int64 row-loop RREF and a blocked float64
+  forward elimination whose trailing updates run as one matrix product per
+  panel, used for the large point-condition matrices;
 - a certified multi-prime nullspace over the rationals: rank lower bounds
   from reductions mod ~2^30 primes, CRT + rational reconstruction of the
   candidate basis, and exact integer verification.  Since rank can only
   drop under reduction mod p, a verified basis of size n - max(rank_p) is
   provably a full nullspace basis.
+
+`solve_nullspace` is the one place that picks a kernel for a condition
+matrix.  It owns the single size threshold (`_NUMPY_MIN_ENTRIES` matrix
+entries), the field rule and the exactness bounds: the int64 kernels, and
+the int64 mass evaluation that `gf_numpy_path` selects in `conditions`, need
+p < 2^31 so that every product stays below p^2 < 2^62; the float64 panel
+kernel runs only for odd p with n*p^2 < 2^53 (n counted as at least 8, the
+smallest panel), and the int64 RREF otherwise.
 
 Echelonization convention: matrices over monomial bases keep columns in
 grevlex-descending order, and `reverse_cols=True` selects pivots scanning
@@ -27,77 +35,73 @@ from math import lcm
 
 import numpy as np
 
-from .fields import crt_combine, primes_from, rational_reconstruct
+from .fields import crt_combine, primes_from, rational_reconstruct, rationals
+
+# Matrices with more entries than this go to the numpy and multimodular
+# kernels; below it the generic loop has less overhead.
+_NUMPY_MIN_ENTRIES = 50_000
+_INT64_P = 1 << 31  # int64 kernels need p below this: products < p^2 < 2^62
+_F53 = float(2**53)
+_FIRST_PRIME_ABOVE = (1 << 30) + 1  # the multimodular primes start here
 
 # ---------------------------------------------------------------------------
 # generic exact routines (any field, raw values)
+
+
+def identity(n, field):
+    return [[field.one if j == i else field.zero for j in range(n)] for i in range(n)]
+
+
+def _gauss_jordan(R, field, cols):
+    """Reduce the row list R in place, searching pivots in the columns `cols`
+    in that order.  Returns the pivot columns; R[:len(pivots)] are then the
+    nonzero reduced rows in pivot-discovery order."""
+    m = len(R)
+    pivots = []
+    r = 0
+    for c in cols:
+        if r == m:
+            break
+        pr = None
+        for i in range(r, m):
+            if not field.is_zero(R[i][c]):
+                pr = i
+                break
+        if pr is None:
+            continue
+        R[r], R[pr] = R[pr], R[r]
+        inv = field.inv(R[r][c])
+        R[r] = [field.mul(v, inv) for v in R[r]]
+        prow = R[r]
+        for i in range(m):
+            if i != r and not field.is_zero(R[i][c]):
+                f = R[i][c]
+                R[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(R[i], prow)]
+        pivots.append(c)
+        r += 1
+    return pivots
 
 
 def rref(rows, field, reverse_cols=False):
     """Reduced row echelon form.  Returns (R, pivots): R the nonzero rows in
     pivot-discovery order, pivots the matching column indices."""
     R = [list(r) for r in rows]
-    m = len(R)
-    n = len(R[0]) if m else 0
-    order = range(n - 1, -1, -1) if reverse_cols else range(n)
-    pivots = []
-    r = 0
-    for c in order:
-        if r == m:
-            break
-        pr = None
-        for i in range(r, m):
-            if not field.is_zero(R[i][c]):
-                pr = i
-                break
-        if pr is None:
-            continue
-        R[r], R[pr] = R[pr], R[r]
-        inv = field.inv(R[r][c])
-        R[r] = [field.mul(v, inv) for v in R[r]]
-        prow = R[r]
-        for i in range(m):
-            if i != r and not field.is_zero(R[i][c]):
-                f = R[i][c]
-                R[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(R[i], prow)]
-        pivots.append(c)
-        r += 1
-    return R[:r], pivots
+    n = len(R[0]) if R else 0
+    pivots = _gauss_jordan(R, field, range(n - 1, -1, -1) if reverse_cols else range(n))
+    return R[: len(pivots)], pivots
 
 
-def rref_with_transform(rows, field, reverse_cols=False):
-    """RREF together with the row-operation record.
+def rref_with_transform(rows, field):
+    """RREF together with the row-operation record: the `rref` loop run on
+    [A | I], with pivots searched only in the columns of A.
 
     Returns (R, pivots, E, N) with E @ input = R for the nonzero rows, and N
     the transform rows whose image is zero (a basis of the left nullspace).
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    one, zero = field.one, field.zero
-    R = [list(r) + [one if j == i else zero for j in range(m)] for i, r in enumerate(rows)]
-    order = range(n - 1, -1, -1) if reverse_cols else range(n)
-    pivots = []
-    r = 0
-    for c in order:
-        if r == m:
-            break
-        pr = None
-        for i in range(r, m):
-            if not field.is_zero(R[i][c]):
-                pr = i
-                break
-        if pr is None:
-            continue
-        R[r], R[pr] = R[pr], R[r]
-        inv = field.inv(R[r][c])
-        R[r] = [field.mul(v, inv) for v in R[r]]
-        prow = R[r]
-        for i in range(m):
-            if i != r and not field.is_zero(R[i][c]):
-                f = R[i][c]
-                R[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(R[i], prow)]
-        pivots.append(c)
-        r += 1
+    n = len(rows[0]) if rows else 0
+    R = [list(r) + e for r, e in zip(rows, identity(len(rows), field))]
+    pivots = _gauss_jordan(R, field, range(n))
+    r = len(pivots)
     main = [row[:n] for row in R[:r]]
     E = [row[n:] for row in R[:r]]
     N = [row[n:] for row in R[r:]]
@@ -114,10 +118,7 @@ def nullspace(rows, field, ncols=None):
     if not rows:
         if ncols is None:
             raise ValueError("ncols required for an empty matrix")
-        return [
-            [field.one if j == i else field.zero for j in range(ncols)]
-            for i in range(ncols)
-        ]
+        return identity(ncols, field)
     n = len(rows[0])
     R, piv = rref(rows, field)
     pivset = set(piv)
@@ -157,23 +158,72 @@ def matmul(A, B, field):
 
 
 # ---------------------------------------------------------------------------
+# the kernel dispatcher
+
+
+def gf_numpy_path(field, m, n):
+    """True when `solve_nullspace` eliminates an m x n matrix over `field`
+    with the numpy GF(p) kernels: a prime field with p < 2^31 and more than
+    `_NUMPY_MIN_ENTRIES` entries."""
+    return field.kind == "prime" and field.p < _INT64_P and m * n > _NUMPY_MIN_ENTRIES
+
+
+def solve_nullspace(rows, field, ncols):
+    """Right nullspace of a condition matrix with `ncols` columns, by the
+    kernel that suits its size and field.
+
+    rows: lists of raw values, or an int64 array over GF(p).  Returns
+    (count, basis).  basis is the canonical basis of `nullspace` (the same
+    vectors whichever kernel ran), or, for a large rational matrix that has
+    full row rank modulo one word-size prime, a callable that produces it on
+    demand; the count is then certified by that prime alone.
+    """
+    m = len(rows)
+    if gf_numpy_path(field, m, ncols):
+        N = nullspace_mod_p(rows, field.p)
+        return len(N), N.tolist()
+    if field.kind == "rational" and m * ncols > _NUMPY_MIN_ENTRIES:
+        return _solve_rational(rows, field, ncols)
+    basis = nullspace(rows, field, ncols)
+    return len(basis), basis
+
+
+def _solve_rational(rows, field, ncols):
+    int_rows = [r for r in map(clear_denominators, rows) if any(r)]
+    if not int_rows:
+        return ncols, identity(ncols, field)
+    p = primes_from(_FIRST_PRIME_ABOVE, 1)[0]
+    r = rank_mod_p(_mod_rows(int_rows, p), p)
+    if r == ncols:
+        return 0, []
+    if r < len(int_rows):
+        result = nullspace_rational(int_rows)
+        return ncols - result.rank, result.basis
+
+    # full row rank mod p pins the rank exactly; basis only on demand
+    def basis():
+        result = nullspace_rational(int_rows)
+        if result.rank != r:
+            raise RuntimeError("rank certificate contradicted by reconstruction")
+        return result.basis
+
+    return ncols - r, basis
+
+
+# ---------------------------------------------------------------------------
 # GF(p) numpy kernels
 
-_F53 = float(2**53)
 
-
-def rref_mod_p(A, p, col_order=None):
+def rref_mod_p(A, p):
     """RREF over GF(p), p < 2^31, vectorized int64 row operations.
     Returns (R, pivots): R an int64 array of the rank nonzero rows."""
     A = np.mod(np.asarray(A, dtype=np.int64), p).copy()
     if A.ndim != 2:
         raise ValueError("matrix required")
     m, n = A.shape
-    if col_order is None:
-        col_order = range(n)
     r = 0
     pivots = []
-    for c in col_order:
+    for c in range(n):
         if r == m:
             break
         nz = np.nonzero(A[r:, c])[0]
@@ -214,8 +264,10 @@ def ref_mod_p(A, p, block=192):
     Returns (U, pivots): U float64 with canonical entries in [0, p)."""
     if p % 2 == 0:
         raise ValueError("float64 kernel requires an odd modulus")
-    A = np.mod(np.asarray(A, dtype=np.int64), p).astype(np.float64)
+    A = np.asarray(A, dtype=np.int64)
     m, n = A.shape
+    # int64 remainder written straight into the float64 copy (exact: < p)
+    A = np.remainder(A, p, out=np.empty((m, n)))
     half = (p - 1) // 2
     A[A > half] -= p
     # cap keeps every value below 2^51, which makes the rint quotient exact
@@ -268,6 +320,23 @@ def ref_mod_p(A, p, block=192):
     return U, pivots
 
 
+def _float_kernel(m, n, p):
+    """Whether the float64 panel kernel eliminates an m x n matrix mod p:
+    large enough to pay off, and exact (odd p, n*p^2 < 2^53, and panels of
+    at least 8 columns, which `ref_mod_p` requires)."""
+    return p % 2 == 1 and max(n, 8) * p * p < _F53 and m * n > _NUMPY_MIN_ENTRIES
+
+
+def _basis_from_rref_mod_p(R, piv, p, n):
+    """Canonical nullspace basis (int64, nullity x n) of an RREF mod p:
+    v[f] = 1 on its free column f, v[pivot_i] = -R[i][f]."""
+    free = np.setdiff1d(np.arange(n), np.asarray(piv, dtype=np.int64))
+    X = np.zeros((len(free), n), dtype=np.int64)
+    X[np.arange(len(free)), free] = 1
+    X[:, piv] = np.mod(-R[:, free].T, p)
+    return X
+
+
 def nullspace_mod_p(A, p):
     """Canonical right-nullspace basis over GF(p) as an int64 array (nullity x n).
     Chooses the float64 panel kernel for large matrices with small p, otherwise
@@ -278,18 +347,11 @@ def nullspace_mod_p(A, p):
         return np.zeros((0, 0), dtype=np.int64)
     if m == 0:
         return np.eye(n, dtype=np.int64)
-    if p % 2 == 1 and n * p * p < _F53 and m * n > 50000:
+    if _float_kernel(m, n, p):
         U, piv = ref_mod_p(A, p)
         return _backsolve_ref(U, piv, p, n)
     R, piv = rref_mod_p(A, p)
-    pivset = set(piv)
-    free = [f for f in range(n) if f not in pivset]
-    X = np.zeros((len(free), n), dtype=np.int64)
-    for idx, f in enumerate(free):
-        X[idx, f] = 1
-        for i, c in enumerate(piv):
-            X[idx, c] = (-int(R[i, f])) % p
-    return X
+    return _basis_from_rref_mod_p(R, piv, p, n)
 
 
 def _backsolve_ref(U, piv, p, n):
@@ -313,9 +375,8 @@ def rank_mod_p(A, p):
     m, n = A.shape
     if m == 0 or n == 0:
         return 0
-    if p % 2 == 1 and n * p * p < _F53 and m * n > 50000:
-        return len(ref_mod_p(A, p)[1])
-    return len(rref_mod_p(A, p)[1])
+    kernel = ref_mod_p if _float_kernel(m, n, p) else rref_mod_p
+    return len(kernel(A, p)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -338,12 +399,11 @@ class RationalNullspace:
     Fraction vectors, identity pattern on the free columns) plus the certified
     rank of the input matrix."""
 
-    __slots__ = ("basis", "rank", "free_columns", "primes_used")
+    __slots__ = ("basis", "rank", "primes_used")
 
-    def __init__(self, basis, rank, free_columns, primes_used):
+    def __init__(self, basis, rank, primes_used):
         self.basis = basis
         self.rank = rank
-        self.free_columns = free_columns
         self.primes_used = primes_used
 
 
@@ -361,12 +421,8 @@ def nullspace_rational(rows, max_primes=1024):
         raise ValueError("ncols unknown for an empty matrix; use nullspace()")
     n = len(rows[0])
     if not int_rows:
-        basis = [
-            [Fraction(1) if j == i else Fraction(0) for j in range(n)]
-            for i in range(n)
-        ]
-        return RationalNullspace(basis, 0, list(range(n)), [])
-    prime_iter = iter(primes_from((1 << 30) + 1, max_primes))
+        return RationalNullspace(identity(n, rationals()), 0, [])
+    prime_iter = iter(primes_from(_FIRST_PRIME_ABOVE, max_primes))
     best = None  # (rank, pivots tuple) with the largest rank seen
     groups = {}  # pivots tuple -> list of (p, nullspace residues array)
     used = []
@@ -376,8 +432,7 @@ def nullspace_rational(rows, max_primes=1024):
         except StopIteration:
             raise RuntimeError("rational nullspace did not stabilize") from None
         used.append(p)
-        Ap = _mod_rows(int_rows, p)
-        R, piv = rref_mod_p(Ap, p)
+        R, piv = rref_mod_p(_mod_rows(int_rows, p), p)
         key = tuple(piv)
         r = len(piv)
         if best is None or r > best[0]:
@@ -387,20 +442,12 @@ def nullspace_rational(rows, max_primes=1024):
             continue  # unlucky prime, rank dropped
         if r == n:
             # full column rank certified: rank mod p is a lower bound
-            return RationalNullspace([], n, [], used)
-        pivset = set(piv)
-        free = [f for f in range(n) if f not in pivset]
-        N = np.zeros((len(free), n), dtype=np.int64)
-        for idx, f in enumerate(free):
-            N[idx, f] = 1
-            for i, c in enumerate(piv):
-                N[idx, c] = (-int(R[i, f])) % p
-        groups.setdefault(key, []).append((p, N))
+            return RationalNullspace([], n, used)
+        groups.setdefault(key, []).append((p, _basis_from_rref_mod_p(R, piv, p, n)))
         # attempt reconstruction with the (largest-rank) reference group
         cand = _reconstruct_and_verify(groups[best[1]], int_rows, n)
         if cand is not None:
-            free = [f for f in range(n) if f not in set(best[1])]
-            return RationalNullspace(cand, best[0], free, used)
+            return RationalNullspace(cand, best[0], used)
 
 
 def _reconstruct_and_verify(group, int_rows, n):

@@ -14,10 +14,8 @@ the echelon rows are kept in pivot-discovery order.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .fields import FieldElement
-from .linalg import rref, rref_with_transform
+from .linalg import matmul, rref, rref_with_transform
 from .poly import MultiPoly, grevlex_key
 
 
@@ -140,28 +138,34 @@ class LinearSys:
     @classmethod
     def from_nullspace(cls, parent, vectors, nsections=None, pending=None):
         """Subsystem of `parent` spanned by coefficient-space vectors (each of
-        length parent.nsections()).  With `pending`, the vectors are produced
-        lazily by the callable and only the certified count is stored."""
+        length parent.nsections()); no vectors give the empty system.  With
+        `pending`, the vectors are produced lazily by the callable and only
+        the certified count is stored."""
+        if pending is None and not vectors:
+            return cls.empty(parent.ambient, parent.degree)
         L = cls(parent.ambient, parent.degree)
+        L.independent_sections = True
         if pending is not None:
             L._nsections = nsections
             L._pending = (pending, parent)
-            L.independent_sections = True
             return L
-        rows = _combine_rows(parent, vectors)
-        L._matrix = rows
-        L._monomials = list(parent.monomials())
-        L._nsections = len(rows) if nsections is None else nsections
-        L.independent_sections = True
+        L._set_rows(parent, vectors)
+        L._nsections = len(L._matrix) if nsections is None else nsections
         return L
 
     # -- materialization ----------------------------------------------------------
 
+    def _set_rows(self, parent, vectors):
+        """Store the combinations vec . parent sections as rows over the
+        parent's monomials."""
+        field = self.ambient.field
+        rows = [[field.coerce(x) for x in v] for v in vectors]
+        self._matrix = rows if parent.is_complete else matmul(rows, parent.matrix(), field)
+        self._monomials = list(parent.monomials())
+
     def _run_pending(self):
         factory, parent = self._pending
-        vectors = factory()
-        self._matrix = _combine_rows(parent, vectors)
-        self._monomials = list(parent.monomials())
+        self._set_rows(parent, factory())
         self._pending = None
         if self._nsections is not None and len(self._matrix) != self._nsections:
             raise RuntimeError("deferred basis does not match the certified count")
@@ -363,13 +367,9 @@ class LinearSys:
         comp = []
         for row in RA:
             row = list(row)
-            for i, c in enumerate(workpiv):
-                if not field.is_zero(row[c]):
-                    f = row[c]
-                    row = [field.sub(a, field.mul(f, b)) for a, b in zip(row, work[i])]
-            nz = _last_nonzero(row, field)
-            if nz is None:
+            if _reduce_against(row, work, workpiv, field):
                 continue
+            nz = _last_nonzero(row, field)
             inv = field.inv(row[nz])
             row = [field.mul(v, inv) for v in row]
             work.append(row)
@@ -486,30 +486,6 @@ def _infer_degree(ambient, sections):
     return list(d)
 
 
-def _combine_rows(parent, vectors):
-    """Rows (over parent.monomials()) of the combinations vec . sections."""
-    field = parent.ambient.field
-    mons = parent.monomials()
-    if parent.is_complete:
-        rows = []
-        for v in vectors:
-            rows.append([field.coerce(x) for x in v])
-        return rows
-    M = parent.matrix()
-    rows = []
-    for v in vectors:
-        acc = [field.zero] * len(mons)
-        for c, row in zip(v, M):
-            c = field.coerce(c)
-            if field.is_zero(c):
-                continue
-            for j, x in enumerate(row):
-                if not field.is_zero(x):
-                    acc[j] = field.add(acc[j], field.mul(c, x))
-        rows.append(acc)
-    return rows
-
-
 def _aligned_pair(A, B):
     """Union monomial support and both coefficient matrices padded onto it."""
     mons = sorted(
@@ -555,20 +531,16 @@ class CoefficientSolver:
     Solves f = sum a_j s_j by reading the coefficients of f at the pivot
     columns of the echelonized section matrix and mapping them back through
     the recorded row operations; when the sections are dependent, any one
-    valid solution is returned.  Large rational systems locate the pivot
-    columns modulo a prime first and run the exact elimination only on that
-    column subset; every answer is verified exactly against f.
+    valid solution is returned.  Every answer is verified exactly against f.
     """
 
-    def __init__(self, system, restricted=None):
+    def __init__(self, system):
         self.system = system
         field = system.ambient.field
         self.field = field
         self.monomials = list(system.monomials())
         self.mono_index = {e: i for i, e in enumerate(self.monomials)}
         self._complete = system.is_complete
-        self._restricted = False
-        self._full = None
         if self._complete:
             # basis is the monomials themselves: the map is a coefficient read
             self.nrows = len(self.monomials)
@@ -577,50 +549,13 @@ class CoefficientSolver:
             return
         M = system.matrix()
         self.nrows = len(M)
-        if restricted is None:
-            restricted = (
-                field.kind == "rational"
-                and self.nrows * len(self.monomials) > 200_000
-            )
-        if restricted:
-            self._restricted = True
-            self._build_restricted(M)
-        else:
-            _, piv, E, _ = rref_with_transform(M, field) if M else ([], [], [], [])
-            self.pivcols = piv
-            self.E = E
-
-    def _build_restricted(self, M):
-        # locate pivot columns modulo a word-size prime, then run the exact
-        # elimination only on that column subset; the per-apply residual check
-        # catches the (vanishingly rare) bad-prime case
-        import numpy as np
-
-        from .linalg import rref_mod_p
-
-        field = self.field
-        p = (1 << 30) + 3
-        Ap = np.array([[_frac_mod(v, p) for v in row] for row in M], dtype=np.int64)
-        _, piv = rref_mod_p(Ap, p)
-        sub = [[row[c] for c in piv] for row in M]
-        _, pivsub, E, _ = rref_with_transform(sub, field)
-        self.pivcols = [piv[c] for c in pivsub]
+        _, piv, E, _ = rref_with_transform(M, field) if M else ([], [], [], [])
+        self.pivcols = piv
         self.E = E
 
     def apply(self, f):
         """Coefficient vector of f in the stored basis; ValueError when f is
         not a member."""
-        try:
-            return self._solve(f)
-        except _ResidualMismatch:
-            if not self._restricted:
-                raise ValueError("polynomial is not in the span")
-            # pivot columns found modulo the prime were unlucky; redo exactly
-            if self._full is None:
-                self._full = CoefficientSolver(self.system, restricted=False)
-            return self._full.apply(f)
-
-    def _solve(self, f):
         system = self.system
         field = self.field
         if not isinstance(f, MultiPoly) or f.ring != system.ambient.ring:
@@ -652,19 +587,10 @@ class CoefficientSolver:
                 if not field.is_zero(x):
                     residual[j] = field.sub(residual[j], field.mul(aj, x))
         if any(not field.is_zero(r) for r in residual):
-            raise _ResidualMismatch("polynomial is not in the span")
+            raise ValueError("polynomial is not in the span")
         return [FieldElement(field, x) for x in a]
 
     __call__ = apply
-
-
-class _ResidualMismatch(ValueError):
-    """Solve candidate failed exact verification: non-member or bad prime."""
-
-
-def _frac_mod(v, p):
-    f = Fraction(v)
-    return f.numerator * pow(f.denominator, -1, p) % p
 
 
 # ---------------------------------------------------------------------------

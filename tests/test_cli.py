@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import hyperlin.blowup as blowup
 import hyperlin.gallery as gallery
 from hyperlin.ambient import affine_space
 from hyperlin.blowup import BlowupChainSpec, impose_chain
@@ -325,3 +326,26 @@ def test_lift_job_validation(tmp_path, capsys):
     rc = main(["lift", "--primes", "59,sixty-one"])
     assert rc == 2
     assert "--primes" in capsys.readouterr().err
+
+    bad = (("start_prime", 1), ("max_primes", 0), ("max_primes", "3"), ("start_prime", True),
+           ("target_modulus", "big"))
+    for key, value in bad:
+        path.write_text(json.dumps({"task": "sextic-pencil-lift", key: value}))
+        rc = main(["lift", "--job", str(path)])
+        assert rc == 2
+        assert f"job.{key}" in capsys.readouterr().err
+
+
+def test_lift_job_honours_start_prime_and_max_primes(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "lift.json"
+    # one real scan at 59: a single prime cannot reach the target modulus
+    path.write_text(json.dumps({"task": "sextic-pencil-lift", "max_primes": 1}))
+    assert main(["lift", "--job", str(path)]) == 2
+    assert "not enough usable primes" in capsys.readouterr().err
+    # the primes scanned, recorded by a stand-in scan that finds nothing
+    scanned = []
+    monkeypatch.setattr(blowup, "sextic_pencil_scan", lambda p: scanned.append(p) or [])
+    path.write_text(json.dumps({"task": "sextic-pencil-lift", "start_prime": 100, "max_primes": 2}))
+    assert main(["lift", "--job", str(path)]) == 2
+    assert scanned == [101, 103]
+    assert "no usable primes" in capsys.readouterr().err

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperlin.conditions as conditions
+import hyperlin.linalg as linalg
 from hyperlin.ambient import affine_space, projective_space
 from hyperlin.conditions import (
     SchemeSpec,
@@ -127,7 +128,7 @@ def test_mass_evaluation_matches_generic(monkeypatch):
     few = pts[:15]
     generic = impose_points(L, pts, [1] * len(pts))
     generic15 = impose_points(L, few, [1] * 15)
-    monkeypatch.setattr(conditions, "_BIG", 10)
+    monkeypatch.setattr(linalg, "_NUMPY_MIN_ENTRIES", 10)
     fast = impose_points(L, pts, [1] * len(pts))
     fast15 = impose_points(L, few, [1] * 15)
     assert generic.same_span(fast)
@@ -135,6 +136,38 @@ def test_mass_evaluation_matches_generic(monkeypatch):
     # the underdetermined instance exercises a nonzero nullspace on both paths
     assert generic15.nsections() >= 21 - 15
     assert generic15.same_span(fast15)
+
+
+def test_mass_evaluation_exact_for_large_prime(monkeypatch):
+    # p near 2^30: the products of two residues need the full int64 range
+    p = 1073741827
+    P2 = projective_space(GF(p), 2)
+    L = LinearSys.complete(P2, 20)
+    pts = random_points(P2, 230, random.Random(4))
+    calls = []
+    real = conditions._mass_evaluation_rows
+    monkeypatch.setattr(
+        conditions, "_mass_evaluation_rows", lambda *a: calls.append(1) or real(*a)
+    )
+    J = impose_points(L, pts, [1] * len(pts))
+    assert calls, "instance did not take the mass-evaluation path"
+    assert J.nsections() == 1
+    F = GF(p)
+    for s in J.sections():
+        for pt in pts:
+            assert F.is_zero(s._eval_raw(pt.coords))
+
+
+def test_imposing_on_an_empty_system_stays_empty():
+    P2 = projective_space(GF(13), 2)
+    J = impose_points(LinearSys.complete(P2, 1), [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [1, 1, 1])
+    assert J.nsections() == 0
+    assert impose_points(J, [(1, 1, 1)], [1]).nsections() == 0
+    A2 = affine_space(GF(13), 2)
+    x, _ = A2.ring.gens()
+    J = impose_containment(LinearSys.complete(A2, 1), SchemeSpec([x * x - 1]))
+    assert J.nsections() == 0
+    assert impose_points(J, [(0, 0)], [1]).nsections() == 0
 
 
 def test_containment_line_in_plane():
@@ -298,7 +331,7 @@ def test_rank_drop_bounded_by_condition_count():
 def test_rational_certificate_path_defers_basis(monkeypatch):
     # force the big-rational dispatch on a small instance: the rank is
     # certified by one prime and the exact basis only materializes on demand
-    monkeypatch.setattr(conditions, "_BIG", 10)
+    monkeypatch.setattr(linalg, "_NUMPY_MIN_ENTRIES", 10)
     A2 = affine_space(QQ, 2)
     L = LinearSys.complete(A2, 4)
     pts = [(1, 2), (3, 5)]

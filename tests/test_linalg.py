@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import hyperlin.linalg as linalg
 from hyperlin.fields import GF, rationals
 from hyperlin.linalg import (
     clear_denominators,
@@ -72,16 +73,21 @@ def test_rref_idempotent():
 
 
 def test_rref_with_transform_reconstructs():
-    rng = random.Random(9)
-    F = GF(13)
-    rows = [[F.from_int(rng.randint(0, 12)) for _ in range(5)] for _ in range(4)]
-    R, piv, E, N = rref_with_transform(rows, F)
-    # E @ rows == R
-    assert matmul(E, rows, F) == R
-    # N rows are the left nullspace: N @ rows == 0
-    for nv in matmul(N, rows, F):
-        assert all(F.is_zero(v) for v in nv)
-    assert len(R) + len(N) == len(rows)
+    # one field of each kind: the transform shares the loop of rref
+    for F in (GF(13), QQ, GF(7, 2)):
+        rng = random.Random(9)
+        draw = (lambda: F.random(rng, -6, 6)) if F.kind == "rational" else (lambda: F.random(rng))
+        rows = [[draw() for _ in range(5)] for _ in range(4)]
+        rows.append([F.add(a, b) for a, b in zip(rows[0], rows[1])])
+        R, piv, E, N = rref_with_transform(rows, F)
+        assert (R, piv) == rref(rows, F)
+        # E @ rows == R
+        assert matmul(E, rows, F) == R
+        # N rows are the left nullspace: N @ rows == 0
+        assert N
+        for nv in matmul(N, rows, F):
+            assert all(F.is_zero(v) for v in nv)
+        assert len(R) + len(N) == len(rows)
 
 
 def test_nullspace_generic():
@@ -163,23 +169,38 @@ def test_nullspace_mod_p_matches_generic_and_annihilates():
 
 
 def test_blocked_kernel_agrees_with_rowloop_on_larger_instance():
-    rng = np.random.default_rng(2)
-    p = 397
-    A = rng.integers(0, p, size=(300, 260)).astype(np.int64)
-    # force rank deficiency: last rows are combinations of earlier ones
-    A[250:] = (A[:50] * 3 + A[50:100] * 7) % p
-    U, piv = ref_mod_p(A, p, block=64)
-    R, piv2 = rref_mod_p(A, p)
-    assert piv == piv2
-    N = nullspace_mod_p(A, p)
-    assert N.shape[0] == 260 - len(piv)
-    assert not ((A @ N.T) % p).any()
+    # 5885833 is the largest prime p with 260*p^2 < 2^53, the float64
+    # kernel's bound for 260 columns; 5885843, the next prime, takes the
+    # int64 RREF
+    for p in (397, 5885833, 5885843):
+        rng = np.random.default_rng(2)
+        A = rng.integers(0, p, size=(300, 260)).astype(np.int64)
+        # force rank deficiency: last rows are combinations of earlier ones
+        A[250:] = (A[:50] * 3 + A[50:100] * 7) % p
+        assert linalg._float_kernel(300, 260, p) == (p != 5885843)
+        R, piv = rref_mod_p(A, p)
+        if p != 5885843:
+            U, piv2 = ref_mod_p(A, p, block=64)
+            assert piv == piv2
+        assert rank_mod_p(A, p) == len(piv) == 250
+        N = nullspace_mod_p(A, p)
+        assert N.shape[0] == 260 - len(piv)
+        free = [f for f in range(260) if f not in piv]
+        # the canonical basis of the RREF: identity on the free columns
+        assert (N[:, free] == np.eye(len(free), dtype=np.int64)).all()
+        assert (N[:, piv] == (-R[:, free].T) % p).all()
+        assert not ((A @ N.T) % p).any()
 
 
 def test_rank_mod_p():
     A = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 1]], dtype=np.int64)
     assert rank_mod_p(A, 7) == 2
     assert rank_mod_p(np.zeros((2, 3), dtype=np.int64), 7) == 0
+    # 5*p^2 < 2^53 < 8*p^2: too few columns for the float64 kernel's panels
+    p = 38543941
+    A = np.random.default_rng(0).integers(0, p, size=(20000, 5))
+    assert rank_mod_p(A, p) == 5
+    assert nullspace_mod_p(A, p).shape == (0, 5)
 
 
 # -- certified rational nullspace ------------------------------------------------
