@@ -13,6 +13,7 @@ coefficients of the transformed sections.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from .fields import GF, lift_rationals, primes_from
 from .linalg import identity, matmul, nullspace, rank
@@ -238,7 +239,7 @@ def quadrifolium():
         for e in monomials_below_degree(2, 7)
         if e[0] % 2 == 0 and e[1] % 2 == 0
     ]
-    J = LinearSys.from_sections(A2, even, degree=6, check_basis=False)
+    J = LinearSys.from_sections(A2, even, degree=6)
     fifth = Fraction(1, 5)
     specs = [
         BlowupChainSpec((0, 0), [4, 2], [(1, 0)]),
@@ -357,21 +358,14 @@ def pencil_parameter_lift(start_prime=59, target_modulus=10**25, max_primes=40, 
             continue
         moduli.append(p)
         residues.append([e1[0], e2[0]])
-        if not explicit and _prod(moduli) > target_modulus:
+        if not explicit and prod(moduli) > target_modulus:
             break
     if not moduli:
         raise RuntimeError("no usable primes: every scan missed the two-value pattern")
-    if not explicit and _prod(moduli) <= target_modulus:
+    if not explicit and prod(moduli) <= target_modulus:
         raise RuntimeError("not enough usable primes to reach the target modulus")
     lifted = lift_rationals(residues, moduli)
     if not lifted.all_ok:
         raise RuntimeError("rational reconstruction failed; extend the prime range")
     e1, e2 = lifted.values
-    return e1, e2, _prod(moduli), list(moduli)
-
-
-def _prod(xs):
-    out = 1
-    for x in xs:
-        out *= x
-    return out
+    return e1, e2, prod(moduli), list(moduli)

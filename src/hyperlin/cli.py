@@ -7,7 +7,7 @@
 
 Every command accepts --seed (default 0) and --json.  Identical inputs with
 identical seeds produce byte-identical reports: no timing or host information
-is ever printed.  HYPERLIN_THREADS caps enumeration parallelism.
+is ever printed.
 """
 
 from __future__ import annotations

@@ -351,7 +351,8 @@ def image_system(components, target, degree, scheme=None):
 
 class SamplePoints(list):
     """List of points found on a scheme; `complete` records whether the
-    search was exhaustive (every point of the scheme is present)."""
+    request was met: every point of the scheme in exhaustive mode, `count`
+    distinct points in random mode."""
 
     def __init__(self, points, complete):
         super().__init__(points)
@@ -362,9 +363,9 @@ def sample_points(ambient, generators, count=None, rng=None, limit=6_000_000):
     """Points of the vanishing locus of the generators.
 
     Exhaustive enumeration when `count` is None (finite fields, ambient point
-    count below `limit`); otherwise random draws until `count` distinct points
-    are found or the trial budget runs out, in which case the result carries
-    complete=False."""
+    count below `limit`), with complete=True.  Otherwise random draws until
+    `count` distinct points are found (complete=True) or the trial budget runs
+    out (complete=False, with the points found so far)."""
     field = ambient.field
     if not field.is_finite:
         raise ValueError("sampling needs a finite coefficient field")

@@ -7,6 +7,11 @@ data (bases, matrices, solvers) is materialized only on demand; systems
 produced by imposing conditions can carry a certified section count together
 with a deferred factory for the actual basis.
 
+Every system stores a basis: its sections (the rows of its matrix) are
+linearly independent, so nsections() == len(sections()) == len(matrix()).
+Input from outside is reduced once, at construction: independent sections or
+rows are kept verbatim, dependent ones are replaced by their echelon rows.
+
 Matrix columns follow the grevlex-descending monomial order; echelonization
 selects pivots scanning columns right to left (smallest monomial first), and
 the echelon rows are kept in pivot-discovery order.
@@ -24,13 +29,10 @@ class LinearSys:
         "ambient",
         "degree",
         "is_complete",
-        "echelonized",
-        "independent_sections",
         "_sections",
         "_monomials",
         "_matrix",
         "_nsections",
-        "_echelon",
         "_solver",
         "_pending",
     )
@@ -39,13 +41,10 @@ class LinearSys:
         self.ambient = ambient
         self.degree = ambient.degree_tuple(degree)
         self.is_complete = False
-        self.echelonized = False
-        self.independent_sections = False
         self._sections = None
         self._monomials = None
         self._matrix = None
         self._nsections = None
-        self._echelon = None
         self._solver = None
         self._pending = None
 
@@ -57,12 +56,13 @@ class LinearSys:
         proportional to the monomial count is allocated until queried."""
         L = cls(ambient, degree)
         L.is_complete = True
-        L.echelonized = True
-        L.independent_sections = True
+        L._nsections = ambient.monomial_count(L.degree)
         return L
 
     @classmethod
-    def from_sections(cls, ambient, sections, degree=None, check_basis=True, change_basis=False):
+    def from_sections(cls, ambient, sections, degree=None, change_basis=False):
+        """System spanned by the sections; with `change_basis` the stored
+        basis is their echelon form."""
         sections = list(sections)
         if not sections:
             if degree is None:
@@ -80,21 +80,7 @@ class LinearSys:
             if not ambient.section_fits_degree(s, L.degree):
                 raise ValueError(f"section {s} does not have degree {degree}")
         L._sections = sections
-        if change_basis:
-            L._echelonize_in_place()
-        elif check_basis:
-            M = L.matrix()
-            R, piv = rref(M, ambient.field, reverse_cols=True)
-            if len(R) < len(M):
-                # dependent input: switch to the echelonized matrix form
-                L._matrix = R
-                L._echelon = (R, piv)
-                L._sections = None
-                L.echelonized = True
-            else:
-                L._echelon = (R, piv)
-            L._nsections = len(R)
-            L.independent_sections = True
+        L._reduce_to_basis(echelon=change_basis)
         return L
 
     @classmethod
@@ -123,6 +109,7 @@ class LinearSys:
         L = cls(ambient, degree)
         L._matrix = rows
         L._monomials = monomials
+        L._reduce_to_basis()
         return L
 
     @classmethod
@@ -131,27 +118,34 @@ class LinearSys:
         L._sections = []
         L._matrix = []
         L._nsections = 0
-        L.echelonized = True
-        L.independent_sections = True
         return L
 
     @classmethod
     def from_nullspace(cls, parent, vectors, nsections=None, pending=None):
-        """Subsystem of `parent` spanned by coefficient-space vectors (each of
-        length parent.nsections()); no vectors give the empty system.  With
-        `pending`, the vectors are produced lazily by the callable and only
-        the certified count is stored."""
+        """Subsystem of `parent` spanned by independent coefficient-space
+        vectors (each of length parent.nsections()); no vectors give the
+        empty system.  With `pending`, the vectors are produced lazily by the
+        callable and only the certified count `nsections` is stored."""
         if pending is None and not vectors:
             return cls.empty(parent.ambient, parent.degree)
         L = cls(parent.ambient, parent.degree)
-        L.independent_sections = True
         if pending is not None:
             L._nsections = nsections
             L._pending = (pending, parent)
             return L
         L._set_rows(parent, vectors)
-        L._nsections = len(L._matrix) if nsections is None else nsections
+        L._nsections = len(L._matrix)
         return L
+
+    def _reduce_to_basis(self, echelon=False):
+        """Make the stored rows a basis of their span: dependent rows (or,
+        with `echelon`, any rows) are replaced by their echelon form."""
+        M = self.matrix()
+        R, _ = rref(M, self.ambient.field, reverse_cols=True)
+        if echelon or len(R) < len(M):
+            self._matrix = R
+            self._sections = None
+        self._nsections = len(R)
 
     # -- materialization ----------------------------------------------------------
 
@@ -167,7 +161,7 @@ class LinearSys:
         factory, parent = self._pending
         self._set_rows(parent, factory())
         self._pending = None
-        if self._nsections is not None and len(self._matrix) != self._nsections:
+        if len(self._matrix) != self._nsections:
             raise RuntimeError("deferred basis does not match the certified count")
 
     def monomials(self):
@@ -225,17 +219,8 @@ class LinearSys:
         return self._sections
 
     def nsections(self):
-        """Rank of the system; avoids materializing sections when the count
-        follows from the representation (complete systems, certified results)."""
-        if self._nsections is None:
-            if self.is_complete:
-                self._nsections = self.ambient.monomial_count(self.degree)
-            elif self.echelonized or self.independent_sections:
-                self._nsections = (
-                    len(self._matrix) if self._matrix is not None else len(self._sections)
-                )
-            else:
-                self._nsections = len(self._echelon_form()[0])
+        """Size of the basis, stored at construction: no basis is materialized
+        for it (complete systems, certified results)."""
         return self._nsections
 
     def dimension(self):
@@ -243,30 +228,6 @@ class LinearSys:
 
     def is_empty(self):
         return self.nsections() == 0
-
-    def _echelon_form(self):
-        if self._echelon is None:
-            self._echelon = rref(self.matrix(), self.ambient.field, reverse_cols=True)
-        return self._echelon
-
-    def _echelonize_in_place(self):
-        R, piv = rref(self.matrix(), self.ambient.field, reverse_cols=True)
-        self._matrix = R
-        self._monomials = self.monomials()
-        self._echelon = (R, piv)
-        self._sections = None
-        self._nsections = len(R)
-        self.echelonized = True
-        self.independent_sections = True
-        self._solver = None
-
-    def echelonized_copy(self):
-        L = LinearSys(self.ambient, self.degree)
-        L._sections = self.sections()
-        L._monomials = self.monomials()
-        L._matrix = self.matrix()
-        L._echelonize_in_place()
-        return L
 
     # -- coefficient and polynomial maps ----------------------------------------------
 
@@ -393,20 +354,9 @@ class LinearSys:
     # -- base ideal and reduction ------------------------------------------------------
 
     def base_ideal_generators(self):
-        """An independent basis of sections; these generate the ideal whose
-        zero locus is the base scheme."""
-        if self.is_empty():
-            return []
-        if self.independent_sections or self.echelonized or self.is_complete:
-            return list(self.sections())
-        R, piv = self._echelon_form()
-        ring = self.ambient.ring
-        field = ring.field
-        mons = self.monomials()
-        return [
-            MultiPoly(ring, {e: v for e, v in zip(mons, row) if not field.is_zero(v)})
-            for row in R
-        ]
+        """The basis sections; these generate the ideal whose zero locus is
+        the base scheme."""
+        return list(self.sections())
 
     def reduction(self):
         """(reduced system, common factor): divides out the monic gcd of all
@@ -423,9 +373,7 @@ class LinearSys:
         if g.total_degree() == 0:
             return self, self.ambient.ring.one()
         reduced = [s.divide_exact(g) for s in secs]
-        L = LinearSys.from_sections(self.ambient, reduced, check_basis=False)
-        L.independent_sections = True
-        return L, g
+        return LinearSys.from_sections(self.ambient, reduced), g
 
     # -- serialization --------------------------------------------------------------------
 
@@ -459,15 +407,14 @@ class LinearSys:
         ring = ambient.ring
         if "sections" in data:
             secs = [ring.parse(s) for s in data["sections"]]
-            return LinearSys.from_sections(ambient, secs, degree=degree, check_basis=False)
+            return LinearSys.from_sections(ambient, secs, degree=degree)
         mons = [next(iter(ring.parse(m).terms)) for m in data["monomials"]]
         rows = [[field.parse(v) for v in row] for row in data["matrix"]]
         return LinearSys.from_matrix(ambient, rows, mons, degree=degree)
 
     def __repr__(self):
         shape = "complete " if self.is_complete else ""
-        n = self._nsections if self._nsections is not None else "?"
-        return f"<{shape}linear system of degree {self.degree} with {n} section(s)>"
+        return f"<{shape}linear system of degree {self.degree} with {self._nsections} section(s)>"
 
 
 # ---------------------------------------------------------------------------
@@ -529,9 +476,8 @@ class CoefficientSolver:
     """Cached solver for expressing members in the stored section basis.
 
     Solves f = sum a_j s_j by reading the coefficients of f at the pivot
-    columns of the echelonized section matrix and mapping them back through
-    the recorded row operations; when the sections are dependent, any one
-    valid solution is returned.  Every answer is verified exactly against f.
+    columns of the echelon form of the section matrix and mapping them back
+    through the recorded row operations.  Every answer is verified exactly against f.
     """
 
     def __init__(self, system):
@@ -541,17 +487,9 @@ class CoefficientSolver:
         self.monomials = list(system.monomials())
         self.mono_index = {e: i for i, e in enumerate(self.monomials)}
         self._complete = system.is_complete
-        if self._complete:
-            # basis is the monomials themselves: the map is a coefficient read
-            self.nrows = len(self.monomials)
-            self.pivcols = list(range(self.nrows))
-            self.E = None
-            return
-        M = system.matrix()
-        self.nrows = len(M)
-        _, piv, E, _ = rref_with_transform(M, field) if M else ([], [], [], [])
-        self.pivcols = piv
-        self.E = E
+        if not self._complete:
+            # a complete system's basis is its monomials: apply() reads f
+            _, self.pivcols, self.E, _ = rref_with_transform(system.matrix(), field)
 
     def apply(self, f):
         """Coefficient vector of f in the stored basis; ValueError when f is
@@ -570,23 +508,9 @@ class CoefficientSolver:
             v[j] = c
         if self._complete:
             return [FieldElement(field, x) for x in v]
-        c = [v[pc] for pc in self.pivcols]
-        a = [field.zero] * self.nrows
-        for ck, erow in zip(c, self.E):
-            if field.is_zero(ck):
-                continue
-            for j, ev in enumerate(erow):
-                a[j] = field.add(a[j], field.mul(ck, ev))
-        # exact residual verification
-        M = self.system.matrix()
-        residual = list(v)
-        for aj, row in zip(a, M):
-            if field.is_zero(aj):
-                continue
-            for j, x in enumerate(row):
-                if not field.is_zero(x):
-                    residual[j] = field.sub(residual[j], field.mul(aj, x))
-        if any(not field.is_zero(r) for r in residual):
+        a = matmul([[v[pc] for pc in self.pivcols]], self.E, field)[0]
+        # exact membership check: raw values are canonical
+        if matmul([a], system.matrix(), field)[0] != v:
             raise ValueError("polynomial is not in the span")
         return [FieldElement(field, x) for x in a]
 

@@ -11,9 +11,7 @@ rank 2 with the cubic part nonzero on the kernel line is a cusp (A2).
 
 from __future__ import annotations
 
-import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from itertools import product as iproduct
 
 import numpy as np
@@ -25,13 +23,6 @@ from .linsys import LinearSys
 from .poly import MultiPoly
 
 _POINT_LIMIT = 16_500_000  # ~ 254^3, the practical full-enumeration ceiling
-
-
-def _threads():
-    try:
-        return max(1, int(os.environ.get("HYPERLIN_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 class SingularPointReport:
@@ -129,61 +120,28 @@ def _sweep_prime(local, p, nfree):
     pw = [np.ones(p, dtype=np.int64)]
     for _ in range(maxexp):
         pw.append(pw[-1] * vals % p)
-
-    def term_block(e, c, idx):
-        # product of coefficient and <= 3 power columns stays below 2^63
-        acc = np.int64(c)
-        for i, ei in enumerate(e):
-            acc = acc * pw[ei][idx[i]]
-        return acc % p
-
-    first, rest = local[0], local[1:]
-    if nfree == 3 and _threads() > 1:
-        slabs = _split_range(p, _threads())
-        with ThreadPoolExecutor(max_workers=_threads()) as ex:
-            parts = list(
-                ex.map(lambda se: _slab_survivors(first, pw, p, se[0], se[1]), slabs)
-            )
-        idx = tuple(np.concatenate([part[i] for part in parts]) for i in range(3))
-    else:
-        idx = _full_survivors(first, pw, p, nfree)
-    for terms in rest:
+    idx = np.nonzero(_evaluate(local[0], pw, p, np.ix_(*[vals] * nfree)) == 0)
+    for terms in local[1:]:
         if not len(idx[0]):
             break
-        acc = np.zeros(len(idx[0]), dtype=np.int64)
-        for e, c in terms.items():
-            acc = (acc + term_block(e, c, idx)) % p
-        keep = acc == 0
+        keep = _evaluate(terms, pw, p, idx) == 0
         idx = tuple(ix[keep] for ix in idx)
     return list(zip(*(ix.tolist() for ix in idx)))
 
 
-def _full_survivors(terms, pw, p, nfree):
-    shape = (len(pw[0]),) * nfree
-    acc = np.zeros(shape, dtype=np.int64)
+def _evaluate(terms, pw, p, idx):
+    """Values mod p of the polynomial with the given terms at the points whose
+    coordinates are idx, one index array per variable: open-mesh ranges
+    (np.ix_) for the full grid, or the survivors of an earlier filter."""
+    acc = np.zeros(np.broadcast_shapes(*(ix.shape for ix in idx)), dtype=np.int64)
     for e, c in terms.items():
+        # coefficient times <= 3 power values, plus acc, stays below 2^63
         block = np.int64(c)
-        for i, ei in enumerate(e):
-            col = pw[ei].reshape((1,) * i + (-1,) + (1,) * (nfree - i - 1))
-            block = block * col
-        acc = (acc + block) % p
-    return np.nonzero(acc == 0)
-
-
-def _slab_survivors(terms, pw, p, lo, hi):
-    acc = np.zeros((hi - lo, len(pw[0]), len(pw[0])), dtype=np.int64)
-    for e, c in terms.items():
-        block = np.int64(c) * pw[e[0]][lo:hi].reshape(-1, 1, 1)
-        block = block * pw[e[1]].reshape(1, -1, 1)
-        block = block % p * pw[e[2]].reshape(1, 1, -1)
-        acc = (acc + block) % p
-    a, b, cidx = np.nonzero(acc == 0)
-    return a + lo, b, cidx
-
-
-def _split_range(n, parts):
-    step = max(1, -(-n // parts))
-    return [(lo, min(n, lo + step)) for lo in range(0, n, step)]
+        for ix, ei in zip(idx, e):
+            block = block * pw[ei][ix]
+        acc += block
+        acc %= p
+    return acc
 
 
 def _sweep_generic(local, field, nfree):
@@ -384,7 +342,7 @@ def invariant_family_scan(family, q, trials, target, rng=None, stop_after=None):
     field = GF(q)
     ambient = projective_space(field, 3)
     mons, fixed, draw = _FAMILIES[family](ambient)
-    base = LinearSys.from_sections(ambient, mons, degree=5, check_basis=False)
+    base = LinearSys.from_sections(ambient, mons, degree=5)
     prefix = impose_points(base, fixed, [2] * len(fixed))
 
     skipped = 0

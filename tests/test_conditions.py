@@ -82,7 +82,7 @@ def test_projective_double_point_at_vertex():
     x, y, z = ring.gens()
     L = LinearSys.complete(P2, 2)
     cut = impose_points(L, [(0, 0, 1)], [2])
-    expect = LinearSys.from_sections(P2, [x * x, x * y, y * y], check_basis=False)
+    expect = LinearSys.from_sections(P2, [x * x, x * y, y * y])
     assert cut.same_span(expect)
 
 
@@ -92,7 +92,7 @@ def test_point_at_infinity_chart():
     x, y = ring.gens()
     L = LinearSys.complete(P1, 3)
     cut = impose_points(L, [(1, 0)], [2])
-    expect = LinearSys.from_sections(P1, [x * y * y, y**3], check_basis=False)
+    expect = LinearSys.from_sections(P1, [x * y * y, y**3])
     assert cut.same_span(expect)
 
 
@@ -176,7 +176,7 @@ def test_containment_line_in_plane():
     x, y, z = ring.gens()
     L = LinearSys.complete(P2, 2)
     J = impose_containment(L, SchemeSpec([x], saturated=True))
-    expect = LinearSys.from_sections(P2, [x * x, x * y, x * z], check_basis=False)
+    expect = LinearSys.from_sections(P2, [x * x, x * y, x * z])
     assert J.same_span(expect)
 
 
@@ -213,7 +213,7 @@ def test_containment_affine_nontrivial_multiples():
     L = LinearSys.complete(A2, 3)
     J = impose_containment(L, SchemeSpec([f]))
     # degree <= 3 multiples of f: f, x*f, y*f
-    expect = LinearSys.from_sections(A2, [f, x * f, y * f], check_basis=False)
+    expect = LinearSys.from_sections(A2, [f, x * f, y * f])
     assert J.same_span(expect)
 
 
@@ -234,7 +234,7 @@ def test_trace_on_noncomplete_system():
     P2 = projective_space(GF(7), 2)
     ring = P2.ring
     x, y, z = ring.gens()
-    L = LinearSys.from_sections(P2, [x * x, x * y, y * y, z * z], check_basis=False)
+    L = LinearSys.from_sections(P2, [x * x, x * y, y * y, z * z])
     tr = L.trace(SchemeSpec([x], saturated=True))
     assert tr.nsections() == L.nsections() - 2  # x^2, x*y vanish on the line
 

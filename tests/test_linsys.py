@@ -7,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperlin.ambient import affine_space, projective_space
+from hyperlin.blowup import BlowupChainSpec, impose_chain
+from hyperlin.cli import main
+from hyperlin.conditions import SchemeSpec, impose_containment, impose_points
 from hyperlin.fields import GF, rationals
 from hyperlin.linsys import LinearSys, poly_gcd
 
@@ -63,7 +66,6 @@ def test_change_basis_echelon_order():
     secs = [ring.parse(s) for s in ["x^2+z^2", "y^2-x*z", "x*y+y^2", "x*z"]]
     L = LinearSys.from_sections(P2, secs, change_basis=True)
     assert [str(s) for s in L.sections()] == ["x^2+z^2", "x*z", "y^2", "x*y"]
-    assert L.echelonized and L.independent_sections
 
 
 def test_dependent_sections_reduced():
@@ -74,6 +76,50 @@ def test_dependent_sections_reduced():
     assert L.nsections() == 2
     assert L.dimension() == 1
     assert len(L.sections()) == 2
+
+
+def test_dependent_input_is_stored_as_a_basis(tmp_path, capsys):
+    # x, 2*x, y span a 2-dimensional system; every entry point must store a
+    # basis of it, so each condition below leaves exactly one section
+    def assert_basis(L, n):
+        assert L.nsections() == len(L.sections()) == len(L.matrix()) == n
+
+    A2 = affine_space(QQ, 2)
+    P1 = projective_space(QQ, 1)
+    M, mons = [[1, 0], [2, 0], [0, 1]], [(1, 0), (0, 1)]
+    L = LinearSys.from_matrix(A2, M, mons)
+    x = A2.ring.gens()[0]
+    assert_basis(L, 2)
+    parsed = LinearSys.from_json(
+        {"ambient": A2.to_json(), "degree": 1, "sections": ["x", "2*x", "y"]}
+    )
+    assert_basis(parsed, 2)
+    cut = [
+        impose_points(L, [(1, 1)], [1]),
+        impose_chain(L, [BlowupChainSpec((0, 0), [1, 1], [(1, 0)])]),
+        impose_containment(L, SchemeSpec([x])),
+        impose_containment(
+            LinearSys.from_matrix(P1, M, mons),
+            SchemeSpec([P1.ring.gens()[0]], saturated=True),
+        ),
+        impose_points(parsed, [(1, 1)], [1]),
+    ]
+    for R in cut:
+        assert_basis(R, 1)
+    assert [str(R.sections()[0]) for R in cut] == ["x-y", "y", "x", "x", "x-y"]
+
+    job = {
+        "field": {"kind": "rationals"},
+        "ambient": {"kind": "affine", "dim": 2},
+        "system": {"matrix": M, "monomials": ["x", "y"]},
+        "operations": [{"op": "impose-points", "points": [[1, 1]], "multiplicities": [1]}],
+        "output": {"sections": True},
+    }
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    assert main(["run", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "nsections: 1\n" in out and out.endswith("sections:\n  x-y\n")
 
 
 def test_section_validation_errors():
@@ -92,20 +138,11 @@ def test_section_validation_errors():
         LinearSys.from_matrix(P2, [[1, 0, 0]], [(2, 0, 0), (0, 2, 0)])
 
 
-def test_from_sections_lazy_without_check():
-    P3 = projective_space(QQ, 3)
-    ring = P3.ring
-    x, y, z, w = ring.gens()
-    L = LinearSys.from_sections(P3, [x * y, y * z, z * w], check_basis=False)
-    assert L._matrix is None
-    assert L.nsections() == 3
-
-
 def test_coefficient_map_roundtrip():
     P2 = quadric_plane()
     ring = P2.ring
     secs = [ring.parse(s) for s in ["x^2+z^2", "y^2-x*z", "x*y+y^2", "x*z"]]
-    L = LinearSys.from_sections(P2, secs, check_basis=False)
+    L = LinearSys.from_sections(P2, secs)
     f = 3 * secs[0] - secs[1] + 7 * secs[3]
     a = L.coefficient_map()(f)
     assert [c.raw for c in a] == [
@@ -122,7 +159,7 @@ def test_coefficient_map_dependent_sections():
     A2 = affine_space(QQ, 2)
     ring = A2.ring
     x, y = ring.gens()
-    L = LinearSys.from_sections(A2, [x, 2 * x, y], degree=1, check_basis=False)
+    L = LinearSys.from_sections(A2, [x, 2 * x, y], degree=1)
     f = 5 * x + y
     a = [c.raw for c in L.coefficient_map()(f)]
     assert L.polynomial_map(a) == f
@@ -132,7 +169,7 @@ def test_membership():
     P2 = quadric_plane()
     ring = P2.ring
     x, y, z = ring.gens()
-    L = LinearSys.from_sections(P2, [x * x + z * z, x * z], check_basis=False)
+    L = LinearSys.from_sections(P2, [x * x + z * z, x * z])
     assert x * x + z * z in L
     assert 2 * (x * x) + 7 * (x * z) + 2 * (z * z) in L
     assert y * y not in L
@@ -155,12 +192,12 @@ def test_complement_rank_additivity():
     ring = P2.ring
     x, y, z = ring.gens()
     L = LinearSys.complete(P2, 2)
-    J = LinearSys.from_sections(P2, [x * x, x * y + y * z], check_basis=False)
+    J = LinearSys.from_sections(P2, [x * x, x * y + y * z])
     C = L.complement(J)
     assert C.nsections() == L.nsections() - J.nsections() == 4
     # J together with C spans L
     both = LinearSys.from_sections(
-        P2, J.sections() + C.sections(), check_basis=False
+        P2, J.sections() + C.sections()
     )
     assert both.same_span(L)
 
@@ -169,8 +206,8 @@ def test_complement_requires_subsystem():
     P2 = quadric_plane()
     ring = P2.ring
     x, y, z = ring.gens()
-    L = LinearSys.from_sections(P2, [x * x, y * y], check_basis=False)
-    J = LinearSys.from_sections(P2, [x * z], check_basis=False)
+    L = LinearSys.from_sections(P2, [x * x, y * y])
+    J = LinearSys.from_sections(P2, [x * z])
     with pytest.raises(ValueError):
         L.complement(J)
 
@@ -190,7 +227,7 @@ def test_same_span_across_supports():
     P2 = quadric_plane()
     ring = P2.ring
     x, y, z = ring.gens()
-    A = LinearSys.from_sections(P2, [x * x], check_basis=False)
+    A = LinearSys.from_sections(P2, [x * x])
     B = LinearSys.from_matrix(P2, [[1, 0]], [(2, 0, 0), (0, 2, 0)], degree=2)
     assert A.same_span(B)
     assert A.is_subsystem_of(B) and B.is_subsystem_of(A)
@@ -202,18 +239,18 @@ def test_base_ideal_generators():
     A2 = affine_space(QQ, 2)
     ring = A2.ring
     x, y = ring.gens()
-    L = LinearSys.from_sections(A2, [x, 2 * x, x + y], degree=1, check_basis=False)
+    L = LinearSys.from_sections(A2, [x, 2 * x, x + y], degree=1)
     gens = L.base_ideal_generators()
     assert len(gens) == 2
-    span = LinearSys.from_sections(A2, gens, degree=1, check_basis=False)
-    assert span.same_span(LinearSys.from_sections(A2, [x, y], degree=1, check_basis=False))
+    span = LinearSys.from_sections(A2, gens, degree=1)
+    assert span.same_span(LinearSys.from_sections(A2, [x, y], degree=1))
 
 
 def test_reduction_common_factor():
     A3 = affine_space(QQ, 3)
     ring = A3.ring
     x, y, z = ring.gens()
-    L = LinearSys.from_sections(A3, [x * y, x * z], check_basis=False)
+    L = LinearSys.from_sections(A3, [x * y, x * z])
     reduced, g = L.reduction()
     assert g == x
     assert {str(s) for s in reduced.sections()} == {"y", "z"}
@@ -226,7 +263,7 @@ def test_reduction_projective():
     P2 = quadric_plane()
     ring = P2.ring
     x, y, z = ring.gens()
-    L = LinearSys.from_sections(P2, [x * x * y, x * x * z], check_basis=False)
+    L = LinearSys.from_sections(P2, [x * x * y, x * x * z])
     reduced, g = L.reduction()
     assert g == x * x
     assert reduced.degree == (1,)
@@ -251,7 +288,7 @@ def test_random_member():
     P2 = quadric_plane()
     ring = P2.ring
     x, y, z = ring.gens()
-    L = LinearSys.from_sections(P2, [x * x + z * z, x * z], check_basis=False)
+    L = LinearSys.from_sections(P2, [x * x + z * z, x * z])
     rng = random.Random(7)
     f = L.random_member(rng)
     assert f in L
@@ -268,7 +305,7 @@ def test_json_roundtrip_sections():
     P2 = quadric_plane()
     ring = P2.ring
     secs = [ring.parse(s) for s in ["x^2+z^2", "y^2-x*z"]]
-    L = LinearSys.from_sections(P2, secs, check_basis=False)
+    L = LinearSys.from_sections(P2, secs)
     data = L.to_json()
     L2 = LinearSys.from_json(data)
     assert L2.same_span(L)
@@ -309,16 +346,18 @@ def test_json_roundtrip_complete():
 )
 def test_polynomial_map_section_of_coefficient_map(rows, vec):
     # over GF(7): any combination of sections must round-trip through the
-    # coefficient map back to the same polynomial
+    # coefficient map back to the same polynomial; the stored sections are
+    # a basis, so only the zero combination gives the zero polynomial
     P2 = projective_space(GF(7), 2)
     mons = [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1)]
     rows = [r for r in rows if any(v % 7 for v in r[:5])]
     if not rows:
         return
     L = LinearSys.from_matrix(P2, [r[:5] for r in rows], mons, degree=2)
-    f = L.polynomial_map(vec[: len(rows)])
+    n = L.nsections()
+    f = L.polynomial_map(vec[:n])
     if f.is_zero():
-        assert all(v % 7 == 0 for v in vec[: len(rows)]) or L.nsections() < len(rows)
+        assert all(v % 7 == 0 for v in vec[:n])
     a = [c.raw for c in L.coefficient_map()(f)]
     assert L.polynomial_map(a) == f
 

@@ -121,15 +121,6 @@ def test_generic_sweep_over_extension_field():
         assert sorted(p.coords) == sorted([one, zero, zero, zero])
 
 
-def test_threaded_sweep_matches_serial(monkeypatch):
-    P3, F = quintic_30_nodes()
-    serial = singular_points(F)
-    monkeypatch.setenv("HYPERLIN_THREADS", "3")
-    threaded = singular_points(F)
-    assert [p.coords for p in threaded] == [p.coords for p in serial]
-    assert len(serial) == 30
-
-
 # -- classification --------------------------------------------------------------
 
 
