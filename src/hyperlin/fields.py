@@ -659,29 +659,39 @@ class FieldElement:
 def crt_combine(residues, moduli):
     """Solve x == residues[i] mod moduli[i]; moduli must be pairwise coprime.
 
-    Returns the unique solution in [0, prod(moduli)).
+    Returns the unique solution in [0, prod(moduli)).  Vector form: when each
+    residues[i] is a sequence (the residues mod moduli[i] of one vector of
+    entries, all of one length), every entry is combined and a list is
+    returned; each inverse is computed once for the whole vector.  Garner's
+    incremental scheme: x stays reduced mod the product of the moduli seen so
+    far, so a combined vector and its modulus may be passed back in as one
+    residue sequence to extend it by further moduli.
     """
     if len(residues) != len(moduli):
         raise ValueError("residues and moduli must have equal length")
     if not moduli:
         raise ValueError("need at least one modulus")
-    for m in moduli:
-        if _as_int(m, "modulus") < 2:
-            raise ValueError(f"modulus {m} must be >= 2")
-    for i in range(len(moduli)):
-        for j in range(i + 1, len(moduli)):
-            g = math.gcd(moduli[i], moduli[j])
-            if g != 1:
-                raise ValueError(
-                    f"moduli {moduli[i]} and {moduli[j]} are not coprime (gcd {g})"
-                )
-    x, m = residues[0] % moduli[0], moduli[0]
-    for r, q in zip(residues[1:], moduli[1:]):
-        # x + m*t == r mod q
-        t = ((r - x) * pow(m % q, -1, q)) % q
-        x += m * t
+    # coprimality against the running product, one gcd per modulus
+    invs, m = [], 1
+    for i, q in enumerate(moduli):
+        if _as_int(q, "modulus") < 2:
+            raise ValueError(f"modulus {q} must be >= 2")
+        if math.gcd(m, q) != 1:
+            a = next(a for a in moduli[:i] if math.gcd(a, q) != 1)
+            raise ValueError(f"moduli {a} and {q} are not coprime (gcd {math.gcd(a, q)})")
+        invs.append(pow(m % q, -1, q))
         m *= q
-    return x % m
+    vector = hasattr(residues[0], "__len__")
+    if not vector:
+        residues = [[r] for r in residues]
+    if any(len(r) != len(residues[0]) for r in residues):
+        raise ValueError("residue vectors must share one length")
+    xs, m = [int(r) % moduli[0] for r in residues[0]], moduli[0]
+    for rs, q, inv in zip(residues[1:], moduli[1:], invs[1:]):
+        # x + m*t == r mod q
+        xs = [x + m * ((int(r) - x % q) * inv % q) for x, r in zip(xs, rs)]
+        m *= q
+    return xs if vector else xs[0]
 
 
 def rational_reconstruct(r, m):
@@ -747,16 +757,8 @@ def lift_rationals(residue_vectors, moduli):
         raise ValueError("one residue vector per modulus required")
     if not moduli:
         raise ValueError("need at least one modulus")
-    width = len(residue_vectors[0])
-    for vec in residue_vectors:
-        if len(vec) != width:
-            raise ValueError("residue vectors must share one length")
-    combined = []
-    for j in range(width):
-        combined.append(crt_combine([vec[j] for vec in residue_vectors], moduli))
-    m = 1
-    for q in moduli:
-        m *= q
+    combined = crt_combine(residue_vectors, moduli)
+    m = math.prod(moduli)
     values, ok = [], []
     for x in combined:
         f = rational_reconstruct(x, m)

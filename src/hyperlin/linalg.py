@@ -12,7 +12,15 @@ Three tiers, all exact:
   from reductions mod ~2^30 primes, CRT + rational reconstruction of the
   candidate basis, and exact integer verification.  Since rank can only
   drop under reduction mod p, a verified basis of size n - max(rank_p) is
-  provably a full nullspace basis.
+  provably a full nullspace basis.  The work per prime is numpy only (rows
+  reduced from 30-bit limbs split once, then `rref_mod_p`) plus a probe:
+  one entry is CRT-combined and reconstructed.  Only when the probe
+  reconstructs is the whole basis combined, by one vector CRT that extends
+  the previous one, so the multiprecision work is O(entries * primes).  The
+  entries of a vector are reconstructed against a running common
+  denominator, calling `rational_reconstruct` only where it does not
+  already give a small numerator, and each vector, scaled by the lcm of its
+  denominators, is checked by integer dot products against every row.
 
 `solve_nullspace` is the one place that picks a kernel for a condition
 matrix.  It owns the single size threshold (`_NUMPY_MIN_ENTRIES` matrix
@@ -31,7 +39,8 @@ in pivot-discovery order.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
+from operator import mul
 
 import numpy as np
 
@@ -43,6 +52,8 @@ _NUMPY_MIN_ENTRIES = 50_000
 _INT64_P = 1 << 31  # int64 kernels need p below this: products < p^2 < 2^62
 _F53 = float(2**53)
 _FIRST_PRIME_ABOVE = (1 << 30) + 1  # the multimodular primes start here
+_UPDATE_ROWS = 256  # row block of ref_mod_p's trailing update
+_LIMB = 30  # bits per limb of the integer rows reduced mod p
 
 # ---------------------------------------------------------------------------
 # generic exact routines (any field, raw values)
@@ -216,8 +227,11 @@ def _solve_rational(rows, field, ncols):
 
 def rref_mod_p(A, p):
     """RREF over GF(p), p < 2^31, vectorized int64 row operations.
-    Returns (R, pivots): R an int64 array of the rank nonzero rows."""
-    A = np.mod(np.asarray(A, dtype=np.int64), p).copy()
+    Returns (R, pivots): R an int64 array of the rank nonzero rows.
+
+    Each pivot step updates only the active columns c: in place: the pivot
+    row comes from the rows at or below r, which are zero left of c."""
+    A = np.mod(np.asarray(A, dtype=np.int64), p)
     if A.ndim != 2:
         raise ValueError("matrix required")
     m, n = A.shape
@@ -226,21 +240,26 @@ def rref_mod_p(A, p):
     for c in range(n):
         if r == m:
             break
-        nz = np.nonzero(A[r:, c])[0]
+        nz = np.flatnonzero(A[r:, c])
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
-            A[[r, i]] = A[[i, r]]
-        a = int(A[r, c])
+            A[[r, i], c:] = A[[i, r], c:]
+        row = A[r, c:]
+        a = int(row[0])
         if a != 1:
-            A[r] = (A[r] * pow(a, -1, p)) % p
+            row *= pow(a, -1, p)
+            row %= p
         col = A[:, c].copy()
         col[r] = 0
-        hit = np.nonzero(col)[0]
+        hit = np.flatnonzero(col)
         if hit.size:
-            A[hit] = (A[hit] - col[hit, None] * A[r][None, :]) % p
-        pivots.append(int(c))
+            X = A[hit, c:]
+            X -= col[hit, None] * row
+            X %= p
+            A[hit, c:] = X
+        pivots.append(c)
         r += 1
     return A[:r], pivots
 
@@ -310,9 +329,11 @@ def ref_mod_p(A, p, block=192):
             for t in range(1, k):
                 T[t] -= L[t, :t] @ T[:t]
                 _reduce_sym(T[t], p, invp)
-            if m - r > k:
-                T[k:] -= L[k:, :k] @ T[:k]
-                _reduce_sym(T[k:], p, invp)
+            # row blocks keep the product temporaries small
+            for b in range(k, m - r, _UPDATE_ROWS):
+                Tb = T[b : b + _UPDATE_ROWS]
+                Tb -= L[b : b + _UPDATE_ROWS, :k] @ T[:k]
+                _reduce_sym(Tb, p, invp)
         r += k
         c += bc
     U = A[:r]
@@ -391,7 +412,38 @@ def clear_denominators(row):
 
 
 def _mod_rows(int_rows, p):
+    # one prime: a big-int % per entry costs less than splitting into limbs
     return np.array([[v % p for v in row] for row in int_rows], dtype=np.int64)
+
+
+def _split_limbs(int_rows):
+    """Split integer rows once into 30-bit limbs of their absolute values.
+    Returns (limbs, negative): an int32 array (L, m, n), least significant
+    limb first, and the bool sign mask (m, n).  Row by row, so no
+    matrix-sized temporary of Python ints is made."""
+    bits = max(1, *(v.bit_length() for row in int_rows for v in row))
+    limbs = np.empty((-(-bits // _LIMB), len(int_rows), len(int_rows[0])), dtype=np.int32)
+    mask = (1 << _LIMB) - 1
+    for i, row in enumerate(int_rows):
+        mags = [abs(v) for v in row]
+        for k, limb in enumerate(limbs):
+            limb[i] = [(v >> (_LIMB * k)) & mask for v in mags]
+    return limbs, np.array([[v < 0 for v in row] for row in int_rows])
+
+
+def _reduce_limbs(limbs, negative, p):
+    """The integer matrix of `_split_limbs` mod p < 2^31, as int64: Horner in
+    base 2^30, each step below 2^31 * 2^30 + 2^30 < 2^62."""
+    base = (1 << _LIMB) % p
+    acc = limbs[-1].astype(np.int64)
+    acc %= p
+    for limb in limbs[-2::-1]:
+        acc *= base
+        acc += limb
+        acc %= p
+    np.negative(acc, out=acc, where=negative)
+    acc %= p
+    return acc
 
 
 class RationalNullspace:
@@ -414,6 +466,11 @@ def nullspace_rational(rows, max_primes=1024):
     basis is exact and verified: every vector is checked against the integer
     matrix, and the count matches the best mod-p rank lower bound, which pins
     the rank of the matrix exactly.
+
+    The reference group, whose residues are lifted, is the primes with the
+    largest rank and the lexicographically smallest pivot tuple: a prime can
+    only lower the rank or push pivots later, so that is the pattern over ℚ.
+    The probe entry is the last one that failed to reconstruct.
     """
     int_rows = [clear_denominators(r) for r in rows]
     int_rows = [r for r in int_rows if any(r)]
@@ -422,64 +479,100 @@ def nullspace_rational(rows, max_primes=1024):
     n = len(rows[0])
     if not int_rows:
         return RationalNullspace(identity(n, rationals()), 0, [])
-    prime_iter = iter(primes_from(_FIRST_PRIME_ABOVE, max_primes))
-    best = None  # (rank, pivots tuple) with the largest rank seen
-    groups = {}  # pivots tuple -> list of (p, nullspace residues array)
+    limbs, negative = _split_limbs(int_rows)
+    best = None  # pivots tuple of the reference group
+    group = None
+    probe = 0  # flat index of the probe entry in the k x n basis
     used = []
-    while True:
-        try:
-            p = next(prime_iter)
-        except StopIteration:
-            raise RuntimeError("rational nullspace did not stabilize") from None
+    for p in primes_from(_FIRST_PRIME_ABOVE, max_primes):
         used.append(p)
-        R, piv = rref_mod_p(_mod_rows(int_rows, p), p)
-        key = tuple(piv)
-        r = len(piv)
-        if best is None or r > best[0]:
-            best = (r, key)
-            groups = {k: v for k, v in groups.items() if len(k) == r}
-        if r < best[0]:
-            continue  # unlucky prime, rank dropped
-        if r == n:
+        R, piv = rref_mod_p(_reduce_limbs(limbs, negative, p), p)
+        if len(piv) == n:
             # full column rank certified: rank mod p is a lower bound
             return RationalNullspace([], n, used)
-        groups.setdefault(key, []).append((p, _basis_from_rref_mod_p(R, piv, p, n)))
-        # attempt reconstruction with the (largest-rank) reference group
-        cand = _reconstruct_and_verify(groups[best[1]], int_rows, n)
-        if cand is not None:
-            return RationalNullspace(cand, best[0], used)
+        key = tuple(piv)
+        if best is None or (-len(key), key) < (-len(best), best):
+            best, group, probe = key, _Lift(n), 0
+        elif key != best:
+            continue  # unlucky prime: rank dropped or pivots moved right
+        group.add(p, _basis_from_rref_mod_p(R, piv, p, n).ravel())
+        if rational_reconstruct(group.combine(probe), group.modulus) is None:
+            continue
+        basis, failed = group.reconstruct()
+        if basis is None:
+            probe = failed
+        elif _verified(basis, int_rows):
+            return RationalNullspace(basis, len(best), used)
+    raise RuntimeError("rational nullspace did not stabilize")
 
 
-def _reconstruct_and_verify(group, int_rows, n):
-    moduli = [p for p, _ in group]
-    mats = [N for _, N in group]
-    k = mats[0].shape[0]
-    basis = []
-    for i in range(k):
-        vec = []
-        for j in range(n):
-            if len(moduli) == 1:
-                combined, m = int(mats[0][i, j]), moduli[0]
-            else:
-                combined = crt_combine([int(N[i, j]) for N in mats], moduli)
-                m = 1
-                for p in moduli:
-                    m *= p
-            q = rational_reconstruct(combined % m, m)
-            if q is None:
-                return None
-            vec.append(q)
-        basis.append(vec)
-    # exact verification against the integer matrix
+class _Lift:
+    """The flattened canonical basis of the reference group, lifted by CRT:
+    the combination over the primes of the last full combine, plus the int64
+    residues mod each prime added since."""
+
+    def __init__(self, n):
+        self.n = n
+        self.modulus = 1  # product of all the primes added
+        self.values = None  # the last full combination, mod self.combined_modulus
+        self.combined_modulus = 1
+        self.pending = []  # (p, residues) added since
+
+    def add(self, p, residues):
+        self.pending.append((p, residues))
+        self.modulus *= p
+
+    def combine(self, entry=None):
+        """CRT of one flat entry (an int), or of the whole basis (a list,
+        kept so the next full combine starts from it)."""
+        residues = [r.tolist() if entry is None else int(r[entry]) for _, r in self.pending]
+        moduli = [p for p, _ in self.pending]
+        if self.values is not None:
+            residues.insert(0, self.values if entry is None else self.values[entry])
+            moduli.insert(0, self.combined_modulus)
+        x = crt_combine(residues, moduli)
+        if entry is None:
+            self.values, self.combined_modulus, self.pending = x, self.modulus, []
+        return x
+
+    def reconstruct(self):
+        """Rational basis from the residues, or (None, flat index of the
+        first entry that fails).  Entries of one vector share most of their
+        denominator: the running lcm d of the denominators found so far gives
+        the entry n/d directly when d*x mod m is within the reconstruction
+        bound, and `rational_reconstruct` is called only when it is not.
+        Either way the result is the one `rational_reconstruct` gives, which
+        is unique within the bound."""
+        values, m = self.combine(), self.modulus
+        bound = isqrt(m // 2)
+        basis = []
+        for start in range(0, len(values), self.n):
+            vec, d = [], 1
+            for j, x in enumerate(values[start : start + self.n]):
+                y = x * d % m
+                if y > m - y:
+                    y -= m
+                if -bound <= y <= bound and d <= bound:
+                    f = Fraction(y, d)
+                else:
+                    f = rational_reconstruct(x, m)
+                    if f is None:
+                        return None, start + j
+                    d = lcm(d, f.denominator)
+                vec.append(f)
+            basis.append(vec)
+        return basis, None
+
+
+def _verified(basis, int_rows):
+    """Exact check: every lcm-scaled basis vector is orthogonal to every row."""
     for vec in basis:
+        scale = lcm(*(f.denominator for f in vec))
+        w = [f.numerator * (scale // f.denominator) for f in vec]
         for row in int_rows:
-            s = Fraction(0)
-            for a, v in zip(row, vec):
-                if a and v:
-                    s += a * v
-            if s:
-                return None
-    return basis
+            if sum(map(mul, row, w)):
+                return False
+    return True
 
 
 def rank_rational(rows):

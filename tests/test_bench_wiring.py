@@ -29,3 +29,25 @@ def test_conditions_binds_nullspace():
     conditions = importlib.import_module("hyperlin.conditions")
     linalg = importlib.import_module("hyperlin.linalg")
     assert conditions.nullspace is linalg.nullspace
+
+
+def test_multiprime_nullspace_reaches_every_qq_special_layer():
+    # a bypassed layer must fail here, not only in a traced benchmark run
+    spans = _spans()
+    linalg = importlib.import_module("hyperlin.linalg")
+    reached = [name for name in spans.ASSIGNED["qq-special"] if name != "linsys.LinearSys.sections"]
+    assert reached == ["linalg.clear_denominators", "linalg.rref_mod_p", "linalg.nullspace_rational",
+                       "fields.crt_combine", "fields.rational_reconstruct"]
+    # the third row is the sum of the first two; the basis needs several primes
+    rows = [[3 * 10**30 + 7, 10**30 + 1, 5], [2 * 10**30 + 11, 10**31 + 3, 7],
+            [5 * 10**30 + 18, 11 * 10**30 + 4, 12]]
+    tracer = spans.Tracer()
+    spans.install(tracer)
+    try:
+        result = linalg.nullspace_rational(rows)
+    finally:
+        tracer.uninstall()
+    assert result.rank == 2 and len(result.basis) == 1
+    assert tracer.counts["linalg.nullspace_rational.primes"] == len(result.primes_used) > 1
+    for name in reached:
+        assert tracer.counts.get(f"{name}.calls"), name

@@ -160,6 +160,24 @@ def test_crt_properties():
 def test_crt_noncoprime_error_names_the_pair():
     with pytest.raises(ValueError, match="6 and 9"):
         crt_combine([1, 2], [6, 9])
+    with pytest.raises(ValueError, match="10 and 15"):
+        crt_combine([0, 0, 0, 0], [7, 10, 11, 15])
+    with pytest.raises(ValueError, match="6 and 9"):
+        crt_combine([[1, 2], [2, 3]], [6, 9])
+
+
+def test_crt_vector_form_matches_scalar_form():
+    rng = random.Random(4)
+    moduli = primes_from(1 << 30, 7)
+    width = 25
+    vectors = [[rng.randrange(-(q << 3), q << 3) for _ in range(width)] for q in moduli]
+    combined = crt_combine(vectors, moduli)
+    assert combined == [crt_combine([v[j] for v in vectors], moduli) for j in range(width)]
+    # a combined vector extends by further moduli as one residue sequence
+    head = crt_combine(vectors[:3], moduli[:3])
+    assert crt_combine([head] + vectors[3:], [math.prod(moduli[:3])] + moduli[3:]) == combined
+    with pytest.raises(ValueError, match="one length"):
+        crt_combine([[1, 2], [1]], [5, 7])
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hyperlin.linalg as linalg
-from hyperlin.fields import GF, rationals
+from hyperlin.fields import GF, primes_from, rationals
 from hyperlin.linalg import (
     clear_denominators,
     matmul,
@@ -262,3 +264,56 @@ def test_nullspace_rational_zero_matrix():
     assert res.rank == 0 and len(res.basis) == 3
     with pytest.raises(ValueError):
         nullspace_rational([])
+
+
+def test_nullspace_rational_unlucky_first_prime():
+    # mod the first prime p0 the pivots are (0, 2); over QQ, and mod every
+    # other prime, they are (0, 1).  The reference group must be the
+    # lexicographically smallest pivot tuple of the largest rank, not the
+    # first one seen.
+    p0 = primes_from(linalg._FIRST_PRIME_ABOVE, 1)[0]
+    assert p0 == 1073741827
+    rows = [[1, 1, 0], [1, 1 + p0, 1]]
+    res = nullspace_rational(rows)
+    expected = [[Fraction(1, p0), Fraction(-1, p0), Fraction(1)]]
+    assert nullspace(frac_rows(rows), QQ) == expected
+    assert res.basis == expected and res.rank == 2
+    assert res.primes_used[0] == p0
+
+
+# -- differential oracles: numpy and multimodular kernels vs the generic loop ----
+
+
+def _low_rank(draw, m, n, r, entry):
+    """An m x n integer matrix B @ C of rank at most r."""
+    B = [[draw(entry) for _ in range(r)] for _ in range(m)]
+    C = [[draw(entry) for _ in range(n)] for _ in range(r)]
+    return [[sum(b * c for b, c in zip(brow, col)) for col in zip(*C)] for brow in B]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_rref_mod_p_matches_generic_rref(data):
+    p = data.draw(st.sampled_from([2, 3, 101, 1073741827, 2147483647]))
+    m, n = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+    r = data.draw(st.integers(0, min(m, n) - 1)) if min(m, n) > 1 else 0
+    A = [[v % p for v in row] for row in _low_rank(data.draw, m, n, r, st.integers(0, p - 1))]
+    R, piv = rref_mod_p(np.array(A, dtype=np.int64), p)
+    R_gen, piv_gen = rref(A, GF(p))
+    assert piv == piv_gen and len(piv) <= r
+    assert R.tolist() == R_gen
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 6), st.integers(2, 6), st.integers(1, 5), st.integers(0, 2**32))
+def test_nullspace_rational_matches_generic_on_huge_entries(m, n, r, seed):
+    r = min(r, m - 1, n - 1)
+    rng = random.Random(seed)
+    C = [[rng.choice((-1, 1)) * rng.randrange(10**30, 10**31) for _ in range(n)] for _ in range(r)]
+    # B has an identity block, so the rows of C appear among the rows of B @ C
+    B = [[int(i == j) if i < r else rng.randint(-3, 3) for j in range(r)] for i in range(m)]
+    rows = [[sum(b * c for b, c in zip(brow, col)) for col in zip(*C)] for brow in B]
+    res = nullspace_rational(rows)
+    assert res.basis == nullspace(frac_rows(rows), QQ)
+    assert res.rank == rank(frac_rows(rows), QQ) == r
+    assert len(res.primes_used) > 3
