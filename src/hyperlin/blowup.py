@@ -8,15 +8,33 @@ x -> x*y and recenters x at c; for [1 : 0] it substitutes y -> x*y and swaps
 the variables afterwards.  Imposing a chain stays entirely inside linear
 algebra: each step cuts the coefficient space by the low-order Taylor
 coefficients of the transformed sections.
+
+The sextic pencil scan looks for the last tangent direction [1 : a] of a
+chain of nine double points that leaves a pencil.  It does not try every a
+in GF(p^2): the conditions of the last point form a matrix of polynomials
+over GF(p) in c = 1/a, and the a sought are read off the roots in GF(p^2)
+of the gcd of its minors, found by a distinct-degree split and equal-degree
+factoring over GF(p).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import prod
 
-from .fields import GF, lift_rationals, primes_from
-from .linalg import identity, matmul, nullspace, rank
+from .fields import (
+    GF,
+    _upoly_add,
+    _upoly_gcd,
+    _upoly_mul,
+    _upoly_roots_p2,
+    _upoly_scale,
+    _upoly_trim,
+    lift_rationals,
+    primes_from,
+)
+from .linalg import identity, matmul, nullspace
 from .linsys import LinearSys
 from .poly import MultiPoly, monomials_below_degree
 
@@ -259,65 +277,62 @@ def quadrifolium():
 def sextic_pencil_scan(p, cross_check=0, rng=None):
     """Values a in GF(p^2)* for which the sextics with nine infinitely near
     double points at the origin along [1,1],..,[1,7],[1,a] form a pencil
-    (a 2-section system).
+    (a 2-section system), sorted; p an odd prime.
 
-    The seven fixed directions are imposed once; for each candidate only the
-    final blowup matters, and its three Taylor conditions are univariate
-    polynomial evaluations at c = 1/a.  With cross_check > 0, that many
-    random candidates are re-verified through the full chain machinery.
+    The first eight points of the chain do not depend on a and are defined
+    over GF(p), so they are imposed once, over GF(p), leaving nsec sections.
+    The last blowup adds three Taylor conditions whose values on the
+    sections are polynomials over GF(p) in c = 1/a: a 3 x nsec matrix M(c).
+    The system is a pencil exactly where rank M(c) = r = nsec - 2, that is,
+    where every (r+1)-minor of M vanishes and some r-minor does not.  So the
+    hits are the a = 1/c for the nonzero roots c in GF(p^2) of the gcd of the
+    (r+1)-minors that are not roots of the gcd of the r-minors; a gcd that
+    is the zero polynomial vanishes at every c.  With cross_check > 0, the
+    hits and that many random other values are re-verified through the full
+    chain machinery over GF(p^2).
     """
+    if p == 2:
+        raise ValueError("the pencil scan needs an odd prime")
     from .ambient import affine_space
 
-    K = GF(p, 2)
-    A2 = affine_space(K, 2)
-    L = LinearSys.complete(A2, 6)
+    F = GF(p)
+    A2 = affine_space(F, 2)
+    cur = LinearSys.complete(A2, 6).sections()
+    V = identity(len(cur), F)
     # the depth-9 chain of double points up to the 8th point, whose tangent
     # directions [1,1] .. [1,7] are fixed
-    V, cur = identity(L.nsections(), K), L.sections()
     for k in range(8):
-        tangent = TangentDirection(K, (1, k)) if k else None
+        tangent = TangentDirection(F, (1, k)) if k else None
         V, cur = _chain_step(V, cur, A2.ring, 2, tangent, 2)
-    nsec = len(cur)
     # after the last substitution x -> x*y, y^2 division and recentering at c,
     # the three order-<2 coefficients of each g are univariate in c:
     #   1: sum_{a+b=2} g_ab c^a,  x: sum_{a+b=2} a g_ab c^(a-1),
     #   y: sum_{a+b=3} g_ab c^a
-    upolys = []
+    M = [[], [], []]
     for g in cur:
-        u0 = [K.zero] * 3
-        ux = [K.zero] * 2
-        uy = [K.zero] * 4
+        u0, ux, uy = [0] * 3, [0] * 2, [0] * 4
         for (a, b), cval in g.terms.items():
             if a + b == 2:
                 u0[a] = cval
                 if a >= 1:
-                    ux[a - 1] = K.add(ux[a - 1], K.mul(K.from_int(a), cval))
+                    ux[a - 1] = a * cval % p
             elif a + b == 3:
                 uy[a] = cval
-        upolys.append((u0, ux, uy))
-
-    def horner(coeffs, c):
-        acc = K.zero
-        for v in reversed(coeffs):
-            acc = K.add(K.mul(acc, c), v)
-        return acc
-
-    hits = []
-    for a in K.elements():
-        if K.is_zero(a):
-            continue
-        c = K.inv(a)
-        vals = [(horner(u0, c), horner(ux, c), horner(uy, c)) for u0, ux, uy in upolys]
-        rows = [list(col) for col in zip(*vals)]
-        r = rank(rows, K)
-        if nsec - r == 2:
-            hits.append(a)
-    hits.sort()
+        for row, u in zip(M, (u0, ux, uy)):
+            row.append(_upoly_trim(u))
+    # 28 sextic monomials and 8 x 3 conditions: r >= 2
+    K = GF(p, 2)
+    r = len(cur) - 2
+    excluded = set(_minor_roots(M, r, K))
+    hits = sorted(
+        K.inv(c) for c in _minor_roots(M, r + 1, K) if not K.is_zero(c) and c not in excluded
+    )
 
     if cross_check:
         import random as _random
 
         rng = rng or _random.Random(0)
+        L = LinearSys.complete(affine_space(K, 2), 6)
         candidates = list(hits)
         pool = [a for a in K.elements() if not K.is_zero(a) and a not in hits]
         candidates += [pool[rng.randrange(len(pool))] for _ in range(cross_check)]
@@ -333,6 +348,34 @@ def sextic_pencil_scan(p, cross_check=0, rng=None):
     return hits
 
 
+def _minor_roots(M, k, K):
+    """The c in K = GF(p^2) at which every k x k minor of M vanishes, M a
+    matrix of polynomials over GF(p): the roots of the gcd of the minors,
+    or all of K when that gcd is the zero polynomial (also when there is no
+    k x k minor)."""
+    g = []
+    for rows in combinations(range(len(M)), k):
+        for cols in combinations(range(len(M[0])), k):
+            g = _upoly_gcd(g, _det([[M[i][j] for j in cols] for i in rows], K.p), K.p)
+    return _upoly_roots_p2(g, K) if g else list(K.elements())
+
+
+def _det(M, p):
+    """Determinant of a square matrix of polynomials over GF(p), by cofactor
+    expansion along the first row."""
+    if not M:
+        return [1]
+    out = []
+    for j, a in enumerate(M[0]):
+        if a:
+            minor = _det([row[:j] + row[j + 1 :] for row in M[1:]], p)
+            out = _upoly_add(out, _upoly_scale(_upoly_mul(a, minor, p), (-1) ** j, p), p)
+    return out
+
+
+_CHECK_SCANS = 8  # primes scanned at most for the lift's check prime
+
+
 def pencil_parameter_lift(start_prime=59, target_modulus=10**25, max_primes=40, primes=None):
     """Lift the symmetric functions of the two pencil parameters to the
     rationals by scanning one prime after another and CRT-reconstructing.
@@ -341,23 +384,23 @@ def pencil_parameter_lift(start_prime=59, target_modulus=10**25, max_primes=40, 
     so the parameter satisfies x^2 - e1*x + e2.  Primes where the scan does
     not find exactly two values are skipped.  With an explicit `primes` list
     exactly those primes are scanned; otherwise consecutive primes from
-    start_prime are consumed until the modulus clears target_modulus."""
+    start_prime are consumed until the modulus clears target_modulus.
+
+    The lift is then checked at one more prime: the primes after the last
+    one used (after the largest listed prime, for an explicit list) are
+    scanned, at most _CHECK_SCANS of them, until one gives two values, and
+    e1 and e2 must reduce to that prime's trace and norm.  RuntimeError if
+    they do not, or if no such prime turns up."""
     explicit = primes is not None
     pool = list(primes) if explicit else primes_from(start_prime, max_primes)
     moduli = []
     residues = []
     for p in pool:
-        hits = sextic_pencil_scan(p)
-        if len(hits) != 2:
-            continue
-        K = GF(p, 2)
-        a1, a2 = hits
-        e1 = K.add(a1, a2)
-        e2 = K.mul(a1, a2)
-        if not (K.in_prime_subfield(e1) and K.in_prime_subfield(e2)):
+        pair = _trace_and_norm(p)
+        if pair is None:
             continue
         moduli.append(p)
-        residues.append([e1[0], e2[0]])
+        residues.append(pair)
         if not explicit and prod(moduli) > target_modulus:
             break
     if not moduli:
@@ -368,4 +411,28 @@ def pencil_parameter_lift(start_prime=59, target_modulus=10**25, max_primes=40, 
     if not lifted.all_ok:
         raise RuntimeError("rational reconstruction failed; extend the prime range")
     e1, e2 = lifted.values
-    return e1, e2, prod(moduli), list(moduli)
+    start = max(pool) + 1 if explicit else moduli[-1] + 1
+    for q in primes_from(start, _CHECK_SCANS):
+        pair = _trace_and_norm(q)
+        if pair is None:
+            continue
+        reduced = [None if f.denominator % q == 0 else f.numerator * pow(f.denominator, -1, q) % q
+                   for f in (e1, e2)]
+        if reduced != pair:
+            raise RuntimeError(f"the lifted trace and norm disagree with the scan at the check prime {q}")
+        return e1, e2, prod(moduli), list(moduli)
+    raise RuntimeError(f"no check prime: none of the {_CHECK_SCANS} primes from {start} gives two values")
+
+
+def _trace_and_norm(p):
+    """[e1, e2] mod p of the two pencil parameters over GF(p^2), or None when
+    the scan does not find exactly two values with e1 and e2 in GF(p)."""
+    hits = sextic_pencil_scan(p)
+    if len(hits) != 2:
+        return None
+    K = GF(p, 2)
+    e1 = K.add(*hits)
+    e2 = K.mul(*hits)
+    if not (K.in_prime_subfield(e1) and K.in_prime_subfield(e2)):
+        return None
+    return [e1[0], e2[0]]

@@ -26,8 +26,9 @@ def _as_int(x, what):
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomial helpers over GF(p), used for extension-field arithmetic
-# (coefficient lists, ascending powers, no trailing zeros)
+# univariate polynomials over GF(p), for extension-field arithmetic and root
+# finding (coefficient lists, ascending powers, entries in [0, p), no
+# trailing zeros)
 
 
 def _upoly_trim(a):
@@ -36,56 +37,114 @@ def _upoly_trim(a):
     return a
 
 
-def _upoly_mulmod(a, b, f, p):
-    """a*b mod f over GF(p); f monic, len(f) = deg+1."""
-    n = len(a) + len(b) - 1
-    prod = [0] * max(n, 0)
+def _upoly_add(a, b, p):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = (out[i] + c) % p
+    return _upoly_trim(out)
+
+
+def _upoly_scale(a, s, p):
+    return _upoly_trim([c * s % p for c in a])
+
+
+def _upoly_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _upoly_rem(prod, f, p)
+                out[i + j] += ai * bj
+    return _upoly_trim([c % p for c in out])
 
 
-def _upoly_rem(a, f, p):
-    a = list(a)
-    k = len(f) - 1
-    for i in range(len(a) - 1, k - 1, -1):
-        c = a[i] % p
+def _upoly_divmod(a, b, p):
+    """(q, r) with a = q*b + r over GF(p) and deg r < deg b; b nonzero."""
+    r = list(a)
+    k = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(len(a) - k, 0)
+    for i in range(len(q) - 1, -1, -1):
+        c = r[i + k] * inv % p
+        q[i] = c
         if c:
-            a[i] = 0
-            for j in range(k):
-                a[i - k + j] = (a[i - k + j] - c * f[j]) % p
-    del a[k:]
-    return _upoly_trim(a)
+            for j in range(k + 1):
+                r[i + j] = (r[i + j] - c * b[j]) % p
+    return _upoly_trim(q), _upoly_trim(r[:k])
 
 
 def _upoly_powmod(a, e, f, p):
     result = [1]
-    base = _upoly_rem(a, f, p)
+    base = _upoly_divmod(a, f, p)[1]
     while e:
         if e & 1:
-            result = _upoly_mulmod(result, base, f, p)
-        base = _upoly_mulmod(base, base, f, p)
+            result = _upoly_divmod(_upoly_mul(result, base, p), f, p)[1]
+        base = _upoly_divmod(_upoly_mul(base, base, p), f, p)[1]
         e >>= 1
-    return result
+    return _upoly_divmod(result, f, p)[1]
 
 
 def _upoly_gcd(a, b, p):
-    a, b = list(a), list(b)
+    """Monic gcd over GF(p); [] when both are zero."""
+    a, b = _upoly_trim(list(a)), _upoly_trim(list(b))
     while b:
-        # a mod b with b made monic on the fly
-        inv = pow(b[-1], -1, p)
-        bm = [(c * inv) % p for c in b]
-        r = list(a)
-        for i in range(len(r) - 1, len(bm) - 2, -1):
-            c = r[i] % p
-            if c:
-                r[i] = 0
-                for j in range(len(bm) - 1):
-                    r[i - len(bm) + 1 + j] = (r[i - len(bm) + 1 + j] - c * bm[j]) % p
-        a, b = bm, _upoly_trim(r)
-    return a
+        a, b = b, _upoly_divmod(a, b, p)[1]
+    return _upoly_scale(a, pow(a[-1], -1, p), p) if a else a
+
+
+def _upoly_frobenius_gcd(f, e, p):
+    """gcd(f, u^(p^e) - u): the product of the distinct monic irreducible
+    factors of f whose degree divides e; f nonzero."""
+    return _upoly_gcd(f, _upoly_add(_upoly_powmod([0, 1], p ** e, f, p), [0, p - 1], p), p)
+
+
+def _upoly_equal_degree_factors(f, d, p):
+    """The monic irreducible factors of f, a monic product of distinct
+    irreducibles of degree d over GF(p), p odd (Cantor-Zassenhaus).  The
+    splitting polynomials a are taken in a fixed order, every polynomial of
+    degree >= 1 in turn, so the result is deterministic.  By the CRT some a of
+    degree < deg f is a square modulo one factor and not modulo another, so
+    gcd(a^((p^d - 1)/2) - 1, f) splits f and the loop ends."""
+    if len(f) - 1 <= d:
+        return [f] if len(f) > 1 else []
+    e = (p ** d - 1) // 2
+    code = p
+    while True:
+        a, c = [], code
+        while c:
+            a.append(c % p)
+            c //= p
+        g = _upoly_gcd(f, _upoly_add(_upoly_powmod(a, e, f, p), [p - 1], p), p)
+        if 1 < len(g) < len(f):
+            return _upoly_equal_degree_factors(g, d, p) + _upoly_equal_degree_factors(
+                _upoly_divmod(f, g, p)[0], d, p
+            )
+        code += 1
+
+
+def _upoly_roots_p2(g, K):
+    """The distinct roots in K = GF(p^2), p odd, of a nonzero polynomial g
+    over GF(p), as raw elements of K.  A distinct-degree split separates the
+    roots in GF(p) from the irreducible quadratic factors; each part is split
+    into its irreducible factors, and each quadratic is solved in K."""
+    p = K.p
+    g = _upoly_scale(g, pow(g[-1], -1, p), p)
+    linear = _upoly_frobenius_gcd(g, 1, p)
+    quadratic = _upoly_divmod(_upoly_frobenius_gcd(g, 2, p), linear, p)[0]
+    roots = [K.from_int(-f[0]) for f in _upoly_equal_degree_factors(linear, 1, p)]
+    # K = GF(p)[u]/(u^2 + m1 u + m0), and w = 2u + m1 squares to m1^2 - 4 m0,
+    # a non-square of GF(p).  The discriminant of an irreducible c^2 + b c + e
+    # is a non-square too, so t^2 = (b^2 - 4e) / (m1^2 - 4 m0) has a root t
+    # in GF(p), and the roots of the quadratic are (-b +- t w)/2.
+    m0, m1 = K.modulus
+    half = pow(2, -1, p)
+    for e, b, _ in _upoly_equal_degree_factors(quadratic, 2, p):
+        t2 = (b * b - 4 * e) * pow(m1 * m1 - 4 * m0, -1, p) % p
+        t = _upoly_equal_degree_factors([-t2 % p, 0, 1], 1, p)[0][0]
+        for s in (t, -t):
+            roots.append(((s * m1 - b) * half % p, s % p))
+    return roots
 
 
 def _is_irreducible(tail, p):
@@ -96,14 +155,8 @@ def _is_irreducible(tail, p):
         return False
     if k == 1:
         return True
-    x = [0, 1]
     # u^(p^k) == u mod f
-    xp = _upoly_powmod(x, p ** k, f, p)
-    lhs = list(xp)
-    while len(lhs) < 2:
-        lhs.append(0)
-    lhs[1] = (lhs[1] - 1) % p
-    if _upoly_trim(lhs):
+    if _upoly_frobenius_gcd(f, k, p) != f:
         return False
     # gcd(u^(p^(k/r)) - u, f) == 1 for each prime r | k
     r = 2
@@ -114,13 +167,7 @@ def _is_irreducible(tail, p):
             r += 1
         if r not in checked:
             checked.add(r)
-            xq = _upoly_powmod(x, p ** (k // r), f, p)
-            d = list(xq)
-            while len(d) < 2:
-                d.append(0)
-            d[1] = (d[1] - 1) % p
-            g = _upoly_gcd(f, _upoly_trim(d), p)
-            if len(g) != 1:
+            if len(_upoly_frobenius_gcd(f, k // r, p)) != 1:
                 return False
         kk //= r
     return True
@@ -367,39 +414,15 @@ class CoefficientField:
         if not any(a):
             raise ZeroDivisionError(f"inverse of 0 in {self!r}")
         p = self.p
-        f = list(self.modulus) + [1]
         # extended Euclid: find s with s*a == 1 mod f
-        r0, r1 = f, _upoly_trim(list(a))
+        r0, r1 = list(self.modulus) + [1], _upoly_trim(list(a))
         s0, s1 = [], [1]
         while r1:
-            inv_lc = pow(r1[-1], -1, p)
-            q = []  # quotient of r0 by r1
-            r = list(r0)
-            dq = len(r) - len(r1)
-            q = [0] * (dq + 1) if dq >= 0 else []
-            for i in range(len(r) - 1, len(r1) - 2, -1):
-                if i - (len(r1) - 1) < 0:
-                    break
-                c = (r[i] * inv_lc) % p
-                if c:
-                    q[i - (len(r1) - 1)] = c
-                    for j in range(len(r1)):
-                        r[i - len(r1) + 1 + j] = (r[i - len(r1) + 1 + j] - c * r1[j]) % p
-            r0, r1 = r1, _upoly_trim(r)
-            # s update: s0 - q*s1
-            qs = [0] * (len(q) + len(s1) - 1 if q and s1 else 0)
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        qs[i + j] = (qs[i + j] + qi * sj) % p
-            news = [0] * max(len(s0), len(qs))
-            for i in range(len(news)):
-                v = (s0[i] if i < len(s0) else 0) - (qs[i] if i < len(qs) else 0)
-                news[i] = v % p
-            s0, s1 = s1, _upoly_trim(news)
+            q, r = _upoly_divmod(r0, r1, p)
+            r0, r1 = r1, r
+            s0, s1 = s1, _upoly_add(s0, _upoly_scale(_upoly_mul(q, s1, p), p - 1, p), p)
         # r0 is the gcd (a nonzero constant since f is irreducible)
-        c_inv = pow(r0[0], -1, p)
-        s0 = [(c * c_inv) % p for c in s0]
+        s0 = _upoly_scale(s0, pow(r0[0], -1, p), p)
         s0 += [0] * (self.k - len(s0))
         return tuple(s0[: self.k])
 

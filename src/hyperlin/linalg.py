@@ -470,9 +470,11 @@ def nullspace_rational(rows, max_primes=1024):
     The reference group, whose residues are lifted, is the primes with the
     largest rank and the lexicographically smallest pivot tuple: a prime can
     only lower the rank or push pivots later, so that is the pattern over ℚ.
-    The probe entry is the last one that failed to reconstruct.
+    The probe entry is the last one that failed to reconstruct.  Rows that
+    are already integer, such as the cleared rows `solve_nullspace` passes
+    on, are used as they are.
     """
-    int_rows = [clear_denominators(r) for r in rows]
+    int_rows = [r if all(type(v) is int for v in r) else clear_denominators(r) for r in rows]
     int_rows = [r for r in int_rows if any(r)]
     if not rows and not int_rows:
         raise ValueError("ncols unknown for an empty matrix; use nullspace()")

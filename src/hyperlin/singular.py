@@ -2,11 +2,16 @@
 
 Enumeration sweeps the projective space chart by chart; each point is visited
 once through its canonical representative (last nonzero coordinate = 1).
-Over a prime field the sweep is vectorized with numpy power tables; every
-survivor is re-verified exactly, together with the Euler relation
-deg(F) * F = sum x_i dF/dx_i.  Classification of a double point reads the
-rank of the quadratic part of the local equation: rank 3 is a node (A1),
-rank 2 with the cubic part nonzero on the kernel line is a cusp (A2).
+Over a prime field the sweep is vectorized: F is evaluated on the whole
+chart grid by contracting its coefficient tensor with a power table
+x^e mod p, one float64 matmul and one reduction mod p per variable, which
+is exact while (D+1)*(p-1)^2 < 2^53 for exponents up to D (enforced; the
+point limit keeps p <= 254).  The partials are evaluated term by term on
+the survivors only.  Every survivor is re-verified exactly, together with
+the Euler relation deg(F) * F = sum x_i dF/dx_i.  Classification of a
+double point reads the rank of the quadratic part of the local equation:
+rank 3 is a node (A1), rank 2 with the cubic part nonzero on the kernel
+line is a cusp (A2).
 """
 
 from __future__ import annotations
@@ -18,11 +23,12 @@ import numpy as np
 
 from .ambient import AmbientPoint, affine_space, projective_space
 from .conditions import impose_points
-from .linalg import nullspace, rank
+from .linalg import _F53, _reduce_sym, nullspace, rank
 from .linsys import LinearSys
 from .poly import MultiPoly
 
 _POINT_LIMIT = 16_500_000  # ~ 254^3, the practical full-enumeration ceiling
+_SWEEP_ROWS = 1024  # grid rows per block of the contraction
 
 
 class SingularPointReport:
@@ -114,13 +120,14 @@ def _dehomogenize(g, chart):
 
 def _sweep_prime(local, p, nfree):
     """Common zeros over GF(p)^nfree of the dehomogenized polynomials,
-    as exponent-index tuples in row-major order."""
+    as exponent-index tuples in row-major order: the first polynomial on the
+    whole grid by `_contract`, the others on its survivors by `_evaluate`."""
     maxexp = max((max(e) for terms in local for e in terms), default=0)
     vals = np.arange(p, dtype=np.int64)
     pw = [np.ones(p, dtype=np.int64)]
     for _ in range(maxexp):
         pw.append(pw[-1] * vals % p)
-    idx = np.nonzero(_evaluate(local[0], pw, p, np.ix_(*[vals] * nfree)) == 0)
+    idx = np.nonzero(_contract(local[0], pw, p, nfree) == 0)
     for terms in local[1:]:
         if not len(idx[0]):
             break
@@ -129,10 +136,37 @@ def _sweep_prime(local, p, nfree):
     return list(zip(*(ix.tolist() for ix in idx)))
 
 
+def _contract(terms, pw, p, nfree):
+    """Values mod p of the polynomial with the given terms on the whole grid
+    GF(p)^nfree, as a float64 array indexed [x1, .., x_nfree] of residues
+    in the symmetric range.  The coefficient tensor C[e1, .., e_nfree] is
+    contracted with the power table P[e, x] = x^e mod p one variable at a
+    time: one matmul and one reduction mod p per variable.  Each product
+    entry is a sum of D+1 products of residues below p, D the largest
+    exponent, so it is exact while (D+1)*(p-1)^2 < 2^53."""
+    D = len(pw) - 1
+    if (D + 1) * (p - 1) ** 2 >= _F53:
+        raise ValueError(f"GF({p}) with exponents up to {D} is beyond the float64 contraction")
+    C = np.zeros((D + 1,) * nfree)
+    for e, c in terms.items():
+        C[e] = c
+    P = np.array(pw, dtype=np.float64)
+    invp = 1.0 / p
+    for _ in range(nfree):
+        # contract the leading exponent axis; its point axis goes last.  Row
+        # blocks keep the reduction's temporaries small.
+        A = C.reshape(D + 1, -1).T
+        out = np.empty((A.shape[0], p))
+        for b in range(0, A.shape[0], _SWEEP_ROWS):
+            _reduce_sym(np.matmul(A[b : b + _SWEEP_ROWS], P, out=out[b : b + _SWEEP_ROWS]), p, invp)
+        C = out.reshape(C.shape[1:] + (p,))
+    return C
+
+
 def _evaluate(terms, pw, p, idx):
     """Values mod p of the polynomial with the given terms at the points whose
-    coordinates are idx, one index array per variable: open-mesh ranges
-    (np.ix_) for the full grid, or the survivors of an earlier filter."""
+    coordinates are idx, one index array per variable: the survivors of an
+    earlier filter, or open-mesh ranges (np.ix_) for a whole grid."""
     acc = np.zeros(np.broadcast_shapes(*(ix.shape for ix in idx)), dtype=np.int64)
     for e, c in terms.items():
         # coefficient times <= 3 power values, plus acc, stays below 2^63
@@ -312,28 +346,32 @@ def _family_z6(ambient):
 
 _FAMILIES = {"z5": _family_z5, "z6": _family_z6}
 
-_TARGETS = {
-    "nodes30": lambda count, hist: count == 30 and hist.get("A1", 0) == 30,
-    "nodes31": lambda count, hist: count == 31 and hist.get("A1", 0) == 31,
-    "cusps15": lambda count, hist: count == 15 and hist.get("A2", 0) == 15,
-}
+# named targets: the singular point count they need, all of one class;
+# classification runs only on trials with that count
+_TARGETS = {"nodes30": (30, "A1"), "nodes31": (31, "A1"), "cusps15": (15, "A2")}
 
 
 def invariant_family_scan(family, q, trials, target, rng=None, stop_after=None):
     """Random search for specializations of an invariant quintic family whose
     singular locus matches the target predicate.
 
-    family is "z5" or "z6"; target is a named predicate (nodes30, nodes31,
-    cusps15) or a callable (count, histogram) -> bool.  Each trial draws the
-    family's free double points over GF(q); draws whose imposed system is not
-    a single section are skipped and counted.  stop_after bounds the number
-    of matches collected (None runs every trial)."""
+    family is "z5" or "z6"; target is a named target (nodes30, nodes31,
+    cusps15: that many singular points, all nodes resp. cusps) or a callable
+    (count, histogram) -> bool.  Each trial draws the family's free double
+    points over GF(q); draws whose imposed system is not a single section are
+    skipped and counted.  A named target classifies the singular points only
+    when their count matches; a callable sees every trial.  stop_after bounds
+    the number of matches collected (None runs every trial)."""
     from .fields import GF
 
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {sorted(_FAMILIES)}")
-    predicate = target if callable(target) else _TARGETS.get(target)
-    if predicate is None:
+    if callable(target):
+        count, predicate = None, target
+    elif target in _TARGETS:
+        count, cls = _TARGETS[target]
+        predicate = lambda n, hist: hist.get(cls, 0) == n
+    else:
         raise ValueError(f"unknown target {target!r}; choose from {sorted(_TARGETS)}")
     if rng is None:
         import random
@@ -357,6 +395,8 @@ def invariant_family_scan(family, q, trials, target, rng=None, stop_after=None):
             continue
         F = L.sections()[0]
         sing = singular_points(F, ambient)
+        if count is not None and len(sing) != count:
+            continue
         hist = Counter(classify(F, p).classification for p in sing)
         if predicate(len(sing), dict(hist)):
             matches.append(ScanMatch(trial, params, F, sing, dict(hist)))

@@ -4,6 +4,7 @@ benchmark run."""
 
 import importlib
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -38,9 +39,11 @@ def test_multiprime_nullspace_reaches_every_qq_special_layer():
     reached = [name for name in spans.ASSIGNED["qq-special"] if name != "linsys.LinearSys.sections"]
     assert reached == ["linalg.clear_denominators", "linalg.rref_mod_p", "linalg.nullspace_rational",
                        "fields.crt_combine", "fields.rational_reconstruct"]
-    # the third row is the sum of the first two; the basis needs several primes
-    rows = [[3 * 10**30 + 7, 10**30 + 1, 5], [2 * 10**30 + 11, 10**31 + 3, 7],
-            [5 * 10**30 + 18, 11 * 10**30 + 4, 12]]
+    # the third row is the sum of the first two; the basis needs several primes.
+    # Fractions, as in qq-special's condition rows: integer rows are not cleared
+    rows = [[Fraction(v) for v in row] for row in
+            [[3 * 10**30 + 7, 10**30 + 1, 5], [2 * 10**30 + 11, 10**31 + 3, 7],
+             [5 * 10**30 + 18, 11 * 10**30 + 4, 12]]]
     tracer = spans.Tracer()
     spans.install(tracer)
     try:

@@ -5,17 +5,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hyperlin.blowup as blowup
 from hyperlin.ambient import affine_space
 from hyperlin.blowup import (
     BlowupChainSpec,
     TangentDirection,
     _blow_transform,
+    _chain_step,
     impose_chain,
     multiplicity_sequence,
+    pencil_parameter_lift,
     quadrifolium,
     sextic_pencil_scan,
 )
 from hyperlin.fields import GF, rationals
+from hyperlin.linalg import identity, rank
 from hyperlin.linsys import LinearSys
 
 QQ = rationals()
@@ -224,6 +228,114 @@ def test_pencil_scan_finds_two_conjugate_parameters():
 
     assert e1[0] == red(Fraction(3645985316400, 227892834937))
     assert e2[0] == red(Fraction(14582741040000, 227892834937))
+
+
+def brute_force_pencil_scan(p):
+    """Reference: every a in GF(p^2)*, with the rank of the last point's
+    three Taylor conditions on the fixed 8-point prefix, imposed over
+    GF(p^2) and evaluated at c = 1/a by Horner's rule."""
+    K = GF(p, 2)
+    A2 = affine_space(K, 2)
+    V, cur = identity(28, K), LinearSys.complete(A2, 6).sections()
+    for k in range(8):
+        tangent = TangentDirection(K, (1, k)) if k else None
+        V, cur = _chain_step(V, cur, A2.ring, 2, tangent, 2)
+    upolys = []
+    for g in cur:
+        u0, ux, uy = [K.zero] * 3, [K.zero] * 2, [K.zero] * 4
+        for (a, b), cval in g.terms.items():
+            if a + b == 2:
+                u0[a] = cval
+                if a >= 1:
+                    ux[a - 1] = K.add(ux[a - 1], K.mul(K.from_int(a), cval))
+            elif a + b == 3:
+                uy[a] = cval
+        upolys.append((u0, ux, uy))
+
+    def horner(coeffs, c):
+        acc = K.zero
+        for v in reversed(coeffs):
+            acc = K.add(K.mul(acc, c), v)
+        return acc
+
+    hits = []
+    for a in K.elements():
+        if K.is_zero(a):
+            continue
+        c = K.inv(a)
+        rows = [[horner(u, c) for u in us] for us in zip(*upolys)]
+        if len(cur) - rank(rows, K) == 2:
+            hits.append(a)
+    return sorted(hits)
+
+
+# no hits at 5, every a at 7, two values in GF(p) at 11, 19 and 29, two
+# conjugate values outside GF(p) at 13, 17 and 23
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 59])
+def test_pencil_scan_matches_brute_force(p):
+    hits = sextic_pencil_scan(p)
+    assert hits == brute_force_pencil_scan(p)
+    K = GF(p, 2)
+    rational = [K.in_prime_subfield(a) for a in hits]
+    expected = {5: [], 7: [True] * 6 + [False] * 42, 11: [True] * 2, 13: [False] * 2}
+    if p in expected:
+        assert sorted(rational, reverse=True) == expected[p]
+    if p in (19, 29):
+        assert rational == [True, True]
+    if p in (17, 23):
+        assert rational == [False, False]
+
+
+def test_pencil_scan_rejects_characteristic_two():
+    with pytest.raises(ValueError, match="odd prime"):
+        sextic_pencil_scan(2)
+
+
+def _stand_in_scan(scanned, trace_norm_at):
+    """A scan whose two hits are the roots of x^2 - e1*x + e2 with
+    (e1, e2) = trace_norm_at(p), chosen to have roots 2, 3 or 1, 3 in GF(p)."""
+
+    def scan(p):
+        scanned.append(p)
+        K = GF(p, 2)
+        pair = trace_norm_at(p)
+        if pair is None:
+            return []
+        roots = {(5, 6): (2, 3), (4, 3): (1, 3)}[pair]
+        return sorted(K.from_int(r) for r in roots)
+
+    return scan
+
+
+def test_pencil_lift_confirms_at_a_check_prime(monkeypatch):
+    scanned = []
+    # no two values at 67: the check moves on to 71
+    monkeypatch.setattr(
+        blowup, "sextic_pencil_scan", _stand_in_scan(scanned, lambda p: None if p == 67 else (5, 6))
+    )
+    assert pencil_parameter_lift(primes=[61, 59]) == (5, 6, 59 * 61, [61, 59])
+    assert scanned == [61, 59, 67, 71]
+    scanned.clear()
+    # 67 is skipped by the lift too; the check prime follows 71, the last one used
+    assert pencil_parameter_lift(start_prime=59, target_modulus=10**5) == (5, 6, 59 * 61 * 71, [59, 61, 71])
+    assert scanned == [59, 61, 67, 71, 73]
+
+
+def test_pencil_lift_raises_when_the_check_prime_disagrees(monkeypatch):
+    scanned = []
+    # consistent on the primes used, a different trace at the check prime
+    monkeypatch.setattr(
+        blowup, "sextic_pencil_scan", _stand_in_scan(scanned, lambda p: (5, 6) if p < 67 else (4, 3))
+    )
+    with pytest.raises(RuntimeError, match="check prime 67"):
+        pencil_parameter_lift(primes=[59, 61])
+    assert scanned == [59, 61, 67]
+    # no prime with two values after the last one used
+    monkeypatch.setattr(
+        blowup, "sextic_pencil_scan", _stand_in_scan(scanned, lambda p: (5, 6) if p < 67 else None)
+    )
+    with pytest.raises(RuntimeError, match="no check prime"):
+        pencil_parameter_lift(primes=[59, 61])
 
 
 # -- property: strict transforms respect linearity -----------------------------

@@ -266,6 +266,20 @@ def test_nullspace_rational_zero_matrix():
         nullspace_rational([])
 
 
+def test_solve_nullspace_clears_each_rational_row_once(monkeypatch):
+    # forced onto the multimodular path; the third row is dependent
+    monkeypatch.setattr(linalg, "_NUMPY_MIN_ENTRIES", 0)
+    cleared, solved = [], []
+    real_clear, real_solve = linalg.clear_denominators, linalg.nullspace_rational
+    monkeypatch.setattr(linalg, "clear_denominators", lambda row: cleared.append(row) or real_clear(row))
+    monkeypatch.setattr(linalg, "nullspace_rational", lambda rows: solved.append(rows) or real_solve(rows))
+    half = Fraction(1, 2)
+    rows = [[half, 2, 3, 4], [0, 1, 1, 1], [half, 3, 4, 5]]
+    count, basis = linalg.solve_nullspace(rows, QQ, 4)
+    assert count == 2 and basis == nullspace(rows, QQ)
+    assert len(cleared) == 3 and len(solved) == 1
+
+
 def test_nullspace_rational_unlucky_first_prime():
     # mod the first prime p0 the pivots are (0, 2); over QQ, and mod every
     # other prime, they are (0, 1).  The reference group must be the
@@ -288,7 +302,7 @@ def _low_rank(draw, m, n, r, entry):
     """An m x n integer matrix B @ C of rank at most r."""
     B = [[draw(entry) for _ in range(r)] for _ in range(m)]
     C = [[draw(entry) for _ in range(n)] for _ in range(r)]
-    return [[sum(b * c for b, c in zip(brow, col)) for col in zip(*C)] for brow in B]
+    return [[sum(B[i][k] * C[k][j] for k in range(r)) for j in range(n)] for i in range(m)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -302,6 +316,27 @@ def test_rref_mod_p_matches_generic_rref(data):
     R_gen, piv_gen = rref(A, GF(p))
     assert piv == piv_gen and len(piv) <= r
     assert R.tolist() == R_gen
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_ref_mod_p_and_backsolve_match_rref_mod_p(data):
+    # 5885833 and 5885843 straddle the float64 kernels' bound at 260 columns
+    p = data.draw(st.sampled_from([3, 5, 101, 397, 5885833, 5885843]))
+    m, n = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+    r = data.draw(st.integers(0, min(m, n)))
+    A = np.array([[v % p for v in row] for row in _low_rank(data.draw, m, n, r, st.integers(0, p - 1))],
+                 dtype=np.int64)
+    block = data.draw(st.integers(1, 8))  # small panels exercise the trailing update
+    U, piv = ref_mod_p(A, p, block=block)
+    R, piv_ref = rref_mod_p(A, p)
+    assert piv == piv_ref
+    U = U.astype(np.int64)
+    assert ((U >= 0) & (U < p)).all()
+    R_of_U, piv_of_U = rref_mod_p(U, p)
+    assert piv_of_U == piv and np.array_equal(R_of_U, R)
+    basis = linalg._backsolve_ref(U, piv, p, n)
+    assert np.array_equal(basis, linalg._basis_from_rref_mod_p(R, piv, p, n))
 
 
 @settings(max_examples=25, deadline=None)

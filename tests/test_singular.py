@@ -3,13 +3,19 @@
 import random
 from itertools import product as iproduct
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hyperlin.singular as singular
 from hyperlin.ambient import projective_space
-from hyperlin.fields import GF
+from hyperlin.fields import GF, primes_from
 from hyperlin.linsys import LinearSys
 from hyperlin.singular import (
     ScanResult,
+    _contract,
+    _evaluate,
     classify,
     invariant_family_scan,
     singular_points,
@@ -121,6 +127,41 @@ def test_generic_sweep_over_extension_field():
         assert sorted(p.coords) == sorted([one, zero, zero, zero])
 
 
+def _power_table(p, maxexp):
+    vals = np.arange(p, dtype=np.int64)
+    pw = [np.ones(p, dtype=np.int64)]
+    for _ in range(maxexp):
+        pw.append(pw[-1] * vals % p)
+    return pw
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_contraction_matches_term_by_term_evaluation(data):
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 13, 101] + primes_from(240, 2)))
+    nfree = data.draw(st.integers(1, 3 if p <= 101 else 2))
+    exps = st.lists(st.integers(0, 5), min_size=nfree, max_size=nfree).filter(lambda e: sum(e) <= 5)
+    terms = data.draw(st.dictionaries(exps.map(tuple), st.integers(0, p - 1), max_size=8))
+    maxexp = max((max(e) for e in terms), default=0)
+    pw = _power_table(p, maxexp)
+    got = _contract(terms, pw, p, nfree)
+    grid = np.ix_(*[np.arange(p)] * nfree)
+    assert got.shape == (p,) * nfree
+    assert np.array_equal(got % p, _evaluate(terms, pw, p, grid))
+    # and at a few points by plain integer arithmetic
+    for _ in range(3):
+        pt = tuple(data.draw(st.integers(0, p - 1)) for _ in range(nfree))
+        direct = sum(c * np.prod([pow(x, e, p) for x, e in zip(pt, ex)]) for ex, c in terms.items()) % p
+        assert int(got[pt]) % p == direct
+
+
+def test_contraction_enforces_its_float64_bound():
+    # (D+1)*(p-1)^2 >= 2^53: exponents up to 1 at p ~ 2^26.5
+    p = primes_from(67_108_879, 1)[0]
+    with pytest.raises(ValueError, match="float64"):
+        _contract({(1,): 1}, [np.ones(1)] * 2, p, 1)
+
+
 # -- classification --------------------------------------------------------------
 
 
@@ -217,6 +258,19 @@ def test_scan_stop_after_first_match():
     )
     assert len(res.matches) == 1
     assert res.trials <= 3
+
+
+def test_named_target_classifies_only_when_the_count_matches(monkeypatch):
+    calls = []
+    real = singular.classify
+    monkeypatch.setattr(singular, "classify", lambda F, pt: calls.append(pt) or real(F, pt))
+    named = invariant_family_scan("z5", 101, 4, "nodes30", rng=random.Random(1))
+    assert named.matches == [] and calls == []
+    # a callable target sees the histogram of every trial
+    seen = invariant_family_scan(
+        "z5", 101, 4, lambda count, hist: count == 30, rng=random.Random(1)
+    )
+    assert seen.matches == [] and len(calls) >= 20
 
 
 def test_scan_validations():
