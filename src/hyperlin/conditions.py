@@ -8,10 +8,15 @@ system's sections and returns the subsystem cut out by its nullspace.
 
 Derivatives are divided-power (Hasse) derivatives throughout, so
 multiplicity conditions are correct in positive characteristic as well.
+`taylor_row` gives one row of them.  `point_condition_rows` builds all the
+rows of a point from per-variable tables; over QQ its rows are integer
+multiples of the Taylor rows (equal to them at integer points), so no
+`Fraction` arithmetic is done and the rational kernels need no clearing.
 """
 
 from __future__ import annotations
 
+import operator
 from math import comb
 
 import numpy as np
@@ -106,22 +111,66 @@ def _local_directions(ambient, charts):
     return [i for i in range(ambient.total_vars()) if i not in chart_set]
 
 
+def _hasse_tables(field, a, top, tmax):
+    """T[t][e] for t <= tmax and e <= top: the t-th Hasse derivative
+    C(e,t) * a^(e-t) of x^e at a.  Over QQ, with a = n/d and d > 0, the
+    integer C(e,t) * n^(e-t) * d^(top-e), which is that value times
+    d^(top-t)."""
+    if field.kind == "rational":
+        n, d = a.numerator, a.denominator
+        npow, dpow = [1], [1]
+        for _ in range(top):
+            npow.append(npow[-1] * n)
+            dpow.append(dpow[-1] * d)
+        return [
+            [comb(e, t) * npow[e - t] * dpow[top - e] if e >= t else 0 for e in range(top + 1)]
+            for t in range(tmax + 1)
+        ]
+    apow = [field.one]
+    for _ in range(top):
+        apow.append(field.mul(apow[-1], a))
+    return [
+        [field.mul(field.from_int(comb(e, t)), apow[e - t]) if e >= t else field.zero
+         for e in range(top + 1)]
+        for t in range(tmax + 1)
+    ]
+
+
 def point_condition_rows(L, point, multiplicity):
     """Condition rows (over L's monomials) for vanishing to order
-    `multiplicity` at the point."""
+    `multiplicity` at the point: one row per local order t with |t| below
+    the multiplicity, in `monomials_below_degree` order.
+
+    Over a finite field the row of order t is `taylor_row(..., t, field)`.
+    Over QQ it is that row times the positive integer prod_i d_i^(top_i-t_i),
+    where a_i = n_i/d_i and top_i is the largest exponent of variable i in
+    L.monomials(): a row of ints, equal to the Taylor row at an integer
+    point.  Each entry is a product of lookups in per-variable tables built
+    once per point; the chart variables (coordinate 1, order 0) contribute
+    the factor 1 and are skipped."""
     ambient = L.ambient
     field = ambient.field
     point = ambient.point(point.coords if hasattr(point, "coords") else point)
     charts, _ = point.affine_chart()
     local = _local_directions(ambient, charts)
     mons = L.monomials()
-    coords = list(point.coords)
+    orders = monomials_below_degree(len(local), multiplicity)
+    columns = [[e[i] for e in mons] for i in local]
+    tables = [
+        _hasse_tables(field, point.coords[i], max(col, default=0), multiplicity - 1)
+        for i, col in zip(local, columns)
+    ]
+    mul = operator.mul if field.kind == "rational" else field.mul
     rows = []
-    for tloc in monomials_below_degree(len(local), multiplicity):
-        t = [0] * ambient.total_vars()
-        for pos, ti in zip(local, tloc):
-            t[pos] = ti
-        rows.append(taylor_row(mons, coords, tuple(t), field))
+    for t in orders:
+        row = None
+        for ti, table, col in zip(t, tables, columns):
+            factor = table[ti]
+            if row is None:
+                row = [factor[e] for e in col]
+            else:
+                row = [mul(v, factor[e]) for v, e in zip(row, col)]
+        rows.append(row)
     return rows
 
 

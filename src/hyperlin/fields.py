@@ -410,7 +410,7 @@ class CoefficientField:
         if self.kind == "rational":
             if not a:
                 raise ZeroDivisionError("inverse of 0 in QQ")
-            return 1 / a
+            return _FR_ONE / a
         if not any(a):
             raise ZeroDivisionError(f"inverse of 0 in {self!r}")
         p = self.p

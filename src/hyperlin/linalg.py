@@ -405,7 +405,11 @@ def rank_mod_p(A, p):
 
 
 def clear_denominators(row):
-    """Scale a row of Fractions/ints to integers (common denominator)."""
+    """Scale a row of Fractions/ints to integers (common denominator).  A
+    row of ints, such as a QQ row of `conditions.point_condition_rows`, is
+    returned as it is."""
+    if all(type(v) is int for v in row):
+        return row
     fr = [Fraction(v) for v in row]
     d = lcm(*(f.denominator for f in fr)) if fr else 1
     return [int(f * d) for f in fr]

@@ -7,6 +7,8 @@ import importlib.util
 from fractions import Fraction
 from pathlib import Path
 
+from hyperlin import LinearSys, affine_space, rationals
+
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
@@ -53,4 +55,30 @@ def test_multiprime_nullspace_reaches_every_qq_special_layer():
     assert result.rank == 2 and len(result.basis) == 1
     assert tracer.counts["linalg.nullspace_rational.primes"] == len(result.primes_used) > 1
     for name in reached:
+        assert tracer.counts.get(f"{name}.calls"), name
+
+
+def test_qq_rank_reaches_every_assigned_layer(monkeypatch):
+    # one imposition forced onto the rank certificate, one on the generic
+    # loop: together they must reach every layer qq-rank is assigned
+    spans = _spans()
+    conditions = importlib.import_module("hyperlin.conditions")
+    linalg = importlib.import_module("hyperlin.linalg")
+    assigned = spans.ASSIGNED["qq-rank"]
+    assert assigned == ("conditions.point_condition_rows", "conditions.impose_points",
+                        "linalg.clear_denominators", "linalg.rank_mod_p", "linalg.rref_mod_p",
+                        "linalg.nullspace")
+    L = LinearSys.complete(affine_space(rationals(), 2), 4)
+    pts, mults = [(1, 2), (3, 5)], [2, 2]
+    tracer = spans.Tracer()
+    spans.install(tracer)
+    try:
+        with monkeypatch.context() as mp:
+            mp.setattr(linalg, "_NUMPY_MIN_ENTRIES", 0)
+            certified = conditions.impose_points(L, pts, mults)
+        generic = conditions.impose_points(L, pts, mults)
+    finally:
+        tracer.uninstall()
+    assert certified._pending is not None and certified.nsections() == generic.nsections() == 9
+    for name in assigned:
         assert tracer.counts.get(f"{name}.calls"), name

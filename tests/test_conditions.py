@@ -1,12 +1,13 @@
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hyperlin.conditions as conditions
 import hyperlin.linalg as linalg
-from hyperlin.ambient import affine_space, projective_space
+from hyperlin.ambient import affine_space, product_projective, projective_space
 from hyperlin.conditions import (
     SchemeSpec,
     image_system,
@@ -18,6 +19,7 @@ from hyperlin.conditions import (
     taylor_row,
 )
 from hyperlin.fields import GF, rationals
+from hyperlin.linalg import nullspace
 from hyperlin.linsys import LinearSys
 from hyperlin.poly import monomials_below_degree, random_poly
 
@@ -358,3 +360,89 @@ def test_members_vanish_to_imposed_order(seed, m):
         return
     f = cut.random_member(rng)
     assert f.translate(pt).multiplicity_at_origin() >= m
+
+
+# -- the QQ row builder against the Taylor-row oracle ---------------------------
+
+
+def _qq_ambient(kind):
+    if kind == "A2":
+        return affine_space(QQ, 2), 4
+    if kind == "P2":
+        return projective_space(QQ, 2), 4
+    return product_projective(QQ, [1, 1]), (2, 3)
+
+
+@st.composite
+def _qq_points(draw, kind, count):
+    """Distinct points with integer or fractional coordinates, zeros and
+    negatives included; projective blocks often end in 0, so charts other
+    than the last coordinate occur."""
+    ambient, degree = _qq_ambient(kind)
+    integral = draw(st.booleans())
+    den = st.just(1) if integral else st.sampled_from([1, 2, 3, 7])
+    coord = st.one_of(st.just(0), st.builds(Fraction, st.integers(-5, 5), den))
+    pts = []
+    for _ in range(count):
+        coords = draw(st.lists(coord, min_size=ambient.total_vars(), max_size=ambient.total_vars()))
+        try:
+            pt = ambient.point(coords)
+        except ValueError:
+            continue  # a projective block of zeros
+        if pt not in pts:
+            pts.append(pt)
+    return ambient, degree, pts
+
+
+def _taylor_orders(ambient, pt, m):
+    charts, _ = pt.affine_chart()
+    local = [i for i in range(ambient.total_vars()) if i not in charts]
+    for tloc in monomials_below_degree(len(local), m):
+        t = [0] * ambient.total_vars()
+        for i, ti in zip(local, tloc):
+            t[i] = ti
+        yield tuple(t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_qq_rows_are_scaled_taylor_rows(data):
+    kind = data.draw(st.sampled_from(["A2", "P2", "P1xP1"]))
+    ambient, degree, pts = data.draw(_qq_points(kind, 1))
+    assume(pts)
+    pt, m = pts[0], data.draw(st.integers(1, 3))
+    L = LinearSys.complete(ambient, degree)
+    mons = L.monomials()
+    tops = [max(e[i] for e in mons) for i in range(ambient.total_vars())]
+    rows = point_condition_rows(L, pt, m)
+    orders = list(_taylor_orders(ambient, pt, m))
+    assert len(rows) == len(orders)
+    for row, t in zip(rows, orders):
+        taylor = taylor_row(mons, pt.coords, t, QQ)
+        scale = 1
+        for a, top, ti in zip(pt.coords, tops, t):
+            scale *= a.denominator ** (top - ti)
+        assert all(type(v) is int for v in row)
+        assert row == [scale * v for v in taylor]
+        if all(a.denominator == 1 for a in pt.coords):
+            assert row == taylor
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_impose_points_gives_the_canonical_basis_of_the_taylor_rows(data):
+    kind = data.draw(st.sampled_from(["A2", "P2", "P1xP1"]))
+    ambient, degree, pts = data.draw(_qq_points(kind, 3))
+    assume(pts)
+    mults = [data.draw(st.integers(1, 2)) for _ in pts]
+    L = LinearSys.complete(ambient, degree)
+    mons = L.monomials()
+    taylor = [taylor_row(mons, pt.coords, t, QQ)
+              for pt, m in zip(pts, mults) for t in _taylor_orders(ambient, pt, m)]
+    expected = nullspace(taylor, QQ, ncols=len(mons))
+    for threshold in (linalg._NUMPY_MIN_ENTRIES, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_NUMPY_MIN_ENTRIES", threshold)
+            J = impose_points(L, pts, mults)
+        assert J.nsections() == len(expected)
+        assert J.matrix() == expected

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hyperlin.linalg as linalg
@@ -211,6 +211,8 @@ def test_rank_mod_p():
 def test_clear_denominators():
     assert clear_denominators([Fraction(1, 2), Fraction(2, 3), 1]) == [3, 4, 6]
     assert clear_denominators([0, Fraction(0)]) == [0, 0]
+    row = [3, -4, 0]
+    assert clear_denominators(row) is row
 
 
 def test_nullspace_rational_small_exact():
@@ -278,6 +280,56 @@ def test_solve_nullspace_clears_each_rational_row_once(monkeypatch):
     count, basis = linalg.solve_nullspace(rows, QQ, 4)
     assert count == 2 and basis == nullspace(rows, QQ)
     assert len(cleared) == 3 and len(solved) == 1
+
+
+def test_generic_nullspace_of_integer_rows_is_exact():
+    # QQ.inv(int) is a Fraction, so integer rows give the Fraction basis
+    assert type(QQ.inv(2)) is Fraction and QQ.inv(2) == Fraction(1, 2)
+    rows = [[2, 3, 5], [7, 11, 13]]
+    assert nullspace(rows, QQ) == [[Fraction(-16), Fraction(9), Fraction(1)]]
+    rng = random.Random(23)
+    for _ in range(20):
+        m, n = rng.randint(1, 5), rng.randint(1, 6)
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        basis = nullspace(rows, QQ)
+        assert all(type(v) is Fraction for vec in basis for v in vec)
+        assert basis == nullspace(frac_rows(rows), QQ)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_deferred_rational_basis_matches_generic_nullspace(data):
+    # full row rank mod the first prime: the count is certified by that
+    # prime and the basis is a callable, run here
+    m = data.draw(st.integers(1, 5))
+    n = data.draw(st.integers(m + 1, 7))
+    if data.draw(st.booleans()):
+        entry = st.integers(-30, 30)
+    else:
+        entry = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+    rows = [[data.draw(entry) for _ in range(n)] for _ in range(m)]
+    p = primes_from(linalg._FIRST_PRIME_ABOVE, 1)[0]
+    reduced = np.array([[v % p for v in clear_denominators(row)] for row in rows], dtype=np.int64)
+    assume(rank_mod_p(reduced, p) == m)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_NUMPY_MIN_ENTRIES", 0)
+        count, basis = linalg.solve_nullspace(rows, QQ, n)
+    expected = nullspace([[Fraction(v) for v in row] for row in rows], QQ)
+    assert callable(basis)
+    assert count == len(expected) == n - m
+    assert basis() == expected
+
+
+def test_deferred_rational_basis_checks_its_rank_certificate(monkeypatch):
+    monkeypatch.setattr(linalg, "_NUMPY_MIN_ENTRIES", 0)
+    count, basis = linalg.solve_nullspace([[1, 2, 3], [4, 5, 6]], QQ, 3)
+    assert count == 1 and callable(basis)
+    # a reconstruction of rank 1 contradicts the rank 2 found mod p
+    wrong = linalg.RationalNullspace([[Fraction(1), Fraction(0), Fraction(0)],
+                                      [Fraction(0), Fraction(1), Fraction(0)]], 1, [])
+    monkeypatch.setattr(linalg, "nullspace_rational", lambda rows: wrong)
+    with pytest.raises(RuntimeError, match="rank certificate contradicted"):
+        basis()
 
 
 def test_nullspace_rational_unlucky_first_prime():
