@@ -5,9 +5,10 @@ Three tiers, all exact:
 - generic dense routines over any CoefficientField (lists of raw values),
   all built on one Gauss-Jordan loop, used for small systems and for
   extension fields;
-- numpy kernels over GF(p): an int64 row-loop RREF and a blocked float64
-  forward elimination whose trailing updates run as one matrix product per
-  panel, used for the large point-condition matrices;
+- numpy kernels over GF(p): an int64 row-loop RREF and a column-recursive
+  float64 forward elimination (CUP, as in FFLAS-FFPACK) whose every trailing
+  update is one matrix product with delayed reduction mod p, used for the
+  large point-condition matrices;
 - a certified multi-prime nullspace over the rationals: rank lower bounds
   from reductions mod ~2^30 primes, CRT + rational reconstruction of the
   candidate basis, and exact integer verification.  Since rank can only
@@ -26,9 +27,10 @@ Three tiers, all exact:
 matrix.  It owns the single size threshold (`_NUMPY_MIN_ENTRIES` matrix
 entries), the field rule and the exactness bounds: the int64 kernels, and
 the int64 mass evaluation that `gf_numpy_path` selects in `conditions`, need
-p < 2^31 so that every product stays below p^2 < 2^62; the float64 panel
-kernel runs only for odd p with n*p^2 < 2^53 (n counted as at least 8, the
-smallest panel), and the int64 RREF otherwise.
+p < 2^31 so that every product stays below p^2 < 2^62; the float64 kernel
+runs only for odd p with min(m, n)*h^2 + h < 2^51, h = (p-1)/2
+(`_float_exact`, which the kernel also enforces), and the int64 RREF
+otherwise.
 
 Echelonization convention: matrices over monomial bases keep columns in
 grevlex-descending order, and `reverse_cols=True` selects pivots scanning
@@ -50,9 +52,10 @@ from .fields import crt_combine, primes_from, rational_reconstruct, rationals
 # kernels; below it the generic loop has less overhead.
 _NUMPY_MIN_ENTRIES = 50_000
 _INT64_P = 1 << 31  # int64 kernels need p below this: products < p^2 < 2^62
-_F53 = float(2**53)
+_F51 = 2**51
 _FIRST_PRIME_ABOVE = (1 << 30) + 1  # the multimodular primes start here
-_UPDATE_ROWS = 256  # row block of ref_mod_p's trailing update
+_UPDATE_ROWS = 256  # row block of the float64 kernel's matrix products
+_LEAF = 16  # widest column range the float64 kernel eliminates pivot by pivot
 _LIMB = 30  # bits per limb of the integer rows reduced mod p
 
 # ---------------------------------------------------------------------------
@@ -266,86 +269,153 @@ def rref_mod_p(A, p):
 
 def _reduce_sym(X, p, invp):
     """In-place reduction of exact float64 integers to the symmetric residue
-    range |x| <= (p-1)/2.  Exact for |x| < 2^53 and odd p: the quotient
-    x/p is approximated to ~1e-9 while the nearest integer is at distance
-    >= 1/(2p) from any half-integer, so rint recovers it exactly."""
+    range |x| <= (p-1)/2, for odd p and |x| < 2^51.  The quotient q = x*invp
+    is within |x/p| * 2^-52 < 1/(2p) of x/p, and x/p is at least 1/(2p) from
+    any half-integer, so rint(q) is the integer nearest to x/p."""
     q = X * invp
     np.rint(q, out=q)
     q *= p
     X -= q
 
 
-def ref_mod_p(A, p, block=192):
-    """Forward (non-reduced) row echelon form over GF(p) in float64, with the
-    trailing submatrix updated by one matrix product per panel of pivots.
-    Intermediate entries are kept in the symmetric range |x| <= p/2, so the
-    panel products stay exact while block*(p/2)^2 < 2^53.  Requires odd p.
-    Returns (U, pivots): U float64 with canonical entries in [0, p)."""
-    if p % 2 == 0:
-        raise ValueError("float64 kernel requires an odd modulus")
+def _float_exact(m, n, p):
+    """The float64 kernel's exactness bound for an m x n matrix mod p: odd p
+    and min(m, n)*h^2 + h < 2^51, with h = (p-1)/2.  Entries start in the
+    symmetric range |x| <= h, and between two reductions each of the at most
+    min(m, n) pivots adds one product of two reduced operands, so no entry
+    leaves the range where `_reduce_sym` is exact."""
+    h = (p - 1) // 2
+    return p % 2 == 1 and min(m, n) * h * h + h < _F51
+
+
+def _cup_mod_p(A, p):
+    """Column-recursive CUP elimination over GF(p) in float64, the scheme of
+    FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008; rank
+    profiles after Dumas, Pernet and Sultan, ISSAC 2013).  A column range is
+    factored by factoring its left half, solving the unit lower triangle of
+    the left half's pivots against the right half's top rows (TRSM), updating
+    the rows below by one matrix product, and factoring the right half.
+    Ranges of at most `_LEAF` columns are eliminated pivot by pivot; row
+    swaps move whole rows.
+
+    The working copy is column-major, so leaf panels and pivot searches are
+    contiguous.  An entry is reduced only where it becomes an operand: on
+    entry to a leaf panel, as a leaf's pivot column or pivot row, and after
+    each TRSM row; in between it only accumulates, within the bound of
+    `_float_exact`, which is enforced.
+
+    Returns (X, pivots): pivots is the column rank profile, the pivots of
+    `rref_mod_p`; the first len(pivots) rows of X hold U in the symmetric
+    range, except that the multipliers of the unit lower factor L are stored
+    below each pivot."""
     A = np.asarray(A, dtype=np.int64)
     m, n = A.shape
-    # int64 remainder written straight into the float64 copy (exact: < p)
-    A = np.remainder(A, p, out=np.empty((m, n)))
+    if p % 2 == 0:
+        raise ValueError("float64 kernel requires an odd modulus")
+    if not _float_exact(m, n, p):
+        raise ValueError(f"GF({p}) on a {m} x {n} matrix is beyond the float64 kernel's bound")
     half = (p - 1) // 2
-    A[A > half] -= p
-    # cap keeps every value below 2^51, which makes the rint quotient exact
-    maxblock = int(_F53 // (p * p))
-    if maxblock < 8:
-        raise ValueError("modulus too large for the float64 kernel")
-    block = max(1, min(block, maxblock))
+    X = np.remainder(A, p, out=np.empty((m, n), order="F"))  # exact: < p
+    np.subtract(X, p, out=X, where=X > half)
     invp = 1.0 / p
-    r = 0
-    c = 0
     pivots = []
-    while r < m and c < n:
-        bc = min(block, n - c)
-        P = A[r:, c : c + bc]
-        L = np.zeros((m - r, bc))
+
+    def lower(r0, r1, piv):
+        # rows r0:r1 of L in the pivot columns piv: a view when they are
+        # contiguous, else a gathered copy
+        if piv[-1] - piv[0] + 1 == len(piv):
+            return X[r0:r1, piv[0] : piv[-1] + 1]
+        return X[r0:r1, piv]
+
+    def update(C, r0, piv, B):
+        # C -= L[r0:r0+len(C), piv] @ B by row blocks, each product written
+        # to a small column-major buffer laid out like C
+        T = np.empty((min(len(C), _UPDATE_ROWS), C.shape[1]), order="F")
+        for b in range(0, len(C), _UPDATE_ROWS):
+            Cb = C[b : b + _UPDATE_ROWS]
+            Cb -= np.matmul(lower(r0 + b, r0 + b + len(Cb), piv), B, out=T[: len(Cb)])
+
+    def trsm(r, piv, B):
+        # B <- L^-1 B for the unit lower triangle of rows r:r+len(piv) in
+        # the columns piv; B is left reduced
+        k = len(piv)
+        if k <= _LEAF:
+            L = lower(r, r + k, piv)
+            for t in range(k):
+                if t:
+                    B[t] -= L[t, :t] @ B[:t]
+                _reduce_sym(B[t], p, invp)
+            return
+        h = k // 2
+        trsm(r, piv[:h], B[:h])
+        update(B[h:], r + h, piv[:h], B[:h])
+        trsm(r + h, piv[h:], B[h:])
+
+    def leaf(r, c0, c1):
+        P = X[r:, c0:c1]
+        _reduce_sym(P, p, invp)
         k = 0
-        for j in range(bc):
-            nz = np.nonzero(P[k:, j])[0]
+        for j in range(c1 - c0):
+            col = P[k:, j]
+            if k:
+                _reduce_sym(col, p, invp)
+            nz = np.flatnonzero(col)
             if nz.size == 0:
                 continue
-            i = k + int(nz[0])
-            if i != k:
-                A[[r + k, r + i]] = A[[r + i, r + k]]
-                L[[k, i]] = L[[i, k]]
-            inv = pow(int(P[k, j]) % p, -1, p)
-            f = np.mod(P[k + 1 :, j], p)
-            f *= inv
-            np.mod(f, p, out=f)
-            f[f > half] -= p
-            sub = P[k + 1 :, j:]
-            sub -= f[:, None] * P[k, j:]
-            _reduce_sym(sub, p, invp)
-            L[k + 1 :, k] = f
-            pivots.append(c + j)
+            i = r + k + int(nz[0])
+            if i != r + k:
+                X[[r + k, i]] = X[[i, r + k]]
+            f = P[k + 1 :, j]
+            f *= pow(int(P[k, j]) % p, -1, p)
+            _reduce_sym(f, p, invp)
+            if j + 1 < c1 - c0:
+                row = P[k, j + 1 :]
+                _reduce_sym(row, p, invp)
+                P[k + 1 :, j + 1 :] -= f[:, None] * row
+            pivots.append(c0 + j)
             k += 1
             if r + k == m:
                 break
-        if c + bc < n and k > 0:
-            T = A[r:, c + bc :]
-            for t in range(1, k):
-                T[t] -= L[t, :t] @ T[:t]
-                _reduce_sym(T[t], p, invp)
-            # row blocks keep the product temporaries small
-            for b in range(k, m - r, _UPDATE_ROWS):
-                Tb = T[b : b + _UPDATE_ROWS]
-                Tb -= L[b : b + _UPDATE_ROWS, :k] @ T[:k]
-                _reduce_sym(Tb, p, invp)
-        r += k
-        c += bc
-    U = A[:r]
-    np.mod(U, p, out=U)
+        return k
+
+    def factor(r, c0, c1):
+        # eliminate columns c0:c1 in the rows r:, returning the pivot count
+        if r == m:
+            return 0
+        if c1 - c0 <= _LEAF:
+            return leaf(r, c0, c1)
+        c = (c0 + c1) // 2
+        k = factor(r, c0, c)
+        if k:
+            piv = pivots[-k:]
+            B = X[r : r + k, c:c1]
+            trsm(r, piv, B)
+            update(X[r + k :, c:c1], r + k, piv, B)
+        return k + factor(r + k, c, c1)
+
+    factor(0, 0, n)
+    return X, pivots
+
+
+def ref_mod_p(A, p):
+    """Forward (non-reduced) row echelon form over GF(p) in float64, by the
+    column-recursive elimination `_cup_mod_p`.  Requires odd p within
+    `_float_exact` (ValueError otherwise).  Returns (U, pivots): pivots the
+    column rank profile, equal to `rref_mod_p`'s, and U float64 (rank x n),
+    echelon with entries in [0, p) and zeros below each pivot, so
+    `_backsolve_ref` gives the canonical basis."""
+    X, pivots = _cup_mod_p(A, p)
+    U = X[: len(pivots)]
+    for k, c in enumerate(pivots):
+        U[k + 1 :, c] = 0  # the stored multipliers of L
+    np.add(U, p, out=U, where=U < 0)
     return U, pivots
 
 
 def _float_kernel(m, n, p):
-    """Whether the float64 panel kernel eliminates an m x n matrix mod p:
-    large enough to pay off, and exact (odd p, n*p^2 < 2^53, and panels of
-    at least 8 columns, which `ref_mod_p` requires)."""
-    return p % 2 == 1 and max(n, 8) * p * p < _F53 and m * n > _NUMPY_MIN_ENTRIES
+    """Whether the float64 kernel eliminates an m x n matrix mod p: large
+    enough to pay off, and within `_float_exact`."""
+    return m * n > _NUMPY_MIN_ENTRIES and _float_exact(m, n, p)
 
 
 def _basis_from_rref_mod_p(R, piv, p, n):
@@ -360,8 +430,8 @@ def _basis_from_rref_mod_p(R, piv, p, n):
 
 def nullspace_mod_p(A, p):
     """Canonical right-nullspace basis over GF(p) as an int64 array (nullity x n).
-    Chooses the float64 panel kernel for large matrices with small p, otherwise
-    the int64 RREF."""
+    Chooses the float64 kernel for large matrices with small p, otherwise the
+    int64 RREF."""
     A = np.atleast_2d(np.asarray(A, dtype=np.int64))
     m, n = A.shape
     if n == 0:
@@ -376,7 +446,9 @@ def nullspace_mod_p(A, p):
 
 
 def _backsolve_ref(U, piv, p, n):
-    # Exactness: dot accumulation bounded by n*p^2 < 2^53.
+    # Exactness: a row of X is nonzero only on its free column and the pivot
+    # columns already solved, so each dot product has at most rank terms,
+    # each below p^2, and rank*(p-1)^2 < 2^53 follows from `_float_exact`.
     r = len(piv)
     pivset = set(piv)
     free = [f for f in range(n) if f not in pivset]
@@ -396,7 +468,8 @@ def rank_mod_p(A, p):
     m, n = A.shape
     if m == 0 or n == 0:
         return 0
-    kernel = ref_mod_p if _float_kernel(m, n, p) else rref_mod_p
+    # the float64 path only counts pivots: U is not made canonical
+    kernel = _cup_mod_p if _float_kernel(m, n, p) else rref_mod_p
     return len(kernel(A, p)[1])
 
 

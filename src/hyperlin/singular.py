@@ -5,7 +5,7 @@ once through its canonical representative (last nonzero coordinate = 1).
 Over a prime field the sweep is vectorized: F is evaluated on the whole
 chart grid by contracting its coefficient tensor with a power table
 x^e mod p, one float64 matmul and one reduction mod p per variable, which
-is exact while (D+1)*(p-1)^2 < 2^53 for exponents up to D (enforced; the
+is exact while (D+1)*(p-1)^2 < 2^51 for exponents up to D (enforced; the
 point limit keeps p <= 254).  The partials are evaluated term by term on
 the survivors only.  Every survivor is re-verified exactly, together with
 the Euler relation deg(F) * F = sum x_i dF/dx_i.  Classification of a
@@ -23,7 +23,7 @@ import numpy as np
 
 from .ambient import AmbientPoint, affine_space, projective_space
 from .conditions import impose_points
-from .linalg import _F53, _reduce_sym, nullspace, rank
+from .linalg import _F51, _reduce_sym, nullspace, rank
 from .linsys import LinearSys
 from .poly import MultiPoly
 
@@ -143,9 +143,10 @@ def _contract(terms, pw, p, nfree):
     contracted with the power table P[e, x] = x^e mod p one variable at a
     time: one matmul and one reduction mod p per variable.  Each product
     entry is a sum of D+1 products of residues below p, D the largest
-    exponent, so it is exact while (D+1)*(p-1)^2 < 2^53."""
+    exponent, so it and its reduction are exact while (D+1)*(p-1)^2 < 2^51,
+    the range of `_reduce_sym`."""
     D = len(pw) - 1
-    if (D + 1) * (p - 1) ** 2 >= _F53:
+    if (D + 1) * (p - 1) ** 2 >= _F51:
         raise ValueError(f"GF({p}) with exponents up to {D} is beyond the float64 contraction")
     C = np.zeros((D + 1,) * nfree)
     for e, c in terms.items():

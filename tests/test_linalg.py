@@ -142,13 +142,15 @@ def test_rref_mod_p_matches_generic():
             assert [[int(v) for v in r] for r in Rnp] == Rgen
 
 
-def test_ref_mod_p_rank_and_shape():
+def test_ref_mod_p_rank_and_shape(monkeypatch):
     rng = random.Random(4)
     p = 397
     for _ in range(6):
         m, n = rng.randint(2, 40), rng.randint(2, 40)
         A, rows, F = np_oracle_pairs(rng, p, m, n)
-        U, piv = ref_mod_p(A, p, block=7)  # tiny block to exercise panels
+        # narrow leaves exercise the TRSM and the trailing products
+        monkeypatch.setattr(linalg, "_LEAF", rng.randint(1, 8))
+        U, piv = ref_mod_p(A, p)
         assert len(piv) == rank(rows, F)
         assert piv == sorted(piv)
         U = U.astype(np.int64)
@@ -170,11 +172,12 @@ def test_nullspace_mod_p_matches_generic_and_annihilates():
             assert not ((A @ Nnp.T) % p).any()
 
 
-def test_blocked_kernel_agrees_with_rowloop_on_larger_instance():
-    # 5885833 is the largest prime p with 260*p^2 < 2^53, the float64
-    # kernel's bound for 260 columns; 5885843, the next prime, takes the
-    # int64 RREF
-    for p in (397, 5885833, 5885843):
+def test_blocked_kernel_agrees_with_rowloop_on_larger_instance(monkeypatch):
+    # 5885833 is the largest prime p with 260*h^2 + h < 2^51, h = (p-1)/2,
+    # the float64 kernel's bound for a 300 x 260 matrix; 5885843, the next
+    # prime, takes the int64 RREF
+    for p, leaf in ((397, 1), (397, 5), (5885833, 8), (5885843, 8)):
+        monkeypatch.setattr(linalg, "_LEAF", leaf)
         rng = np.random.default_rng(2)
         A = rng.integers(0, p, size=(300, 260)).astype(np.int64)
         # force rank deficiency: last rows are combinations of earlier ones
@@ -182,7 +185,7 @@ def test_blocked_kernel_agrees_with_rowloop_on_larger_instance():
         assert linalg._float_kernel(300, 260, p) == (p != 5885843)
         R, piv = rref_mod_p(A, p)
         if p != 5885843:
-            U, piv2 = ref_mod_p(A, p, block=64)
+            U, piv2 = ref_mod_p(A, p)
             assert piv == piv2
         assert rank_mod_p(A, p) == len(piv) == 250
         N = nullspace_mod_p(A, p)
@@ -370,25 +373,84 @@ def test_rref_mod_p_matches_generic_rref(data):
     assert R.tolist() == R_gen
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_ref_mod_p_and_backsolve_match_rref_mod_p(data):
-    # 5885833 and 5885843 straddle the float64 kernels' bound at 260 columns
-    p = data.draw(st.sampled_from([3, 5, 101, 397, 5885833, 5885843]))
-    m, n = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
-    r = data.draw(st.integers(0, min(m, n)))
-    A = np.array([[v % p for v in row] for row in _low_rank(data.draw, m, n, r, st.integers(0, p - 1))],
-                 dtype=np.int64)
-    block = data.draw(st.integers(1, 8))  # small panels exercise the trailing update
-    U, piv = ref_mod_p(A, p, block=block)
+# 15005989 is the largest prime p with 40*h^2 + h < 2^51, h = (p-1)/2: the
+# float64 kernel's bound when min(m, n) = 40; 15006031 is the next prime
+_P40, _P40_NEXT = 15005989, 15006031
+
+
+def _check_ref_mod_p(A, p, leaf):
+    """ref_mod_p at leaf width `leaf` against the oracle rref_mod_p: the same
+    pivots, U echelon in [0, p) with the same RREF, and the same basis."""
+    n = A.shape[1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_LEAF", leaf)
+        U, piv = ref_mod_p(A, p)
     R, piv_ref = rref_mod_p(A, p)
     assert piv == piv_ref
     U = U.astype(np.int64)
+    assert U.shape == (len(piv), n)
     assert ((U >= 0) & (U < p)).all()
+    for k, c in enumerate(piv):
+        assert not U[k + 1 :, c].any()
     R_of_U, piv_of_U = rref_mod_p(U, p)
     assert piv_of_U == piv and np.array_equal(R_of_U, R)
     basis = linalg._backsolve_ref(U, piv, p, n)
     assert np.array_equal(basis, linalg._basis_from_rref_mod_p(R, piv, p, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_ref_mod_p_and_backsolve_match_rref_mod_p(data):
+    # _P40 and _P40_NEXT straddle the float64 kernel's bound at 40 x 40
+    p = data.draw(st.sampled_from([3, 5, 101, 397, _P40, _P40_NEXT]))
+    m, n = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 40))
+    r = data.draw(st.integers(0, min(m, n)))
+    zero_cols = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    A = rng.integers(0, p, size=(m, r)) @ rng.integers(0, p, size=(r, n)) % p
+    A[:, zero_cols] = 0
+    leaf = data.draw(st.integers(1, 8))  # narrow leaves exercise the recursion
+    if linalg._float_exact(m, n, p):
+        _check_ref_mod_p(A, p, leaf)
+    else:
+        with pytest.raises(ValueError, match="float64"):
+            ref_mod_p(A, p)
+
+
+def test_ref_mod_p_with_gapped_pivots_and_rows_running_out():
+    # column 1 is zero and column 3 is a multiple of column 0, so at leaf
+    # width 2 the pivots of the left half 0:6 are 0, 2, 4, 5 (not
+    # contiguous) and its L is gathered; with 5 rows the rows run out in the
+    # right half, with 3 rows inside the left half
+    p = 397
+    rng = np.random.default_rng(7)
+    A = rng.integers(0, p, size=(5, 12))
+    A[:, 1] = 0
+    A[:, 3] = 3 * A[:, 0] % p
+    for m, expected in ((5, [0, 2, 4, 5, 6]), (3, [0, 2, 4])):
+        for leaf in (1, 2, 3):
+            _check_ref_mod_p(A[:m], p, leaf)
+        assert ref_mod_p(A[:m], p)[1] == expected
+    # rows 0 and 1 agree mod p up to column 5: at leaf width 2 the leaf 1:3
+    # swaps rows 1 and 2 for its pivot, and the range 3:4 finds no pivot
+    B = np.array([[1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 7], [0, 0, 1, 1, 1, 1]], dtype=np.int64)
+    B[1] += p
+    _check_ref_mod_p(B, p, 2)
+    assert ref_mod_p(B, p)[1] == [0, 2, 5]
+
+
+def test_ref_mod_p_enforces_its_float64_bound():
+    # the largest prime within min(m, n)*h^2 + h < 2^51 and the next prime,
+    # for min(m, n) = 2 and 40; the bound reads min(m, n), not n
+    rng = np.random.default_rng(5)
+    for shape, p, above in (((2, 50), 67108859, 67108879), ((40, 40), _P40, _P40_NEXT), ((60, 40), _P40, _P40_NEXT)):
+        A = rng.integers(0, p, size=shape)
+        assert linalg._float_exact(*shape, p) and not linalg._float_exact(*shape, above)
+        _check_ref_mod_p(A, p, 3)
+        with pytest.raises(ValueError, match="float64"):
+            ref_mod_p(A % above, above)
+    with pytest.raises(ValueError, match="odd modulus"):
+        ref_mod_p(np.eye(3, dtype=np.int64), 2)
 
 
 @settings(max_examples=25, deadline=None)

@@ -156,7 +156,7 @@ def test_contraction_matches_term_by_term_evaluation(data):
 
 
 def test_contraction_enforces_its_float64_bound():
-    # (D+1)*(p-1)^2 >= 2^53: exponents up to 1 at p ~ 2^26.5
+    # (D+1)*(p-1)^2 >= 2^51: exponents up to 1 at p ~ 2^26
     p = primes_from(67_108_879, 1)[0]
     with pytest.raises(ValueError, match="float64"):
         _contract({(1,): 1}, [np.ones(1)] * 2, p, 1)
