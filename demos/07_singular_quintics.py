@@ -16,7 +16,7 @@ for builder in (nodal_quintic_30, nodal_quintic_31,
     P3, F = builder()
     t0 = time.time()
     pts = singular_points(F, P3)
-    reports = [classify(F, p) for p in pts]
+    reports = classify(F, pts)  # one batched call per surface
     hist = Counter(r.classification for r in reports)
     label = ", ".join(f"{v} x {k}" for k, v in sorted(hist.items()))
     q = P3.field.order
@@ -25,6 +25,6 @@ for builder in (nodal_quintic_30, nodal_quintic_31,
 
 # the full report lines for the smallest example
 P3, F = cuspidal_quintic_15()
-for r in sorted(classify(F, p).line() for p in singular_points(F, P3))[:5]:
+for r in sorted(r.line() for r in classify(F, singular_points(F, P3)))[:5]:
     print("  " + r)
 print("  ...")

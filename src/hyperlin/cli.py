@@ -374,7 +374,7 @@ def _repro_trace_p6(seed):
 
 def _singular_report(P3, F):
     pts = singular_points(F, P3)
-    reports = [classify(F, p) for p in pts]
+    reports = classify(F, pts)
     hist = {}
     for r in reports:
         hist[r.classification] = hist.get(r.classification, 0) + 1

@@ -16,12 +16,13 @@ Three tiers, all exact:
   provably a full nullspace basis.  The work per prime is numpy only (rows
   reduced from 30-bit limbs split once, then `rref_mod_p`) plus a probe:
   one entry is CRT-combined and reconstructed.  Only when the probe
-  reconstructs is the whole basis combined, by one vector CRT that extends
-  the previous one, so the multiprecision work is O(entries * primes).  The
-  entries of a vector are reconstructed against a running common
-  denominator, calling `rational_reconstruct` only where it does not
-  already give a small numerator, and each vector, scaled by the lcm of its
-  denominators, is checked by integer dot products against every row.
+  reconstructs with a margin of 2^20 is the whole basis combined, by one
+  vector CRT that extends the previous one, so the multiprecision work is
+  O(entries * primes).  The entries of a vector are reconstructed against a
+  running common denominator, calling `rational_reconstruct` only where it
+  does not already give a small numerator, and each vector, scaled by the
+  lcm of its denominators, is checked by integer dot products against
+  every row.
 
 `solve_nullspace` is the one place that picks a kernel for a condition
 matrix.  It owns the single size threshold (`_NUMPY_MIN_ENTRIES` matrix
@@ -51,6 +52,7 @@ from .fields import crt_combine, primes_from, rational_reconstruct, rationals
 # Matrices with more entries than this go to the numpy and multimodular
 # kernels; below it the generic loop has less overhead.
 _NUMPY_MIN_ENTRIES = 50_000
+_PROBE_MARGIN_BITS = 20  # the probe's n/d must satisfy |n| d 2^20 < m
 _INT64_P = 1 << 31  # int64 kernels need p below this: products < p^2 < 2^62
 _F51 = 2**51
 _FIRST_PRIME_ABOVE = (1 << 30) + 1  # the multimodular primes start here
@@ -547,9 +549,14 @@ def nullspace_rational(rows, max_primes=1024):
     The reference group, whose residues are lifted, is the primes with the
     largest rank and the lexicographically smallest pivot tuple: a prime can
     only lower the rank or push pivots later, so that is the pattern over ℚ.
-    The probe entry is the last one that failed to reconstruct.  Rows that
-    are already integer, such as the cleared rows `solve_nullspace` passes
-    on, are used as they are.
+    The probe entry is the last one that failed to reconstruct.  Plain
+    reconstruction succeeds on about 60% of random residues, so the probe
+    is accepted only with a margin, |n| d 2^20 < m (Monagan's
+    maximal-quotient criterion, ISSAC 2004), which a random residue meets
+    with probability of order 2^-20 log m; the full reconstruction and the
+    exact check remain the certificate.  Rows that are already integer,
+    such as the cleared rows `solve_nullspace` passes on, are used as they
+    are.
     """
     int_rows = [r if all(type(v) is int for v in r) else clear_denominators(r) for r in rows]
     int_rows = [r for r in int_rows if any(r)]
@@ -575,7 +582,8 @@ def nullspace_rational(rows, max_primes=1024):
         elif key != best:
             continue  # unlucky prime: rank dropped or pivots moved right
         group.add(p, _basis_from_rref_mod_p(R, piv, p, n).ravel())
-        if rational_reconstruct(group.combine(probe), group.modulus) is None:
+        f = rational_reconstruct(group.combine(probe), group.modulus)
+        if f is None or abs(f.numerator) * f.denominator << _PROBE_MARGIN_BITS >= group.modulus:
             continue
         basis, failed = group.reconstruct()
         if basis is None:
@@ -604,7 +612,9 @@ class _Lift:
     def combine(self, entry=None):
         """CRT of one flat entry (an int), or of the whole basis (a list,
         kept so the next full combine starts from it)."""
-        residues = [r.tolist() if entry is None else int(r[entry]) for _, r in self.pending]
+        # the int64 arrays go in as they are: as lists of ints, the residues
+        # of every prime since the last combine would be held at once
+        residues = [r if entry is None else int(r[entry]) for _, r in self.pending]
         moduli = [p for p, _ in self.pending]
         if self.values is not None:
             residues.insert(0, self.values if entry is None else self.values[entry])

@@ -7,28 +7,43 @@ chart grid by contracting its coefficient tensor with a power table
 x^e mod p, one float64 matmul and one reduction mod p per variable, which
 is exact while (D+1)*(p-1)^2 < 2^51 for exponents up to D (enforced; the
 point limit keeps p <= 254).  The partials are evaluated term by term on
-the survivors only.  Every survivor is re-verified exactly, together with
-the Euler relation deg(F) * F = sum x_i dF/dx_i.  Classification of a
-double point reads the rank of the quadratic part of the local equation:
-rank 3 is a node (A1), rank 2 with the cubic part nonzero on the kernel
-line is a cusp (A2).
+the survivors only.
+
+Everything after the sweep reads Hasse derivatives D^t F(a), the
+coefficients of the Taylor expansion of F at a.  Over GF(p) one int64
+evaluator, `_hasse_values`, gives them for every order |t| <= tmax at a
+whole batch of points from per-variable power and binomial tables, with a
+reduction after every multiply: exact for p < 2^31 (enforced).  Other
+fields take the same values in field arithmetic, `taylor_row` dotted with
+F's coefficients.  Every survivor of the sweep is re-checked exactly from
+its orders <= 1 (F and its four partials), in one batch per surface.
+
+Classification of a double point reads its quadratic part (the orders 2 in
+the local variables of its chart) and its cubic part (the orders 3): rank 3
+is a node (A1), rank 2 with the cubic part nonzero on the kernel line is a
+cusp (A2), anything else is "other".  Over GF(p) a whole list of points is
+classified at once: the rank and a kernel vector come from the adjugate of
+the 3x3 symmetric matrix, which for rank 2 is a nonzero multiple of k k^T.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 from itertools import product as iproduct
+from math import comb
 
 import numpy as np
 
-from .ambient import AmbientPoint, affine_space, projective_space
-from .conditions import impose_points
-from .linalg import _F51, _reduce_sym, nullspace, rank
+from .ambient import AmbientPoint, projective_space
+from .conditions import impose_points, taylor_row
+from .linalg import _F51, _INT64_P, _reduce_sym, nullspace, rank
 from .linsys import LinearSys
-from .poly import MultiPoly
+from .poly import monomials_of_degree
 
 _POINT_LIMIT = 16_500_000  # ~ 254^3, the practical full-enumeration ceiling
 _SWEEP_ROWS = 1024  # grid rows per block of the contraction
+_HASSE_BLOCK = 1 << 18  # entries (points x orders x terms) per block of `_hasse_values`
 
 
 class SingularPointReport:
@@ -77,7 +92,6 @@ def singular_points(F, ambient=None):
         raise ValueError("ambient does not match the polynomial ring")
 
     polys = [F] + [F.partial(i) for i in range(4)]
-    degree = F.total_degree()
     found = []
     for chart in (3, 2, 1, 0):
         local = [_dehomogenize(g, chart) for g in polys]
@@ -92,18 +106,15 @@ def singular_points(F, ambient=None):
         pad = (field.one,) + (field.zero,) * (3 - chart)
         found.extend(tuple(field.coerce(v) for v in head) + pad for head in heads)
 
-    points = []
-    for coords in found:
-        pt = AmbientPoint(ambient, coords)
-        vals = [g.evaluate(pt.coords).raw for g in polys]
-        if any(not field.is_zero(v) for v in vals):
-            raise RuntimeError(f"sweep survivor fails exact re-check at {pt}")
-        euler = field.zero
-        for i in range(4):
-            euler = field.add(euler, field.mul(pt.coords[i], vals[1 + i]))
-        if euler != field.mul(field.from_int(degree), vals[0]):
-            raise RuntimeError(f"Euler relation violated at {pt}")
-        points.append(pt)
+    points = [AmbientPoint(ambient, coords) for coords in found]
+    if field.kind == "prime":
+        low = _hasse_values(F, [pt.coords for pt in points], field.p, 1)
+        bad = np.flatnonzero(low.any(axis=1)).tolist()
+    else:
+        bad = [k for k, pt in enumerate(points)
+               if any(not field.is_zero(v) for v in _field_hasse_values(F, pt.coords, 1))]
+    if bad:
+        raise RuntimeError(f"sweep survivor fails exact re-check at {points[bad[0]]}")
     return points
 
 
@@ -127,7 +138,8 @@ def _sweep_prime(local, p, nfree):
     pw = [np.ones(p, dtype=np.int64)]
     for _ in range(maxexp):
         pw.append(pw[-1] * vals % p)
-    idx = np.nonzero(_contract(local[0], pw, p, nfree) == 0)
+    # flat indices: np.nonzero on the n-d mask is several times slower
+    idx = np.unravel_index(np.flatnonzero(_contract(local[0], pw, p, nfree) == 0), (p,) * nfree)
     for terms in local[1:]:
         if not len(idx[0]):
             break
@@ -202,70 +214,188 @@ def _sweep_generic(local, field, nfree):
 
 
 # ---------------------------------------------------------------------------
+# Hasse derivatives
+
+
+@lru_cache(maxsize=None)
+def _orders(tmax):
+    """The orders t in N^4 with |t| <= tmax, by degree: F first, then the
+    four first partials, then the orders 2, ..."""
+    return tuple(t for d in range(tmax + 1) for t in monomials_of_degree(4, d))
+
+
+def _hasse_values(F, X, p, tmax):
+    """Hasse derivatives D^t F(a) mod p for every order t in `_orders(tmax)`
+    at every row a of X (points of GF(p)^4), as an int64 array [point, order].
+
+    D^t x^e = prod_i C(e_i, t_i) a_i^(e_i - t_i).  Per point and variable the
+    table C(e, t) a^(e-t) mod p is built from a power table; each term is its
+    coefficient times one table entry per variable, reduced after every
+    multiply, so every product stays below p^2 < 2^62 and the sum over the
+    terms below (number of terms) * p: exact for p < 2^31 (enforced)."""
+    if p >= _INT64_P:
+        raise ValueError(f"GF({p}) is beyond the int64 Hasse evaluation (p < 2^31)")
+    orders = np.array(_orders(tmax), dtype=np.intp)
+    E = np.array(list(F.terms), dtype=np.intp).reshape(-1, 4)
+    coeffs = np.array(list(F.terms.values()), dtype=np.int64)
+    top = int(E.max(initial=0))
+    X = np.array(X, dtype=np.int64).reshape(-1, 4) % p
+    pw = np.ones(X.shape + (top + 1,), dtype=np.int64)
+    for d in range(1, top + 1):
+        pw[..., d] = pw[..., d - 1] * X % p
+    # T[point, variable, t, e] = C(e, t) a^(e - t) mod p, 0 for e < t
+    T = np.zeros(X.shape + (tmax + 1, top + 1), dtype=np.int64)
+    for t in range(min(tmax, top) + 1):
+        binom = np.array([comb(e, t) % p for e in range(t, top + 1)], dtype=np.int64)
+        T[..., t, t:] = binom * pw[..., : top + 1 - t] % p
+    out = np.empty((len(X), len(orders)), dtype=np.int64)
+    step = max(1, _HASSE_BLOCK // (len(orders) * max(len(E), 1)))
+    for b in range(0, len(X), step):
+        acc = coeffs
+        for i in range(4):
+            acc = acc * T[b : b + step, i][:, orders[:, i, None], E[None, :, i]] % p
+        out[b : b + step] = acc.sum(axis=2) % p
+    return out
+
+
+def _field_hasse_values(F, a, tmax):
+    """D^t F(a) for every order t in `_orders(tmax)` in field arithmetic, as
+    `taylor_row` dotted with F's coefficients: the values `_hasse_values`
+    gives over GF(p), for any field."""
+    field = F.ring.field
+    mons = list(F.terms)
+    out = []
+    for t in _orders(tmax):
+        acc = field.zero
+        for v, c in zip(taylor_row(mons, a, t, field), F.terms.values()):
+            acc = field.add(acc, field.mul(v, c))
+        out.append(acc)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # classification
+
+_LOCAL_CUBICS = monomials_of_degree(3, 3)
+_CLASSES = ("other", "A2", "A1")
+
+
+def _chart_columns(chart):
+    """Columns of `_orders(3)` that hold the quadratic part (3x3, the local
+    variables in order) and the cubic part (in `_LOCAL_CUBICS` order) of the
+    local equation in the chart: the orders that are 0 at the chart variable."""
+    index = {t: k for k, t in enumerate(_orders(3))}
+
+    def col(s):
+        return index[s[:chart] + (0,) + s[chart:]]
+
+    hess = [[col(tuple((k == i) + (k == j) for k in range(3))) for j in range(3)] for i in range(3)]
+    return hess, [col(s) for s in _LOCAL_CUBICS]
+
+
+# indexed [chart, i, j] and [chart, cubic monomial]
+_HESS_COLS, _CUBIC_COLS = (np.array(c) for c in zip(*(_chart_columns(c) for c in range(4))))
 
 
 def classify(F, point, chart=None):
-    """A1/A2/other classification of a singular point of V(F) in P^3."""
+    """A1/A2/other classification of singular points of V(F) in P^3.
+
+    point is one point (an AmbientPoint or a coordinate sequence), for which
+    one SingularPointReport is returned, or a list of AmbientPoints, for
+    which the reports are returned in order; classifying a surface's points
+    in one call is what makes the GF(p) path batched.  Each point is read in
+    its chart: the given one, or by default the last nonzero coordinate.
+    Raises ValueError if a point is not singular on V(F)."""
     ring = F.ring
     field = ring.field
     if field.kind != "rational" and field.p < 5:
         raise ValueError("classification needs characteristic 0 or >= 5")
-    if not isinstance(point, AmbientPoint):
-        ambient = projective_space(field, 3, names=ring.names)
-        point = ambient.point(point)
-    coords = point.coords
-    if chart is None:
-        chart = max(i for i in range(4) if not field.is_zero(coords[i]))
-    elif field.is_zero(coords[chart]):
-        raise ValueError("the point does not lie in the requested chart")
-    inv = field.inv(coords[chart])
-    scaled = [field.mul(v, inv) for v in coords]
+    single = not (isinstance(point, list) and all(isinstance(q, AmbientPoint) for q in point))
+    if not single:
+        points = point
+    elif isinstance(point, AmbientPoint):
+        points = [point]
+    else:
+        points = [projective_space(field, 3, names=ring.names).point(point)]
+    charts, scaled = [], []
+    for pt in points:
+        coords = pt.coords
+        c = max(i for i in range(4) if not field.is_zero(coords[i])) if chart is None else chart
+        if field.is_zero(coords[c]):
+            raise ValueError("the point does not lie in the requested chart")
+        inv = field.inv(coords[c])
+        charts.append(c)
+        scaled.append([field.mul(v, inv) for v in coords])
+    if field.kind == "prime":
+        found = _classify_prime(F, scaled, charts, field.p)
+    else:
+        found = [_classify_generic(F, a, c) for a, c in zip(scaled, charts)]
+    reports = [SingularPointReport(pt, r, cls, c) for pt, (r, cls), c in zip(points, found, charts)]
+    return reports[0] if single else reports
 
-    localvars = [i for i in range(4) if i != chart]
-    A3 = affine_space(field, 3, names=[ring.names[i] for i in localvars])
-    lring = A3.ring
-    terms = {}
-    for e, c in F.terms.items():
-        le = tuple(e[i] for i in localvars)
-        if le in terms:
-            terms[le] = field.add(terms[le], c)
-        else:
-            terms[le] = c
-    g = MultiPoly(lring, {e: c for e, c in terms.items() if not field.is_zero(c)})
-    g = g.translate(tuple(scaled[i] for i in localvars))
 
-    low = {e: c for e, c in g.terms.items() if sum(e) < 2}
-    if low:
+def _classify_prime(F, X, charts, p):
+    """(rank, class) of each point of X (rows scaled to their charts) over
+    GF(p), from one `_hasse_values` call.  For the symmetric 3x3 matrix M of
+    the quadratic part, det M != 0 is rank 3; otherwise adj M = lambda k k^T
+    with k spanning the kernel when the rank is 2 (its nonzero diagonal
+    entries pick a nonzero column, which is a kernel vector), and adj M = 0
+    when the rank is at most 1."""
+    H = _hasse_values(F, X, p, 3)
+    if H[:, :5].any():
         raise ValueError("the point is not a singular point of the surface")
+    charts = np.array(charts, dtype=np.intp)
+    rows = np.arange(len(H))
+    M = H[rows[:, None, None], _HESS_COLS[charts]]
+    diag = [0, 1, 2]
+    M[:, diag, diag] = 2 * M[:, diag, diag] % p
+    # cofactors C[i][j] = M[i+1][j+1] M[i+2][j+2] - M[i+1][j+2] M[i+2][j+1]
+    # (indices mod 3); M is symmetric, so C is the adjugate
+    n1, n2 = [1, 2, 0], [2, 0, 1]
+    A1, A2 = M[:, n1][:, :, n1], M[:, n2][:, :, n2]
+    B1, B2 = M[:, n1][:, :, n2], M[:, n2][:, :, n1]
+    C = (A1 * A2 % p - B1 * B2 % p) % p
+    det = (M[:, 0] * C[:, 0] % p).sum(axis=1) % p
+    adj_diag = C[:, diag, diag] != 0
+    r = np.where(det != 0, 3, np.where(adj_diag.any(axis=1), 2, np.where(M.any(axis=(1, 2)), 1, 0)))
+    # the cubic part on the kernel line, for every point (used at rank 2)
+    K = C[rows, adj_diag.argmax(axis=1)]
+    kp = np.ones(K.shape + (4,), dtype=np.int64)
+    for d in range(1, 4):
+        kp[..., d] = kp[..., d - 1] * K % p
+    cubic = H[rows[:, None], _CUBIC_COLS[charts]]
+    for i in range(3):
+        cubic = cubic * kp[:, i][:, [s[i] for s in _LOCAL_CUBICS]] % p
+    cusp = (r == 2) & (cubic.sum(axis=1) % p != 0)
+    # codes into _CLASSES, so every report shares the three str constants
+    code = np.where(r == 3, 2, cusp.astype(np.intp))
+    return [(rk, _CLASSES[c]) for rk, c in zip(r.tolist(), code.tolist())]
 
-    def quad(i, j):
-        if i == j:
-            e = tuple(2 if k == i else 0 for k in range(3))
-            c = g.terms.get(e, field.zero)
-            return field.add(c, c)
-        e = tuple(1 if k in (i, j) else 0 for k in range(3))
-        return g.terms.get(e, field.zero)
 
-    M = [[quad(i, j) for j in range(3)] for i in range(3)]
+def _classify_generic(F, a, chart):
+    """(rank, class) of the point a, scaled to its chart, in field
+    arithmetic: the same values as `_classify_prime`, with the rank and a
+    kernel vector from the generic elimination."""
+    field = F.ring.field
+    H = _field_hasse_values(F, a, 3)
+    if any(not field.is_zero(v) for v in H[:5]):
+        raise ValueError("the point is not a singular point of the surface")
+    M = [[H[k] for k in row] for row in _HESS_COLS[chart]]
+    for i in range(3):
+        M[i][i] = field.add(M[i][i], M[i][i])
     r = rank(M, field)
     if r == 3:
-        cls = "A1"
-    elif r == 2:
-        k = nullspace(M, field)[0]
-        cubic = field.zero
-        for e, c in g.terms.items():
-            if sum(e) != 3:
-                continue
-            v = c
-            for i, ei in enumerate(e):
-                if ei:
-                    v = field.mul(v, field.pow(k[i], ei))
-            cubic = field.add(cubic, v)
-        cls = "A2" if not field.is_zero(cubic) else "other"
-    else:
-        cls = "other"
-    return SingularPointReport(point, r, cls, chart)
+        return r, "A1"
+    if r != 2:
+        return r, "other"
+    k = nullspace(M, field)[0]
+    cubic = field.zero
+    for s, col in zip(_LOCAL_CUBICS, _CUBIC_COLS[chart]):
+        v = H[col]
+        for ki, si in zip(k, s):
+            v = field.mul(v, field.pow(ki, si))
+        cubic = field.add(cubic, v)
+    return r, ("A2" if not field.is_zero(cubic) else "other")
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +528,7 @@ def invariant_family_scan(family, q, trials, target, rng=None, stop_after=None):
         sing = singular_points(F, ambient)
         if count is not None and len(sing) != count:
             continue
-        hist = Counter(classify(F, p).classification for p in sing)
+        hist = Counter(r.classification for r in classify(F, sing))
         if predicate(len(sing), dict(hist)):
             matches.append(ScanMatch(trial, params, F, sing, dict(hist)))
             if stop_after is not None and len(matches) >= stop_after:

@@ -350,6 +350,20 @@ def test_nullspace_rational_unlucky_first_prime():
     assert res.primes_used[0] == p0
 
 
+def test_nullspace_rational_probe_rejects_spurious_reconstructions(monkeypatch):
+    # a 4 x 6 integer matrix with 150-bit entries needs about 40 primes; a
+    # plain reconstruction of the probe entry succeeds on about half of
+    # them, the margin 2^20 only once the basis is within reach
+    rng = random.Random(7)
+    rows = [[rng.randint(-2 ** 150, 2 ** 150) for _ in range(6)] for _ in range(4)]
+    combines = []
+    real = linalg._Lift.reconstruct
+    monkeypatch.setattr(linalg._Lift, "reconstruct", lambda self: combines.append(1) or real(self))
+    res = nullspace_rational(rows)
+    assert len(res.primes_used) > 30 and len(combines) <= 2
+    assert res.basis == nullspace(frac_rows(rows), QQ)
+
+
 # -- differential oracles: numpy and multimodular kernels vs the generic loop ----
 
 

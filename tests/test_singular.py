@@ -1,6 +1,7 @@
 """Singular point enumeration and A1/A2 classification on surfaces in P^3."""
 
 import random
+from fractions import Fraction
 from itertools import product as iproduct
 
 import numpy as np
@@ -9,13 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperlin.singular as singular
-from hyperlin.ambient import projective_space
-from hyperlin.fields import GF, primes_from
+from hyperlin.ambient import affine_space, projective_space
+from hyperlin.conditions import taylor_row
+from hyperlin.fields import GF, primes_from, rationals
+from hyperlin.linalg import nullspace, rank
 from hyperlin.linsys import LinearSys
+from hyperlin.poly import MultiPoly
 from hyperlin.singular import (
     ScanResult,
     _contract,
     _evaluate,
+    _hasse_values,
+    _orders,
     classify,
     invariant_family_scan,
     singular_points,
@@ -155,6 +161,55 @@ def test_contraction_matches_term_by_term_evaluation(data):
         assert int(got[pt]) % p == direct
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_hasse_values_match_taylor_rows(data):
+    p = data.draw(st.sampled_from([5, 7, 101, 103, 1073741827, 2 ** 31 - 1]))
+    K = GF(p)
+    degree = data.draw(st.integers(0, 6))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    mons = [e for e in iproduct(range(degree + 1), repeat=4) if sum(e) == degree]
+    terms = {e: rng.randrange(p) for e in rng.sample(mons, min(len(mons), rng.randint(1, 12)))}
+    F = MultiPoly(projective_space(K, 3).ring, {e: c for e, c in terms.items() if c})
+    X = [[rng.randrange(p) for _ in range(4)] for _ in range(data.draw(st.integers(1, 6)))]
+    tmax = data.draw(st.integers(0, 3))
+    with pytest.MonkeyPatch.context() as mp:
+        # small blocks split the points over several passes
+        mp.setattr(singular, "_HASSE_BLOCK", data.draw(st.sampled_from([1, 500, 1 << 18])))
+        got = _hasse_values(F, X, p, tmax)
+    orders = _orders(tmax)
+    assert got.shape == (len(X), len(orders)) and got.dtype == np.int64
+    for a, row in zip(X, got):
+        for t, v in zip(orders, row):
+            assert int(v) == sum(x * c for x, c in zip(taylor_row(list(F.terms), a, t, K), F.terms.values())) % p
+    # Euler's identity deg * F(a) = sum a_i dF/dx_i(a) for the homogeneous F
+    low = _hasse_values(F, X, p, 1)
+    for a, (f, *grad) in zip(X, low.tolist()):
+        assert degree * f % p == sum(x * g for x, g in zip(a, grad)) % p
+
+
+def test_hasse_values_enforce_their_int64_bound():
+    p = primes_from(2 ** 31, 1)[0]
+    x = projective_space(GF(p), 3).ring.gens()
+    with pytest.raises(ValueError, match="int64"):
+        _hasse_values(x[0] * x[1], [[1, 2, 3, 4]], p, 1)
+
+
+def test_forged_survivor_fails_the_exact_recheck(monkeypatch):
+    # the re-check reads F and its partials from `_hasse_values`, not from
+    # the sweep's `_contract`/`_evaluate` values
+    P3, F = quintic_30_nodes()
+    real = singular._sweep_prime
+
+    def forged(local, p, nfree):
+        return real(local, p, nfree) + ([(0,) * nfree] if nfree == 3 else [])
+
+    monkeypatch.setattr(singular, "_sweep_prime", forged)
+    assert F.evaluate((0, 0, 0, 1)).raw != 0
+    with pytest.raises(RuntimeError, match="re-check"):
+        singular_points(F, P3)
+
+
 def test_contraction_enforces_its_float64_bound():
     # (D+1)*(p-1)^2 >= 2^51: exponents up to 1 at p ~ 2^26
     p = primes_from(67_108_879, 1)[0]
@@ -163,6 +218,133 @@ def test_contraction_enforces_its_float64_bound():
 
 
 # -- classification --------------------------------------------------------------
+
+
+def translation_oracle(F, point, chart=None):
+    """(hessian_rank, classification, chart) by the local equation: F
+    dehomogenized at the chart, translated so the point is the origin, the
+    rank of its quadratic part by generic elimination and its cubic part on
+    the kernel line."""
+    ring = F.ring
+    field = ring.field
+    coords = point.coords
+    if chart is None:
+        chart = max(i for i in range(4) if not field.is_zero(coords[i]))
+    inv = field.inv(coords[chart])
+    scaled = [field.mul(v, inv) for v in coords]
+    localvars = [i for i in range(4) if i != chart]
+    lring = affine_space(field, 3, names=[ring.names[i] for i in localvars]).ring
+    terms = {}
+    for e, c in F.terms.items():
+        le = tuple(e[i] for i in localvars)
+        terms[le] = field.add(terms.get(le, field.zero), c)
+    g = MultiPoly(lring, {e: c for e, c in terms.items() if not field.is_zero(c)})
+    g = g.translate(tuple(scaled[i] for i in localvars))
+    assert all(sum(e) >= 2 for e in g.terms), "not a singular point"
+
+    def quad(i, j):
+        e = tuple((k == i) + (k == j) for k in range(3))
+        c = g.terms.get(e, field.zero)
+        return field.add(c, c) if i == j else c
+
+    M = [[quad(i, j) for j in range(3)] for i in range(3)]
+    r = rank(M, field)
+    if r == 3:
+        return r, "A1", chart
+    if r != 2:
+        return r, "other", chart
+    k = nullspace(M, field)[0]
+    cubic = field.zero
+    for e, c in g.terms.items():
+        if sum(e) == 3:
+            for i, ei in enumerate(e):
+                c = field.mul(c, field.pow(k[i], ei))
+            cubic = field.add(cubic, c)
+    return r, ("A2" if not field.is_zero(cubic) else "other"), chart
+
+
+def _random_element(field, rng, nonzero=False):
+    while True:
+        if field.kind == "rational":
+            v = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        else:
+            v = field.random(rng)
+        if not (nonzero and field.is_zero(v)):
+            return v
+
+
+def _surface_with_germs(P3, germs, rng):
+    """A surface singular at each given point, with a local equation there
+    whose quadratic part has (generically) the given rank and whose cubic
+    part vanishes on the kernel line when asked to: sum over the points of
+    G_j * prod_{i != j} l_ij^4, where G_j is a cubic form with that germ at
+    a_j and l_ij a linear form vanishing at a_i but not at a_j.  The factor
+    is a unit at a_j, which keeps the rank and the A1/A2/other type."""
+    field = P3.field
+    ring = P3.ring
+    x = ring.gens()
+    F = ring.zero()
+    for j, (a, chart, r, flat) in enumerate(germs):
+        y = [x[l] - x[chart] * a[l] for l in range(4) if l != chart]  # x_chart * local coords
+
+        def linear():
+            out = ring.zero()
+            for yl in y:
+                out = out + yl * _random_element(field, rng)
+            return out
+
+        forms = [linear() for _ in range(r)]
+        quad = ring.zero()
+        for lf in forms:
+            quad = quad + lf * lf * _random_element(field, rng, nonzero=True)
+        cubic = ring.zero()
+        for s in iproduct(range(4), repeat=3):
+            if sum(s) == 3 and rng.random() < 0.5:
+                cubic = cubic + y[0] ** s[0] * y[1] ** s[1] * y[2] ** s[2] * _random_element(field, rng)
+        if flat and r == 2:
+            # the first form vanishes on the kernel line of the quadratic part
+            cubic = forms[0] * linear() * linear()
+        G = quad * x[chart] + cubic
+        for i, (b, *_) in enumerate(germs):
+            if i != j:
+                m, n = next((m, n) for m in range(4) for n in range(4)
+                            if not field.is_zero(field.sub(field.mul(a[m], b[n]), field.mul(a[n], b[m]))))
+                G = G * (x[m] * b[n] - x[n] * b[m]) ** 4
+        F = F + G
+    return F
+
+
+@pytest.mark.parametrize(
+    "field", [GF(5), GF(7), GF(101), GF(103), GF(2 ** 31 - 1), GF(7, 2), rationals()], ids=repr)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_classify_matches_the_translation_oracle(field, data):
+    # 2^31 - 1 is the largest prime of the int64 evaluator; GF(7^2) and QQ
+    # take the field-arithmetic path
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    P3 = projective_space(field, 3)
+    germs, points = [], []
+    for _ in range(data.draw(st.integers(1, 3))):
+        chart = data.draw(st.integers(0, 3))
+        a = [_random_element(field, rng) for _ in range(chart)] + [field.one] + [field.zero] * (3 - chart)
+        pt = P3.point(a)
+        if pt in points:
+            continue
+        points.append(pt)
+        germs.append((pt.coords, chart, data.draw(st.integers(0, 3)), data.draw(st.booleans())))
+    F = _surface_with_germs(P3, germs, rng)
+    if F.is_zero():
+        return
+    expected = [translation_oracle(F, pt) for pt in points]
+    got = classify(F, points)
+    assert [(r.hessian_rank, r.classification, r.chart) for r in got] == expected
+    assert [r.point for r in got] == points
+    for pt in points:
+        for chart in range(4):
+            if field.is_zero(pt.coords[chart]):
+                continue
+            rep = classify(F, pt, chart=chart)
+            assert (rep.hessian_rank, rep.classification, rep.chart) == translation_oracle(F, pt, chart)
 
 
 def test_classify_node_and_cusp_normal_forms():
@@ -196,6 +378,17 @@ def test_classify_rejects_nonsingular_and_small_characteristic():
     y1, y2, y3, y4 = Q3.ring.gens()
     with pytest.raises(ValueError, match="characteristic"):
         classify(y1 * y2, (0, 0, 0, 1))
+
+
+def test_list_form_returns_reports_in_order_and_rejects_smooth_points():
+    P3, F = quintic_30_nodes()
+    pts = singular_points(F)
+    reports = classify(F, pts)
+    assert [r.point for r in reports] == pts
+    assert [r.line() for r in reports] == [classify(F, p).line() for p in pts]
+    assert classify(F, []) == []
+    with pytest.raises(ValueError, match="singular"):
+        classify(F, pts[:3] + [P3.point((0, 0, 0, 1))])
 
 
 def test_classification_is_chart_independent():
@@ -261,16 +454,16 @@ def test_scan_stop_after_first_match():
 
 
 def test_named_target_classifies_only_when_the_count_matches(monkeypatch):
-    calls = []
+    points = []  # every point passed to classify, one call per surface
     real = singular.classify
-    monkeypatch.setattr(singular, "classify", lambda F, pt: calls.append(pt) or real(F, pt))
+    monkeypatch.setattr(singular, "classify", lambda F, pts: points.extend(pts) or real(F, pts))
     named = invariant_family_scan("z5", 101, 4, "nodes30", rng=random.Random(1))
-    assert named.matches == [] and calls == []
+    assert named.matches == [] and points == []
     # a callable target sees the histogram of every trial
     seen = invariant_family_scan(
         "z5", 101, 4, lambda count, hist: count == 30, rng=random.Random(1)
     )
-    assert seen.matches == [] and len(calls) >= 20
+    assert seen.matches == [] and len(points) >= 20
 
 
 def test_scan_validations():
