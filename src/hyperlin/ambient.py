@@ -247,6 +247,16 @@ class AmbientPoint:
         self.ambient = ambient
         self.coords = tuple(raw)
 
+    @classmethod
+    def canonical(cls, ambient, coords):
+        """The point with these coordinates, which must already be canonical:
+        a tuple of raw values with last nonzero coordinate 1 in each
+        projective block.  Nothing is coerced or checked."""
+        point = cls.__new__(cls)
+        point.ambient = ambient
+        point.coords = coords
+        return point
+
     def __eq__(self, other):
         return (
             isinstance(other, AmbientPoint)

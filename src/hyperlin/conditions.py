@@ -176,24 +176,33 @@ def point_condition_rows(L, point, multiplicity):
 
 def _mass_evaluation_rows(L, points):
     """Evaluation of every basis monomial at every (simple) point, vectorized
-    over GF(p) in int64 with a reduction after every multiply: exact for
-    p < 2^31, where every product stays below p^2 < 2^62."""
+    over GF(p) in int64: a product of per-variable power-table entries below
+    p, reduced mod p only where the next factor could take it past 2^63.
+    Exact for p < 2^31, where a reduced entry times a factor stays below
+    p^2 < 2^62.  The rows (one per point) are returned column-major, the
+    layout of the elimination kernel's working copy."""
     p = L.ambient.field.p
     E = np.array(L.monomials(), dtype=np.int64)
     X = np.array([pt.coords for pt in points], dtype=np.int64)
-    out = np.ones((len(points), len(E)), dtype=np.int64)
+    out = np.ones((len(E), len(points)), dtype=np.int64)  # transposed: a row per monomial
     factor = np.empty_like(out)
+    top = 1  # bound on the entries of out
     for i in range(E.shape[1]):
-        # power table: X[r, i]^d for d = 0..max degree in variable i
-        tbl = np.ones((len(X), int(E[:, i].max()) + 1), dtype=np.int64)
-        for d in range(1, tbl.shape[1]):
-            tbl[:, d] = tbl[:, d - 1] * X[:, i] % p
+        # power table: X[r, i]^d for d = 0..max degree in variable i, a row per d
+        tbl = np.ones((int(E[:, i].max()) + 1, len(X)), dtype=np.int64)
+        for d in range(1, len(tbl)):
+            tbl[d] = tbl[d - 1] * X[:, i] % p
         # exponents index tbl in range; "clip" makes take write to `factor`
         # without the full-size buffer it uses for mode="raise"
-        np.take(tbl, E[:, i], axis=1, out=factor, mode="clip")
+        np.take(tbl, E[:, i], axis=0, out=factor, mode="clip")
+        if top * (p - 1) >= 1 << 63:
+            out %= p
+            top = p - 1
         out *= factor
+        top *= p - 1
+    if top >= p:
         out %= p
-    return out
+    return out.T
 
 
 def impose_points(L, points, multiplicities):

@@ -1,37 +1,42 @@
 """Exact linear algebra kernels.
 
-Three tiers, all exact:
+Two tiers, both exact:
 
 - generic dense routines over any CoefficientField (lists of raw values),
   all built on one Gauss-Jordan loop, used for small systems and for
   extension fields;
-- numpy kernels over GF(p): an int64 row-loop RREF and a column-recursive
-  float64 forward elimination (CUP, as in FFLAS-FFPACK) whose every trailing
-  update is one matrix product with delayed reduction mod p, used for the
-  large point-condition matrices;
-- a certified multi-prime nullspace over the rationals: rank lower bounds
-  from reductions mod ~2^30 primes, CRT + rational reconstruction of the
-  candidate basis, and exact integer verification.  Since rank can only
-  drop under reduction mod p, a verified basis of size n - max(rank_p) is
-  provably a full nullspace basis.  The work per prime is numpy only (rows
-  reduced from 30-bit limbs split once, then `rref_mod_p`) plus a probe:
-  one entry is CRT-combined and reconstructed.  Only when the probe
-  reconstructs with a margin of 2^20 is the whole basis combined, by one
-  vector CRT that extends the previous one, so the multiprecision work is
-  O(entries * primes).  The entries of a vector are reconstructed against a
-  running common denominator, calling `rational_reconstruct` only where it
-  does not already give a small numerator, and each vector, scaled by the
-  lcm of its denominators, is checked by integer dot products against
-  every row.
+- one numpy kernel over GF(p) for every 2 <= p < 2^31: a column-recursive
+  float64 CUP elimination (as in FFLAS-FFPACK) whose updates are matrix
+  products, with a blocked back-substitution for the RREF and the nullspace
+  basis.  Its products have two exactness regimes (`_product`).  The
+  direct regime, while min(m, n)*h^2 + p - 1 < 2^51 with h = p // 2
+  (`_float_exact`), is one product with delayed reduction: an entry is
+  reduced only where it becomes an operand.  The split regime, otherwise,
+  writes operands in halves x1 2^15 + x0 and combines their partial
+  products by Horner in base 2^15 with a reduction after each step, which
+  is exact for inner dimensions below 2^21 - 2^15 (enforced on min(m, n)).
+  `ref_mod_p`, `rref_mod_p`, `rank_mod_p` and `nullspace_mod_p` all run it.
+
+On top of the GF(p) kernel sits the certified multi-prime nullspace over
+the rationals: rank lower bounds from reductions mod ~2^30 primes, CRT +
+rational reconstruction of the candidate basis, and exact integer
+verification.  Since rank can only drop under reduction mod p, a verified
+basis of size n - max(rank_p) is provably a full nullspace basis.  The
+work per prime is numpy only (rows reduced from 30-bit limbs split once,
+then `rref_mod_p`) plus a probe: one entry is CRT-combined and
+reconstructed.  Only when the probe reconstructs with a margin of 2^20 is
+the whole basis combined, by one vector CRT that extends the previous one,
+so the multiprecision work is O(entries * primes).  The entries of a vector
+are reconstructed against a running common denominator, calling
+`rational_reconstruct` only where it does not already give a small
+numerator, and each vector, scaled by the lcm of its denominators, is
+checked by integer dot products against every row.
 
 `solve_nullspace` is the one place that picks a kernel for a condition
 matrix.  It owns the single size threshold (`_NUMPY_MIN_ENTRIES` matrix
-entries), the field rule and the exactness bounds: the int64 kernels, and
-the int64 mass evaluation that `gf_numpy_path` selects in `conditions`, need
-p < 2^31 so that every product stays below p^2 < 2^62; the float64 kernel
-runs only for odd p with min(m, n)*h^2 + h < 2^51, h = (p-1)/2
-(`_float_exact`, which the kernel also enforces), and the int64 RREF
-otherwise.
+entries) and the field rule: the GF(p) kernel, and the int64 mass
+evaluation that `gf_numpy_path` selects in `conditions`, need p < 2^31 so
+that every int64 product of residues stays below p^2 < 2^62.
 
 Echelonization convention: matrices over monomial bases keep columns in
 grevlex-descending order, and `reverse_cols=True` selects pivots scanning
@@ -41,6 +46,7 @@ in pivot-discovery order.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul
@@ -53,11 +59,14 @@ from .fields import crt_combine, primes_from, rational_reconstruct, rationals
 # kernels; below it the generic loop has less overhead.
 _NUMPY_MIN_ENTRIES = 50_000
 _PROBE_MARGIN_BITS = 20  # the probe's n/d must satisfy |n| d 2^20 < m
-_INT64_P = 1 << 31  # int64 kernels need p below this: products < p^2 < 2^62
+_INT64_P = 1 << 31  # p bound of the GF(p) kernel and the int64 evaluators (products < p^2 < 2^62)
 _F51 = 2**51
 _FIRST_PRIME_ABOVE = (1 << 30) + 1  # the multimodular primes start here
 _UPDATE_ROWS = 256  # row block of the float64 kernel's matrix products
 _LEAF = 16  # widest column range the float64 kernel eliminates pivot by pivot
+_HALF = 2.0**15  # base of the split regime's operand halves
+_SPLIT_K = 2**21 - 2**15  # split products are exact for inner dimensions below this
+_ONE_SIDED_K = 64  # split products split one operand up to this inner dimension
 _LIMB = 30  # bits per limb of the integer rows reduced mod p
 
 # ---------------------------------------------------------------------------
@@ -179,7 +188,7 @@ def matmul(A, B, field):
 
 def gf_numpy_path(field, m, n):
     """True when `solve_nullspace` eliminates an m x n matrix over `field`
-    with the numpy GF(p) kernels: a prime field with p < 2^31 and more than
+    with the numpy GF(p) kernel: a prime field with p < 2^31 and more than
     `_NUMPY_MIN_ENTRIES` entries."""
     return field.kind == "prime" and field.p < _INT64_P and m * n > _NUMPY_MIN_ENTRIES
 
@@ -227,53 +236,20 @@ def _solve_rational(rows, field, ncols):
 
 
 # ---------------------------------------------------------------------------
-# GF(p) numpy kernels
+# GF(p) numpy kernel
 
 
-def rref_mod_p(A, p):
-    """RREF over GF(p), p < 2^31, vectorized int64 row operations.
-    Returns (R, pivots): R an int64 array of the rank nonzero rows.
-
-    Each pivot step updates only the active columns c: in place: the pivot
-    row comes from the rows at or below r, which are zero left of c."""
-    A = np.mod(np.asarray(A, dtype=np.int64), p)
-    if A.ndim != 2:
-        raise ValueError("matrix required")
-    m, n = A.shape
-    r = 0
-    pivots = []
-    for c in range(n):
-        if r == m:
-            break
-        nz = np.flatnonzero(A[r:, c])
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            A[[r, i], c:] = A[[i, r], c:]
-        row = A[r, c:]
-        a = int(row[0])
-        if a != 1:
-            row *= pow(a, -1, p)
-            row %= p
-        col = A[:, c].copy()
-        col[r] = 0
-        hit = np.flatnonzero(col)
-        if hit.size:
-            X = A[hit, c:]
-            X -= col[hit, None] * row
-            X %= p
-            A[hit, c:] = X
-        pivots.append(c)
-        r += 1
-    return A[:r], pivots
+def _check_modulus(p):
+    if not 2 <= p < _INT64_P:
+        raise ValueError(f"the GF(p) kernel needs 2 <= p < 2^31, got p = {p}")
 
 
 def _reduce_sym(X, p, invp):
-    """In-place reduction of exact float64 integers to the symmetric residue
-    range |x| <= (p-1)/2, for odd p and |x| < 2^51.  The quotient q = x*invp
-    is within |x/p| * 2^-52 < 1/(2p) of x/p, and x/p is at least 1/(2p) from
-    any half-integer, so rint(q) is the integer nearest to x/p."""
+    """In-place reduction of exact float64 integers |x| < 2^51 to residues
+    |x| <= p // 2, the symmetric range for odd p.  The quotient q = x*invp
+    is within |x/p| * 2^-52 < 1/(2p) of x/p, and for odd p x/p is at least
+    1/(2p) from any half-integer, so rint(q) is the integer nearest to x/p;
+    for p = 2, invp and q are exact."""
     q = X * invp
     np.rint(q, out=q)
     q *= p
@@ -281,13 +257,223 @@ def _reduce_sym(X, p, invp):
 
 
 def _float_exact(m, n, p):
-    """The float64 kernel's exactness bound for an m x n matrix mod p: odd p
-    and min(m, n)*h^2 + h < 2^51, with h = (p-1)/2.  Entries start in the
-    symmetric range |x| <= h, and between two reductions each of the at most
-    min(m, n) pivots adds one product of two reduced operands, so no entry
-    leaves the range where `_reduce_sym` is exact."""
-    h = (p - 1) // 2
-    return p % 2 == 1 and min(m, n) * h * h + h < _F51
+    """Whether the direct product regime is exact for an m x n matrix mod p:
+    min(m, n)*h^2 + p - 1 < 2^51, with h = p // 2.  Entries start in
+    [0, p), every operand is reduced to |x| <= h, and between two
+    reductions each of the at most min(m, n) pivots adds one product of two
+    operands to an entry, so no entry leaves the range where `_reduce_sym`
+    is exact."""
+    h = p // 2
+    return min(m, n) * h * h + p - 1 < _F51
+
+
+def _product(p, direct):
+    """The matrix product of the elimination kernel mod p:
+    product(A, B, out=None) is congruent to A @ B, for float64 operands
+    reduced to |x| <= h = p // 2 with inner dimension k, and is written to
+    `out` when given.  An inner dimension of 1 is a broadcast product: an
+    outer product, or with B of A's height, a scaling of B's rows.
+
+    Direct regime (`_float_exact`): the exact product itself, |A @ B| <=
+    k h^2, which the caller accumulates and reduces only where an entry
+    becomes an operand.
+
+    Split regime, for any p < 2^31 (so h < 2^30): an operand is written
+    x = x1 2^15 + x0 with |x0| <= 2^14 and |x1| <= 2^15, and the partial
+    products are combined by Horner in base 2^15 with a reduction after
+    each step.  For k <= 64 only the smaller operand is split:
+    |x1 y| < k 2^45 <= 2^51, then h 2^15 + |x0 y| < 2^45 + k 2^44 < 2^51.
+    Otherwise both are, in four partials: |A1 B1| <= k 2^30, then
+    h 2^15 + |A1 B0 + A0 B1| <= 2^45 + k 2^30, then h 2^15 + |A0 B0|, all
+    below 2^51 for k < 2^21 - 2^15 (`_SPLIT_K`, which the kernel enforces on
+    min(m, n)).  The result is reduced, so an entry that takes at most
+    min(m, n) of them between two reductions stays below
+    (min(m, n) + 1) h < 2^51."""
+    if direct:
+        return lambda A, B, out=None: (np.multiply if A.shape[1] == 1 else np.matmul)(A, B, out=out)
+    invp = 1.0 / p
+
+    def halves(X):
+        hi = X * (1.0 / _HALF)
+        np.rint(hi, out=hi)
+        return hi, X - hi * _HALF
+
+    def horner(S, *partials):
+        # S <- (S mod p) * 2^15 + sum(partials), for each step in turn
+        _reduce_sym(S, p, invp)
+        S *= _HALF
+        for P in partials:
+            S += P
+
+    def product(A, B, out=None):
+        k = A.shape[1]
+        mul = np.multiply if k == 1 else np.matmul
+        if k > _ONE_SIDED_K:
+            A1, A0 = halves(A)
+            B1, B0 = halves(B)
+            S = mul(A1, B1)
+            horner(S, mul(A1, B0), mul(A0, B1))
+            horner(S, mul(A0, B0))
+        elif A.size <= B.size:
+            A1, A0 = halves(A)
+            S = mul(A1, B)
+            horner(S, mul(A0, B))
+        else:
+            B1, B0 = halves(B)
+            S = mul(A, B1)
+            horner(S, mul(A, B0))
+        _reduce_sym(S, p, invp)
+        if out is None:
+            return S
+        out[...] = S
+        return out
+
+    return product
+
+
+class _Elimination:
+    """The state of one GF(p) elimination (`factor`) or back-substitution
+    (`solve_upper`) in float64: the matrix X, the modulus, the product of
+    its regime, the pivots and, per leaf of the CUP, the inverse of its unit
+    lower triangle.  Methods rather than nested functions, so that no
+    reference cycle keeps X alive after the elimination returns."""
+
+    def __init__(self, X, p, direct):
+        self.X = X
+        self.p = p
+        self.invp = 1.0 / p
+        self.direct = direct
+        self.product = _product(p, direct)
+        self.pivots = []
+        self.leaves = []  # first row of each leaf's pivots, ascending
+        self.lower_inverses = {}  # first row -> inverse of the leaf's unit lower triangle
+
+    def reduce(self, M):
+        _reduce_sym(M, self.p, self.invp)
+
+    def mul(self, A, B, out=None):
+        # a product reduced to the symmetric range
+        M = self.product(A, B, out=out)
+        if self.direct:
+            self.reduce(M)
+        return M
+
+    def inverse(self, a):
+        # 1/a mod p in the symmetric range
+        inv = pow(int(a) % self.p, -1, self.p)
+        return inv - self.p if inv > self.p // 2 else inv
+
+    def unit_inverse(self, M):
+        """(I + M)^-1 for a strictly triangular k x k matrix M, reduced: the
+        product (I - M)(I + M^2)(I + M^4)... of ceil(log2 k) factors, since
+        M^k = 0."""
+        eye = np.eye(len(M))
+        inv = eye - M
+        self.reduce(inv)
+        for _ in range(max(len(M) - 1, 0).bit_length() - 1):
+            M = self.mul(M, M)
+            factor = eye + M
+            self.reduce(factor)
+            inv = self.mul(inv, factor)
+        return inv
+
+    def block(self, r0, r1, cols):
+        # rows r0:r1 of X in the columns cols: a view when they are
+        # contiguous, else a gathered copy
+        if cols[-1] - cols[0] + 1 == len(cols):
+            return self.X[r0:r1, cols[0] : cols[-1] + 1]
+        return self.X[r0:r1, cols]
+
+    def update(self, C, r0, cols, B):
+        # C -= X[r0:r0+len(C), cols] @ B by row blocks, each product written
+        # to a small column-major buffer laid out like C
+        T = np.empty((min(len(C), _UPDATE_ROWS), C.shape[1]), order="F")
+        for b in range(0, len(C), _UPDATE_ROWS):
+            Cb = C[b : b + _UPDATE_ROWS]
+            Cb -= self.product(self.block(r0 + b, r0 + b + len(Cb), cols), B, out=T[: len(Cb)])
+
+    def factor(self, r, c0, c1):
+        """Eliminate the columns c0:c1 in the rows r:, returning the pivot
+        count: the left half, the TRSM of its pivot rows against the right
+        half, one update of the rows below, the right half."""
+        if r == len(self.X):
+            return 0
+        if c1 - c0 <= _LEAF:
+            return self.leaf(r, c0, c1)
+        c = (c0 + c1) // 2
+        k = self.factor(r, c0, c)
+        if k:
+            B = self.X[r : r + k, c:c1]
+            self.trsm(r, r + k, B)
+            self.update(self.X[r + k :, c:c1], r + k, self.pivots[r : r + k], B)
+        return k + self.factor(r + k, c, c1)
+
+    def trsm(self, r0, r1, B):
+        """B <- L^-1 B, reduced, for the unit lower triangle of the rows
+        r0:r1 in their pivot columns.  The rows are whole leaves: the range
+        is split at the leaf boundary nearest its middle, and a single leaf
+        applies its stored inverse."""
+        i, j = bisect_right(self.leaves, r0), bisect_left(self.leaves, r1)
+        if i == j:
+            self.reduce(B)
+            B[...] = self.mul(self.lower_inverses[r0], B)
+            return
+        h = min(self.leaves[i:j], key=lambda s: abs(2 * s - r0 - r1))
+        self.trsm(r0, h, B[: h - r0])
+        self.update(B[h - r0 :], h, self.pivots[r0:h], B[: h - r0])
+        self.trsm(h, r1, B[h - r0 :])
+
+    def leaf(self, r, c0, c1):
+        """Pivot by pivot: reduce the next column, find its pivot, scale the
+        multipliers below it, one rank-1 update of the panel to its right.
+        Then the inverse of the leaf's unit lower triangle is stored for the
+        TRSMs of its pivot rows."""
+        X, m = self.X, len(self.X)
+        P = X[r:, c0:c1]
+        self.reduce(P)
+        k = 0
+        for j in range(c1 - c0):
+            col = P[k:, j]
+            if k:
+                self.reduce(col)
+            nz = np.flatnonzero(col)
+            if nz.size == 0:
+                continue
+            i = r + k + int(nz[0])
+            if i != r + k:
+                X[[r + k, i]] = X[[i, r + k]]
+            f = P[k + 1 :, j, None]
+            self.mul(f, np.array([[self.inverse(P[k, j])]]), out=f)
+            if j + 1 < c1 - c0:
+                row = P[k, None, j + 1 :]
+                self.reduce(row)
+                P[k + 1 :, j + 1 :] -= self.product(f, row)
+            self.pivots.append(c0 + j)
+            k += 1
+            if r + k == m:
+                break
+        if k:
+            self.leaves.append(r)
+            self.lower_inverses[r] = self.unit_inverse(np.tril(self.block(r, r + k, self.pivots[r:]), -1))
+        return k
+
+    def solve_upper(self, k0, k1, B, inverses):
+        """B <- T^-1 B, reduced, for the upper triangle T of the rows k0:k1
+        in their pivot columns, with `inverses` the inverses of all the
+        pivots: the lower half of the range, one update of the upper half's
+        right-hand sides, the upper half.  At most `_LEAF` rows scale T and
+        B by the inverses of their pivots, so T becomes unit, and apply the
+        inverse of the unit T."""
+        if k1 - k0 > _LEAF:
+            h = (k0 + k1) // 2
+            self.solve_upper(h, k1, B[h - k0 :], inverses)
+            self.update(B[: h - k0], k0, self.pivots[h:k1], B[h - k0 :])
+            self.solve_upper(k0, h, B[: h - k0], inverses)
+            return
+        d = inverses[k0:k1]
+        T = self.unit_inverse(np.triu(self.mul(d, self.block(k0, k1, self.pivots[k0:k1])), 1))
+        self.reduce(B)
+        B[...] = self.mul(T, self.mul(d, B))
 
 
 def _cup_mod_p(A, p):
@@ -298,181 +484,125 @@ def _cup_mod_p(A, p):
     the left half's pivots against the right half's top rows (TRSM), updating
     the rows below by one matrix product, and factoring the right half.
     Ranges of at most `_LEAF` columns are eliminated pivot by pivot; row
-    swaps move whole rows.
+    swaps move whole rows.  Each such leaf then inverts its unit lower
+    triangle once, and every TRSM over its pivot rows is one product with
+    that inverse.
 
-    The working copy is column-major, so leaf panels and pivot searches are
-    contiguous.  An entry is reduced only where it becomes an operand: on
-    entry to a leaf panel, as a leaf's pivot column or pivot row, and after
-    each TRSM row; in between it only accumulates, within the bound of
-    `_float_exact`, which is enforced.
+    Every product, in the updates, the TRSMs, the leaf inverses, the leaf's
+    multiplier scaling and its rank-1 updates, goes through `_product`:
+    direct while `_float_exact` holds, split otherwise (p < 2^31 and
+    min(m, n) < `_SPLIT_K`, else ValueError).  Entries in [0, p) are used as
+    they are, others reduced first.  The working copy is column-major, so
+    leaf panels and pivot searches are contiguous.  An entry is reduced only
+    where it becomes an operand: on entry to a leaf panel, as a leaf's pivot
+    column or pivot row, and as a right-hand side of a TRSM.
 
-    Returns (X, pivots): pivots is the column rank profile, the pivots of
-    `rref_mod_p`; the first len(pivots) rows of X hold U in the symmetric
+    Returns (X, pivots): pivots is the column rank profile (the pivots of
+    the RREF); the first len(pivots) rows of X hold U in the symmetric
     range, except that the multipliers of the unit lower factor L are stored
     below each pivot."""
+    _check_modulus(p)
     A = np.asarray(A, dtype=np.int64)
+    if A.ndim != 2:
+        raise ValueError("matrix required")
     m, n = A.shape
-    if p % 2 == 0:
-        raise ValueError("float64 kernel requires an odd modulus")
-    if not _float_exact(m, n, p):
-        raise ValueError(f"GF({p}) on a {m} x {n} matrix is beyond the float64 kernel's bound")
-    half = (p - 1) // 2
-    X = np.remainder(A, p, out=np.empty((m, n), order="F"))  # exact: < p
-    np.subtract(X, p, out=X, where=X > half)
-    invp = 1.0 / p
-    pivots = []
+    direct = _float_exact(m, n, p)
+    if not direct and min(m, n) >= _SPLIT_K:
+        raise ValueError(f"a {m} x {n} matrix is beyond the split products' inner dimension bound")
+    # one pass checks 0 <= A < p: a negative entry reads as a huge uint64
+    if A.size and A.view(np.uint64).max() >= p:
+        A = np.mod(A, p)
+    elimination = _Elimination(A.astype(np.float64, order="F"), p, direct)
+    elimination.factor(0, 0, n)
+    return elimination.X, elimination.pivots
 
-    def lower(r0, r1, piv):
-        # rows r0:r1 of L in the pivot columns piv: a view when they are
-        # contiguous, else a gathered copy
-        if piv[-1] - piv[0] + 1 == len(piv):
-            return X[r0:r1, piv[0] : piv[-1] + 1]
-        return X[r0:r1, piv]
 
-    def update(C, r0, piv, B):
-        # C -= L[r0:r0+len(C), piv] @ B by row blocks, each product written
-        # to a small column-major buffer laid out like C
-        T = np.empty((min(len(C), _UPDATE_ROWS), C.shape[1]), order="F")
-        for b in range(0, len(C), _UPDATE_ROWS):
-            Cb = C[b : b + _UPDATE_ROWS]
-            Cb -= np.matmul(lower(r0 + b, r0 + b + len(Cb), piv), B, out=T[: len(Cb)])
+def _backsolve(U, piv, p, free):
+    """Y = T^-1 U[:, free] mod p, with T = U[:, piv] the upper triangle of
+    the pivot columns, as float64 (rank x len(free)) in the symmetric range.
+    U is read only on and right of each pivot, so the compact storage of
+    `ref_mod_p` serves.  Row k of the canonical RREF is the unit vector of
+    pivot k plus Y[k] on the free columns.
 
-    def trsm(r, piv, B):
-        # B <- L^-1 B for the unit lower triangle of rows r:r+len(piv) in
-        # the columns piv; B is left reduced
-        k = len(piv)
-        if k <= _LEAF:
-            L = lower(r, r + k, piv)
-            for t in range(k):
-                if t:
-                    B[t] -= L[t, :t] @ B[:t]
-                _reduce_sym(B[t], p, invp)
-            return
-        h = k // 2
-        trsm(r, piv[:h], B[:h])
-        update(B[h:], r + h, piv[:h], B[:h])
-        trsm(r + h, piv[h:], B[h:])
+    Blocked like the CUP's TRSM (`_Elimination.solve_upper`), with
+    `_product`'s products in the regime of `_float_exact` for U's shape: a
+    right-hand side starts reduced and takes at most one product per pivot
+    below it between two reductions."""
+    r = len(piv)
+    Y = U[:, free]
+    if r and len(free):
+        elimination = _Elimination(U, p, _float_exact(r, U.shape[1], p))
+        elimination.pivots = piv
+        inverses = np.array([[elimination.inverse(d)] for d in U[np.arange(r), piv]], dtype=np.float64)
+        elimination.solve_upper(0, r, Y, inverses)
+    return Y
 
-    def leaf(r, c0, c1):
-        P = X[r:, c0:c1]
-        _reduce_sym(P, p, invp)
-        k = 0
-        for j in range(c1 - c0):
-            col = P[k:, j]
-            if k:
-                _reduce_sym(col, p, invp)
-            nz = np.flatnonzero(col)
-            if nz.size == 0:
-                continue
-            i = r + k + int(nz[0])
-            if i != r + k:
-                X[[r + k, i]] = X[[i, r + k]]
-            f = P[k + 1 :, j]
-            f *= pow(int(P[k, j]) % p, -1, p)
-            _reduce_sym(f, p, invp)
-            if j + 1 < c1 - c0:
-                row = P[k, j + 1 :]
-                _reduce_sym(row, p, invp)
-                P[k + 1 :, j + 1 :] -= f[:, None] * row
-            pivots.append(c0 + j)
-            k += 1
-            if r + k == m:
-                break
-        return k
 
-    def factor(r, c0, c1):
-        # eliminate columns c0:c1 in the rows r:, returning the pivot count
-        if r == m:
-            return 0
-        if c1 - c0 <= _LEAF:
-            return leaf(r, c0, c1)
-        c = (c0 + c1) // 2
-        k = factor(r, c0, c)
-        if k:
-            piv = pivots[-k:]
-            B = X[r : r + k, c:c1]
-            trsm(r, piv, B)
-            update(X[r + k :, c:c1], r + k, piv, B)
-        return k + factor(r + k, c, c1)
-
-    factor(0, 0, n)
-    return X, pivots
+def _free_columns(piv, n):
+    return np.setdiff1d(np.arange(n), np.asarray(piv, dtype=np.int64))
 
 
 def ref_mod_p(A, p):
-    """Forward (non-reduced) row echelon form over GF(p) in float64, by the
-    column-recursive elimination `_cup_mod_p`.  Requires odd p within
-    `_float_exact` (ValueError otherwise).  Returns (U, pivots): pivots the
-    column rank profile, equal to `rref_mod_p`'s, and U float64 (rank x n),
-    echelon with entries in [0, p) and zeros below each pivot, so
-    `_backsolve_ref` gives the canonical basis."""
+    """Forward row echelon form over GF(p), 2 <= p < 2^31 (ValueError
+    otherwise), by the float64 CUP elimination `_cup_mod_p`.  Returns
+    (U, pivots): pivots the column rank profile, the pivots of `rref_mod_p`,
+    and U float64 (rank x n) in compact CUP storage: entries in the
+    symmetric range |x| <= p // 2, row k zero left of pivots[k] except in
+    earlier pivot columns, which hold the multipliers of the unit lower
+    factor L.  The echelon form is the entries on and right of each pivot;
+    `_backsolve` reads only those."""
     X, pivots = _cup_mod_p(A, p)
-    U = X[: len(pivots)]
-    for k, c in enumerate(pivots):
-        U[k + 1 :, c] = 0  # the stored multipliers of L
-    np.add(U, p, out=U, where=U < 0)
-    return U, pivots
+    return X[: len(pivots)], pivots
 
 
-def _float_kernel(m, n, p):
-    """Whether the float64 kernel eliminates an m x n matrix mod p: large
-    enough to pay off, and within `_float_exact`."""
-    return m * n > _NUMPY_MIN_ENTRIES and _float_exact(m, n, p)
+def rref_mod_p(A, p):
+    """RREF over GF(p), 2 <= p < 2^31 (ValueError otherwise): the CUP
+    elimination plus the blocked back-substitution.  Returns (R, pivots): R
+    an int64 array of the rank nonzero rows, entries in [0, p)."""
+    X, piv = _cup_mod_p(A, p)
+    n = X.shape[1]
+    free = _free_columns(piv, n)
+    R = np.zeros((len(piv), n), dtype=np.int64)
+    R[np.arange(len(piv)), piv] = 1
+    R[:, free] = np.mod(_backsolve(X[: len(piv)], piv, p, free), p)
+    return R, piv
 
 
-def _basis_from_rref_mod_p(R, piv, p, n):
-    """Canonical nullspace basis (int64, nullity x n) of an RREF mod p:
-    v[f] = 1 on its free column f, v[pivot_i] = -R[i][f]."""
-    free = np.setdiff1d(np.arange(n), np.asarray(piv, dtype=np.int64))
-    X = np.zeros((len(free), n), dtype=np.int64)
-    X[np.arange(len(free)), free] = 1
-    X[:, piv] = np.mod(-R[:, free].T, p)
-    return X
+def _nullspace_basis(Y, piv, free, p):
+    """Canonical nullspace basis (int64, nullity x n) from the free columns
+    Y = R[:, free] of an RREF mod p (any representatives): v[f] = 1 on its
+    free column f, v[pivot_i] = -R[i][f]."""
+    N = np.zeros((len(free), len(piv) + len(free)), dtype=np.int64)
+    N[np.arange(len(free)), free] = 1
+    N[:, piv] = np.mod(-Y.T, p)
+    return N
 
 
 def nullspace_mod_p(A, p):
-    """Canonical right-nullspace basis over GF(p) as an int64 array (nullity x n).
-    Chooses the float64 kernel for large matrices with small p, otherwise the
-    int64 RREF."""
+    """Canonical right-nullspace basis over GF(p), 2 <= p < 2^31 (ValueError
+    otherwise), as an int64 array (nullity x n): `ref_mod_p` plus the
+    back-substitution of the free columns only, so the RREF is never
+    formed."""
+    _check_modulus(p)
     A = np.atleast_2d(np.asarray(A, dtype=np.int64))
     m, n = A.shape
     if n == 0:
         return np.zeros((0, 0), dtype=np.int64)
     if m == 0:
         return np.eye(n, dtype=np.int64)
-    if _float_kernel(m, n, p):
-        U, piv = ref_mod_p(A, p)
-        return _backsolve_ref(U, piv, p, n)
-    R, piv = rref_mod_p(A, p)
-    return _basis_from_rref_mod_p(R, piv, p, n)
-
-
-def _backsolve_ref(U, piv, p, n):
-    # Exactness: a row of X is nonzero only on its free column and the pivot
-    # columns already solved, so each dot product has at most rank terms,
-    # each below p^2, and rank*(p-1)^2 < 2^53 follows from `_float_exact`.
-    r = len(piv)
-    pivset = set(piv)
-    free = [f for f in range(n) if f not in pivset]
-    X = np.zeros((len(free), n))
-    for idx, f in enumerate(free):
-        X[idx, f] = 1.0
-    for k in range(r - 1, -1, -1):
-        pc = piv[k]
-        s = np.mod(X[:, pc + 1 :] @ U[k, pc + 1 :], p)
-        inv = pow(int(U[k, pc]), -1, p)
-        X[:, pc] = np.mod((p - s) * inv, p)
-    return X.astype(np.int64)
+    U, piv = ref_mod_p(A, p)
+    free = _free_columns(piv, n)
+    return _nullspace_basis(_backsolve(U, piv, p, free), piv, free, p)
 
 
 def rank_mod_p(A, p):
+    """Rank over GF(p), 2 <= p < 2^31 (ValueError otherwise): the pivot
+    count of `rref_mod_p`."""
+    _check_modulus(p)
     A = np.atleast_2d(np.asarray(A, dtype=np.int64))
-    m, n = A.shape
-    if m == 0 or n == 0:
+    if 0 in A.shape:
         return 0
-    # the float64 path only counts pivots: U is not made canonical
-    kernel = _cup_mod_p if _float_kernel(m, n, p) else rref_mod_p
-    return len(kernel(A, p)[1])
+    return len(rref_mod_p(A, p)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +711,8 @@ def nullspace_rational(rows, max_primes=1024):
             best, group, probe = key, _Lift(n), 0
         elif key != best:
             continue  # unlucky prime: rank dropped or pivots moved right
-        group.add(p, _basis_from_rref_mod_p(R, piv, p, n).ravel())
+        free = _free_columns(piv, n)
+        group.add(p, _nullspace_basis(R[:, free], piv, free, p).ravel())
         f = rational_reconstruct(group.combine(probe), group.modulus)
         if f is None or abs(f.numerator) * f.denominator << _PROBE_MARGIN_BITS >= group.modulus:
             continue

@@ -104,9 +104,10 @@ def singular_points(F, ambient=None):
         else:
             heads = _sweep_generic(local, field, chart)
         pad = (field.one,) + (field.zero,) * (3 - chart)
-        found.extend(tuple(field.coerce(v) for v in head) + pad for head in heads)
+        found.extend(head + pad for head in heads)
 
-    points = [AmbientPoint(ambient, coords) for coords in found]
+    # the sweep yields raw values with the last nonzero coordinate 1
+    points = [AmbientPoint.canonical(ambient, coords) for coords in found]
     if field.kind == "prime":
         low = _hasse_values(F, [pt.coords for pt in points], field.p, 1)
         bad = np.flatnonzero(low.any(axis=1)).tolist()

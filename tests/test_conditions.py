@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
+from math import prod
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -138,6 +140,22 @@ def test_mass_evaluation_matches_generic(monkeypatch):
     # the underdetermined instance exercises a nonzero nullspace on both paths
     assert generic15.nsections() >= 21 - 15
     assert generic15.same_span(fast15)
+
+
+@pytest.mark.parametrize("p", [2, 3, 397, 55103, 2097169, 1073741827, 2147483647])
+def test_mass_evaluation_rows_match_exact_monomial_values(p):
+    # the reductions are delayed while products stay below 2^63: up to four
+    # factors at small p, two near 2^31 (2097169 is just above 2^21)
+    rng = random.Random(p)
+    for n, degree in ((1, 7), (2, 5), (3, 4)):
+        Pn = projective_space(GF(p), n)
+        L = LinearSys.complete(Pn, degree)
+        pts = random_points(Pn, min(9, p + 1), rng)  # P^1 has p + 1 points
+        rows = conditions._mass_evaluation_rows(L, pts)
+        assert rows.dtype == np.int64 and rows.flags.f_contiguous
+        expected = [[prod(pow(c, e, p) for c, e in zip(pt.coords, mon)) % p for mon in L.monomials()]
+                    for pt in pts]
+        assert rows.tolist() == expected
 
 
 def test_mass_evaluation_exact_for_large_prime(monkeypatch):

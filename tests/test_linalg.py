@@ -142,6 +142,52 @@ def test_rref_mod_p_matches_generic():
             assert [[int(v) for v in r] for r in Rnp] == Rgen
 
 
+def rowloop_rref_mod_p(A, p):
+    """The oracle of the float64 kernel: RREF over GF(p), p < 2^31, by
+    vectorized int64 row operations (every product below p^2 < 2^62).
+    Returns (R, pivots) like `rref_mod_p`.  Each pivot step updates only the
+    active columns c: in place: the pivot row comes from the rows at or
+    below r, which are zero left of c."""
+    A = np.mod(np.asarray(A, dtype=np.int64), p)
+    m, n = A.shape
+    r = 0
+    pivots = []
+    for c in range(n):
+        if r == m:
+            break
+        nz = np.flatnonzero(A[r:, c])
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            A[[r, i], c:] = A[[i, r], c:]
+        row = A[r, c:]
+        a = int(row[0])
+        if a != 1:
+            row *= pow(a, -1, p)
+            row %= p
+        col = A[:, c].copy()
+        col[r] = 0
+        hit = np.flatnonzero(col)
+        if hit.size:
+            X = A[hit, c:]
+            X -= col[hit, None] * row
+            X %= p
+            A[hit, c:] = X
+        pivots.append(c)
+        r += 1
+    return A[:r], pivots
+
+
+def echelon(U, piv, p):
+    """The echelon form in `ref_mod_p`'s compact storage, as int64 in
+    [0, p): the multipliers of L stored below each pivot set to 0."""
+    U = np.mod(U, p).astype(np.int64)
+    for k, c in enumerate(piv):
+        U[k + 1 :, c] = 0
+    return U
+
+
 def test_ref_mod_p_rank_and_shape(monkeypatch):
     rng = random.Random(4)
     p = 397
@@ -153,7 +199,8 @@ def test_ref_mod_p_rank_and_shape(monkeypatch):
         U, piv = ref_mod_p(A, p)
         assert len(piv) == rank(rows, F)
         assert piv == sorted(piv)
-        U = U.astype(np.int64)
+        assert (np.abs(U) <= p // 2).all()
+        U = echelon(U, piv, p)
         # echelon shape: row k starts at its pivot
         for k, pc in enumerate(piv):
             assert U[k, pc] % p != 0
@@ -173,20 +220,22 @@ def test_nullspace_mod_p_matches_generic_and_annihilates():
 
 
 def test_blocked_kernel_agrees_with_rowloop_on_larger_instance(monkeypatch):
-    # 5885833 is the largest prime p with 260*h^2 + h < 2^51, h = (p-1)/2,
-    # the float64 kernel's bound for a 300 x 260 matrix; 5885843, the next
-    # prime, takes the int64 RREF
+    # 5885833 is the largest prime p with 260*h^2 + p - 1 < 2^51, h = p // 2,
+    # the direct regime's bound for a 300 x 260 matrix; 5885843, the next
+    # prime, takes the split regime, whose updates have inner dimensions
+    # above 64 and so split both operands
     for p, leaf in ((397, 1), (397, 5), (5885833, 8), (5885843, 8)):
         monkeypatch.setattr(linalg, "_LEAF", leaf)
         rng = np.random.default_rng(2)
         A = rng.integers(0, p, size=(300, 260)).astype(np.int64)
         # force rank deficiency: last rows are combinations of earlier ones
         A[250:] = (A[:50] * 3 + A[50:100] * 7) % p
-        assert linalg._float_kernel(300, 260, p) == (p != 5885843)
+        assert linalg._float_exact(300, 260, p) == (p != 5885843)
         R, piv = rref_mod_p(A, p)
-        if p != 5885843:
-            U, piv2 = ref_mod_p(A, p)
-            assert piv == piv2
+        R_oracle, piv_oracle = rowloop_rref_mod_p(A, p)
+        assert piv == piv_oracle and np.array_equal(R, R_oracle)
+        U, piv2 = ref_mod_p(A, p)
+        assert piv == piv2
         assert rank_mod_p(A, p) == len(piv) == 250
         N = nullspace_mod_p(A, p)
         assert N.shape[0] == 260 - len(piv)
@@ -201,8 +250,10 @@ def test_rank_mod_p():
     A = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 1]], dtype=np.int64)
     assert rank_mod_p(A, 7) == 2
     assert rank_mod_p(np.zeros((2, 3), dtype=np.int64), 7) == 0
-    # 5*p^2 < 2^53 < 8*p^2: too few columns for the float64 kernel's panels
+    # a tall matrix: the bound reads min(m, n) = 5, so this p, beyond the
+    # direct regime from 7 columns on, is within it
     p = 38543941
+    assert linalg._float_exact(20000, 5, p) and not linalg._float_exact(20000, 7, p)
     A = np.random.default_rng(0).integers(0, p, size=(20000, 5))
     assert rank_mod_p(A, p) == 5
     assert nullspace_mod_p(A, p).shape == (0, 5)
@@ -387,35 +438,53 @@ def test_rref_mod_p_matches_generic_rref(data):
     assert R.tolist() == R_gen
 
 
-# 15005989 is the largest prime p with 40*h^2 + h < 2^51, h = (p-1)/2: the
-# float64 kernel's bound when min(m, n) = 40; 15006031 is the next prime
+# 15005989 is the largest prime p with 40*h^2 + p - 1 < 2^51, h = p // 2:
+# the direct regime's bound when min(m, n) = 40; 15006031 is the next prime
 _P40, _P40_NEXT = 15005989, 15006031
+# p = 2, small primes, the direct regime's edge at 40 columns, the first
+# multimodular prime and the largest prime below 2^31
+_KERNEL_PRIMES = [2, 3, 397, _P40, _P40_NEXT, 1073741827, 2147483647]
 
 
-def _check_ref_mod_p(A, p, leaf):
-    """ref_mod_p at leaf width `leaf` against the oracle rref_mod_p: the same
-    pivots, U echelon in [0, p) with the same RREF, and the same basis."""
+def oracle_basis(R, piv, n, p):
+    """Canonical nullspace basis of an RREF mod p: identity on the free
+    columns, minus the free columns of R on the pivots."""
+    free = [f for f in range(n) if f not in piv]
+    N = np.zeros((len(free), n), dtype=np.int64)
+    N[np.arange(len(free)), free] = 1
+    N[:, piv] = (-R[:, free].T) % p
+    return N
+
+
+def _check_ref_mod_p(A, p, leaf, one_sided_k=None):
+    """ref_mod_p and the back-substitution at leaf width `leaf` against the
+    int64 oracle: the same pivots; U in the symmetric range, echelon once
+    the stored multipliers are cleared, with the oracle's RREF; the
+    back-substitution gives the oracle's RREF rows on the free columns."""
     n = A.shape[1]
+    R, piv_ref = rowloop_rref_mod_p(A, p)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_LEAF", leaf)
+        if one_sided_k is not None:
+            mp.setattr(linalg, "_ONE_SIDED_K", one_sided_k)
         U, piv = ref_mod_p(A, p)
-    R, piv_ref = rref_mod_p(A, p)
+        free = linalg._free_columns(piv, n)
+        Y = linalg._backsolve(U, piv, p, free)
     assert piv == piv_ref
-    U = U.astype(np.int64)
-    assert U.shape == (len(piv), n)
-    assert ((U >= 0) & (U < p)).all()
+    assert U.shape == (len(piv), n) and (np.abs(U) <= p // 2).all()
+    E = echelon(U, piv, p)
     for k, c in enumerate(piv):
-        assert not U[k + 1 :, c].any()
-    R_of_U, piv_of_U = rref_mod_p(U, p)
+        assert E[k, c] and not E[k, :c].any()
+    R_of_U, piv_of_U = rowloop_rref_mod_p(E, p)
     assert piv_of_U == piv and np.array_equal(R_of_U, R)
-    basis = linalg._backsolve_ref(U, piv, p, n)
-    assert np.array_equal(basis, linalg._basis_from_rref_mod_p(R, piv, p, n))
+    assert (np.abs(Y) <= p // 2).all() and np.array_equal(np.mod(Y, p), R[:, free])
+    assert np.array_equal(linalg._nullspace_basis(Y, piv, free, p), oracle_basis(R, piv, n, p))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_ref_mod_p_and_backsolve_match_rref_mod_p(data):
-    # _P40 and _P40_NEXT straddle the float64 kernel's bound at 40 x 40
+    # _P40 and _P40_NEXT straddle the direct regime's bound at 40 x 40
     p = data.draw(st.sampled_from([3, 5, 101, 397, _P40, _P40_NEXT]))
     m, n = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 40))
     r = data.draw(st.integers(0, min(m, n)))
@@ -424,11 +493,10 @@ def test_ref_mod_p_and_backsolve_match_rref_mod_p(data):
     A = rng.integers(0, p, size=(m, r)) @ rng.integers(0, p, size=(r, n)) % p
     A[:, zero_cols] = 0
     leaf = data.draw(st.integers(1, 8))  # narrow leaves exercise the recursion
-    if linalg._float_exact(m, n, p):
-        _check_ref_mod_p(A, p, leaf)
-    else:
-        with pytest.raises(ValueError, match="float64"):
-            ref_mod_p(A, p)
+    _check_ref_mod_p(A, p, leaf)
+    R, piv = rref_mod_p(A, p)
+    R_oracle, piv_oracle = rowloop_rref_mod_p(A, p)
+    assert piv == piv_oracle and np.array_equal(R, R_oracle)
 
 
 def test_ref_mod_p_with_gapped_pivots_and_rows_running_out():
@@ -453,18 +521,92 @@ def test_ref_mod_p_with_gapped_pivots_and_rows_running_out():
     assert ref_mod_p(B, p)[1] == [0, 2, 5]
 
 
-def test_ref_mod_p_enforces_its_float64_bound():
-    # the largest prime within min(m, n)*h^2 + h < 2^51 and the next prime,
-    # for min(m, n) = 2 and 40; the bound reads min(m, n), not n
+def _matrix_mod_p(rng, p, m, n, r):
+    """An m x n matrix mod p of rank at most r, from exact integer products."""
+    B = rng.integers(0, p, size=(m, r)).astype(object)
+    C = rng.integers(0, p, size=(r, n)).astype(object)
+    return (B @ C % p).astype(np.int64) if r else np.zeros((m, n), dtype=np.int64)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_gfp_kernel_matches_the_int64_oracle(data):
+    """The four public GF(p) functions against the int64 row loop, and on
+    small matrices against the generic `rref` and `nullspace`: both product
+    regimes, leaf widths 1-8, gapped pivots, m < n and m > n, every rank,
+    and matrices of entries +-h, h = p // 2, at the edge of the split
+    bound.  The split products split both operands at every inner dimension
+    when `_ONE_SIDED_K` is drawn as 0."""
+    p = data.draw(st.sampled_from(_KERNEL_PRIMES))
+    m, n = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 40))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if data.draw(st.booleans()):
+        A = (p // 2) * rng.choice([-1, 1], size=(m, n))
+    else:
+        A = _matrix_mod_p(rng, p, m, n, data.draw(st.integers(0, min(m, n))))
+        # gapped pivots: zero columns and columns that repeat an earlier one
+        for c in data.draw(st.lists(st.integers(0, n - 1), max_size=n // 2)):
+            A[:, c] = 0 if c % 2 or c == 0 else A[:, c - 1] * 3 % p
+    leaf = data.draw(st.integers(1, 8))
+    one_sided_k = data.draw(st.sampled_from([0, linalg._ONE_SIDED_K]))
+    _check_ref_mod_p(A, p, leaf, one_sided_k)
+    R_oracle, piv_oracle = rowloop_rref_mod_p(A, p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_LEAF", leaf)
+        mp.setattr(linalg, "_ONE_SIDED_K", one_sided_k)
+        R, piv = rref_mod_p(A, p)
+        assert ref_mod_p(A, p)[1] == piv
+        assert rank_mod_p(A, p) == len(piv)
+        N = nullspace_mod_p(A, p)
+    assert piv == piv_oracle and R.dtype == np.int64 and np.array_equal(R, R_oracle)
+    assert np.array_equal(N, oracle_basis(R_oracle, piv, n, p))
+    assert not (A.astype(object) @ N.T.astype(object) % p).any()
+    if m <= 10 and n <= 10:
+        rows = [[int(v) % p for v in row] for row in A]
+        assert rref(rows, GF(p)) == (R.tolist(), piv)
+        assert nullspace(rows, GF(p)) == N.tolist()
+
+
+def test_split_products_are_exact_at_their_bounds():
+    # operands at the largest magnitudes of their halves: h = 2^30 - 1 has
+    # the high half 2^15, and 2^29 + 2^14 the low half 2^14
+    p = 2147483647
+    h = p // 2
+    product = linalg._product(p, direct=False)
+    rng = np.random.default_rng(3)
+    for m, k, n in ((5, 1, 7), (1, linalg._ONE_SIDED_K, 3), (4, linalg._ONE_SIDED_K + 1, 2),
+                    (1, linalg._SPLIT_K - 1, 2)):
+        A = rng.choice([h, -h, 2**29 + 2**14, -(2**29 + 2**14)], size=(m, k))
+        B = rng.choice([h, -h, 2**29 + 2**14, -(2**29 + 2**14)], size=(k, n))
+        B[:, 0] = h * np.sign(A[0])  # a column whose partials all add up
+        S = product(A.astype(np.float64), B.astype(np.float64))
+        assert (np.abs(S) <= h).all()
+        assert np.array_equal(S.astype(np.int64) % p, A.astype(object) @ B.astype(object) % p)
+
+
+def test_ref_mod_p_enforces_its_float64_bound(monkeypatch):
+    # the largest prime within min(m, n)*h^2 + p - 1 < 2^51 and the next
+    # prime, for min(m, n) = 2 and 40; the bound reads min(m, n), not n.
+    # The next prime takes the split regime.
     rng = np.random.default_rng(5)
     for shape, p, above in (((2, 50), 67108859, 67108879), ((40, 40), _P40, _P40_NEXT), ((60, 40), _P40, _P40_NEXT)):
-        A = rng.integers(0, p, size=shape)
         assert linalg._float_exact(*shape, p) and not linalg._float_exact(*shape, above)
-        _check_ref_mod_p(A, p, 3)
-        with pytest.raises(ValueError, match="float64"):
-            ref_mod_p(A % above, above)
-    with pytest.raises(ValueError, match="odd modulus"):
-        ref_mod_p(np.eye(3, dtype=np.int64), 2)
+        _check_ref_mod_p(rng.integers(0, p, size=shape), p, 3)
+        _check_ref_mod_p(rng.integers(0, above, size=shape), above, 3)
+    # p = 2 is within the direct regime
+    assert linalg._float_exact(40, 40, 2)
+    _check_ref_mod_p(rng.integers(0, 2, size=(40, 40)), 2, 3)
+    # every GF(p) function rejects p >= 2^31, where int64 inputs reduced
+    # mod p no longer have products below 2^62
+    for p in (2**31, 2147483659):
+        for fn in (ref_mod_p, rref_mod_p, rank_mod_p, nullspace_mod_p):
+            with pytest.raises(ValueError, match="2\\^31"):
+                fn(np.eye(3, dtype=np.int64), p)
+    # the split products' inner dimension bound, lowered here to reach it
+    monkeypatch.setattr(linalg, "_SPLIT_K", 5)
+    assert ref_mod_p(np.eye(4, 6, dtype=np.int64), 2147483647)[1] == [0, 1, 2, 3]
+    with pytest.raises(ValueError, match="inner dimension"):
+        ref_mod_p(np.eye(5, 6, dtype=np.int64), 2147483647)
 
 
 @settings(max_examples=25, deadline=None)

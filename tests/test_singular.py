@@ -133,6 +133,23 @@ def test_generic_sweep_over_extension_field():
         assert sorted(p.coords) == sorted([one, zero, zero, zero])
 
 
+def test_sweep_points_equal_constructed_points():
+    # singular_points builds its points without the AmbientPoint
+    # constructor; they must be the points the constructor makes from the
+    # same coordinates, over a prime field and an extension field
+    for K in (GF(101), GF(3, 2)):
+        P3 = projective_space(K, 3)
+        x1, x2, x3, x4 = P3.ring.gens()
+        cayley = x1 * x2 * x3 + x1 * x2 * x4 + x1 * x3 * x4 + x2 * x3 * x4
+        for F in (cayley, x1 * x2 * x3 * x4):
+            pts = singular_points(F)
+            assert pts
+            for pt in pts:
+                again = P3.point(pt.coords)
+                assert again == pt and hash(again) == hash(pt) and str(again) == str(pt)
+                assert type(pt.coords) is tuple and all(type(v) is type(K.zero) for v in pt.coords)
+
+
 def _power_table(p, maxexp):
     vals = np.arange(p, dtype=np.int64)
     pw = [np.ones(p, dtype=np.int64)]
