@@ -4,7 +4,14 @@ Point conditions (vanishing to a prescribed multiplicity, including on
 projective and product ambients via the canonical affine chart at each
 point), containment of a subscheme, and images of schemes under polynomial
 maps.  Each construction produces the condition matrix with respect to the
-system's sections and returns the subsystem cut out by its nullspace.
+system's sections and returns the subsystem cut out by its nullspace.  Every
+condition matrix (points, affine containment, images) goes through
+`linalg.solve_nullspace`, so the basis is the canonical one whichever kernel
+runs; the only exception is the chain step in `blowup`, which folds a small
+explicit basis into the system.  Projective containment reads the
+generators' multiples off as rows over all monomials of the degree (the
+complete system's coefficient map) and intersects their span with the
+system by one `rref_with_transform` of the stacked rows.
 
 Derivatives are divided-power (Hasse) derivatives throughout, so
 multiplicity conditions are correct in positive characteristic as well.
@@ -22,8 +29,10 @@ from math import comb
 import numpy as np
 
 from .groebner import groebner_basis, normal_form
-from .linalg import gf_numpy_path, matmul, nullspace, rref, rref_with_transform, solve_nullspace
-from .linsys import LinearSys
+from .linalg import gf_numpy_path, matmul, rref, rref_with_transform, solve_nullspace
+# unused here; perfbench/selftest.py and tests/test_bench_wiring.py check this binding
+from .linalg import nullspace  # noqa: F401
+from .linsys import LinearSys, _padded_rows
 from .poly import MultiPoly, grevlex_key, monomials_below_degree
 
 
@@ -236,13 +245,18 @@ def _impose_rows(L, rows):
     """Cut L down by condition rows given over its monomial support."""
     if len(rows) == 0:
         return L
-    field = L.ambient.field
     if not L.is_complete:
         # conditions act on sections: C_sections = C_monomials . M^T
         M = L.matrix()
         Mt = [list(col) for col in zip(*M)] if M else []
-        rows = matmul(rows, Mt, field)
-    count, basis = solve_nullspace(rows, field, L.nsections())
+        rows = matmul(rows, Mt, L.ambient.field)
+    return _kernel_subsystem(L, rows)
+
+
+def _kernel_subsystem(L, rows):
+    """Subsystem of L whose coefficient vectors in L's basis span the right
+    nullspace of the condition rows (one column per section of L)."""
+    count, basis = solve_nullspace(rows, L.ambient.field, L.nsections())
     if callable(basis):
         return LinearSys.from_nullspace(L, None, nsections=count, pending=basis)
     return LinearSys.from_nullspace(L, basis)
@@ -286,8 +300,7 @@ def impose_containment(L, scheme):
         rows = [
             [f.terms.get(e, field.zero) for f in forms] for e in support
         ]
-        basis = nullspace(rows, field, ncols=len(secs))
-        return LinearSys.from_nullspace(L, basis)
+        return _kernel_subsystem(L, rows)
 
     if not scheme.saturated:
         raise ValueError(
@@ -314,47 +327,20 @@ def impose_containment(L, scheme):
 
 def _intersect_with_span(L, polys):
     """Subsystem spanned by the intersection of L with span(polys)."""
-    ambient = L.ambient
-    field = ambient.field
-    mons = sorted(
-        set(L.monomials()) | {e for q in polys for e in q.terms},
-        key=grevlex_key,
-        reverse=True,
-    )
-    idx = {e: i for i, e in enumerate(mons)}
-    width = len(mons)
+    field = L.ambient.field
+    # candidate rows over every monomial of L's degree; the complete system's
+    # coefficient map reads them off and rejects a candidate of another degree
+    K = LinearSys.complete(L.ambient, L.degree)
+    to_row = K.coefficient_map()
+    B = [[c.raw for c in to_row(q)] for q in polys]
     if L.is_complete:
         # the intersection is just the span of the candidates inside L
-        Lmons = set(L.monomials())
-        colmap = {e: i for i, e in enumerate(L.monomials())}
-        vectors = []
-        for q in polys:
-            if any(e not in Lmons for e in q.terms):
-                raise ValueError("candidate leaves the degree of the system")
-            vec = [field.zero] * len(colmap)
-            for e, c in q.terms.items():
-                vec[colmap[e]] = c
-            vectors.append(vec)
-        R, _ = rref(vectors, field)
+        R, _ = rref(B, field)
         return LinearSys.from_nullspace(L, R)
-
-    m = L.matrix()
-    cols = [idx[e] for e in L.monomials()]
-    stacked = []
-    for row in m:
-        r = [field.zero] * width
-        for c, v in zip(cols, row):
-            r[c] = v
-        stacked.append(r)
-    nL = len(stacked)
-    for q in polys:
-        r = [field.zero] * width
-        for e, c in q.terms.items():
-            r[idx[e]] = c
-        stacked.append(r)
-    _, _, _, N = rref_with_transform(stacked, field)
+    A = _padded_rows(L, to_row.mono_index, len(to_row.monomials))
+    _, _, _, N = rref_with_transform(A + B, field)
     # each left-null row (u | w) gives u . L_rows inside the intersection
-    R, _ = rref([row[:nL] for row in N], field)
+    R, _ = rref([row[: len(A)] for row in N], field)
     return LinearSys.from_nullspace(L, R)
 
 
@@ -399,8 +385,7 @@ def image_system(components, target, degree, scheme=None):
     if not support:
         return L  # every pullback lies in the ideal already
     rows = [[f.terms.get(m, field.zero) for f in forms] for m in support]
-    basis = nullspace(rows, field, ncols=len(mons))
-    return LinearSys.from_nullspace(L, basis)
+    return _kernel_subsystem(L, rows)
 
 
 # ---------------------------------------------------------------------------

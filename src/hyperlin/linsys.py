@@ -15,12 +15,18 @@ rows are kept verbatim, dependent ones are replaced by their echelon rows.
 Matrix columns follow the grevlex-descending monomial order; echelonization
 selects pivots scanning columns right to left (smallest monomial first), and
 the echelon rows are kept in pivot-discovery order.
+
+Subspace operations stack the two bases on their union monomial support and
+eliminate with `linalg.rank`/`rref`: containment and equality of spans are
+rank comparisons, and `complement` (hence `trace`) returns the echelon rows of
+self at the pivot columns the subsystem's echelon form lacks, which are
+monomials when self is complete.
 """
 
 from __future__ import annotations
 
 from .fields import FieldElement
-from .linalg import matmul, rref, rref_with_transform
+from .linalg import matmul, rank, rref, rref_with_transform
 from .poly import MultiPoly, grevlex_key
 
 
@@ -297,55 +303,39 @@ class LinearSys:
 
     def same_span(self, other):
         self._check_compatible(other)
-        field = self.ambient.field
-        mons, A, B = _aligned_pair(self, other)
-        return rref(A, field, reverse_cols=True) == rref(B, field, reverse_cols=True)
+        _, A, B = _aligned_pair(self, other)
+        return len(A) == len(B) == rank(A + B, self.ambient.field)
 
     def is_subsystem_of(self, other):
         """True if span(self) is contained in span(other)."""
         self._check_compatible(other)
-        field = self.ambient.field
-        mons, A, B = _aligned_pair(self, other)
-        Rb, pivb = rref(B, field, reverse_cols=True)
-        for row in A:
-            if not _reduce_against(row, Rb, pivb, field):
-                return False
-        return True
+        _, A, B = _aligned_pair(self, other)
+        return rank(A + B, self.ambient.field) == len(B)
 
     def complement(self, sub):
-        """A subsystem C with span(C) + span(sub) = span(self) (direct sum),
-        found by extending an echelon basis of `sub` to one of self."""
+        """A subsystem C with span(C) + span(sub) = span(self) (direct sum).
+
+        Its basis is the echelon rows of self (pivots scanned right to left)
+        whose pivot columns are not pivots of sub's echelon form; for a
+        complete self these are the monomials at those columns."""
         self._check_compatible(sub)
         field = self.ambient.field
         mons, A, B = _aligned_pair(self, sub)
-        RA, pivA = rref(A, field, reverse_cols=True)
-        RJ, pivJ = rref(B, field, reverse_cols=True)
-        for row in RJ:
-            if not _reduce_against(list(row), RA, pivA, field):
-                raise ValueError("complement argument is not a subsystem")
-        work = [list(r) for r in RJ]
-        workpiv = list(pivJ)
-        comp = []
-        for row in RA:
-            row = list(row)
-            if _reduce_against(row, work, workpiv, field):
-                continue
-            nz = _last_nonzero(row, field)
-            inv = field.inv(row[nz])
-            row = [field.mul(v, inv) for v in row]
-            work.append(row)
-            workpiv.append(nz)
-            comp.append(row)
-        if len(comp) != self.nsections() - sub.nsections():
-            raise RuntimeError("complement rank mismatch")
+        # with sub inside self, the stacked echelon form is self's own
+        R, piv = rref(A + B, field, reverse_cols=True)
+        if len(piv) != len(A):
+            raise ValueError("complement argument is not a subsystem")
+        taken = set(rref(B, field, reverse_cols=True)[1])
+        comp = [row for row, c in zip(R, piv) if c not in taken]
         if not comp:
             return LinearSys.empty(self.ambient, self.degree)
         return LinearSys.from_matrix(self.ambient, comp, mons, degree=self.degree)
 
     def trace(self, scheme):
         """System induced on a subscheme: the complement of the subsystem of
-        members vanishing on it.  Tracing on the whole ambient (zero ideal)
-        returns self; tracing on the empty scheme (unit ideal) is empty."""
+        members vanishing on it, with the basis `complement` returns.
+        Tracing on the whole ambient (zero ideal) spans self; tracing on the
+        empty scheme (unit ideal) is empty."""
         from .conditions import impose_containment
 
         J = impose_containment(self, scheme)
@@ -452,24 +442,6 @@ def _padded_rows(L, idx, width):
             r[c] = v
         out.append(r)
     return out
-
-
-def _reduce_against(row, R, pivots, field):
-    """Reduce row by the echelon rows in place; True if it lands on zero."""
-    for i, c in enumerate(pivots):
-        if not field.is_zero(row[c]):
-            f = row[c]
-            for j, b in enumerate(R[i]):
-                if not field.is_zero(b):
-                    row[j] = field.sub(row[j], field.mul(f, b))
-    return all(field.is_zero(v) for v in row)
-
-
-def _last_nonzero(row, field):
-    for i in range(len(row) - 1, -1, -1):
-        if not field.is_zero(row[i]):
-            return i
-    return None
 
 
 class CoefficientSolver:

@@ -18,10 +18,6 @@ from .fields import FieldElement
 # exponent-tuple helpers
 
 
-def mono_degree(e):
-    return sum(e)
-
-
 def mono_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
 

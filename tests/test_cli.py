@@ -114,12 +114,17 @@ def test_run_trace_on_conic(tmp_path, capsys):
         operations=[
             {"op": "trace", "generators": ["x^2+y^2+z^2"], "saturated": True}
         ],
+        output={"sections": True},
     )
     rc = main(["run", write_job(tmp_path, job), "--json"])
     payload = json.loads(capsys.readouterr().out)
     assert rc == 0
     # cubics modulo (conic)*(linears): 10 - 3
     assert payload["nsections"] == 7
+    # the trace of a complete system has a basis of distinct monomials
+    sections = payload["sections"]
+    assert len(set(sections)) == 7
+    assert all("+" not in s and "-" not in s and not s[0].isdigit() for s in sections)
 
 
 def test_run_containment_op(tmp_path, capsys):

@@ -289,6 +289,42 @@ def test_image_system_with_source_scheme():
     assert img.sections()[0].monic() == x
 
 
+@pytest.mark.parametrize("field", [GF(7), QQ], ids=["gf7", "qq"])
+def test_image_and_affine_containment_independent_of_kernel(field, monkeypatch):
+    # the same sections whether solve_nullspace picks the generic loop (the
+    # default at these sizes) or the large-matrix kernel (threshold 0): the
+    # numpy GF(p) kernel, or over QQ the certified count with deferred basis
+    def build():
+        P1 = projective_space(field, 1, names=("s", "t"))
+        P2 = projective_space(field, 2)
+        P3 = projective_space(field, 3, names=("x", "y", "z", "w"))
+        A2 = affine_space(field, 2)
+        s, t = P1.ring.gens()
+        x, y = A2.ring.gens()
+        return [
+            image_system([s**3, s * s * t, s * t * t, t**3], P3, 2),
+            image_system([s * s, s * t + t * t, t * t], P2, 3, scheme=SchemeSpec([s - 2 * t])),
+            impose_containment(LinearSys.complete(A2, 3), SchemeSpec([y - x * x])),
+            impose_containment(
+                LinearSys.from_sections(A2, [x * y - 1, x * x * y - x, y * y, x + y * y * x - 1]),
+                SchemeSpec([x * y - 1]),
+            ),
+        ]
+
+    expect = [[str(f) for f in J.sections()] for J in build()]
+    calls = []
+    real = linalg.nullspace_mod_p
+    monkeypatch.setattr(linalg, "nullspace_mod_p", lambda A, p: calls.append(p) or real(A, p))
+    monkeypatch.setattr(linalg, "_NUMPY_MIN_ENTRIES", 0)
+    systems = build()
+    if field is QQ:
+        assert any(J._pending is not None for J in systems)
+    else:
+        assert len(calls) == len(systems)
+    assert [[str(f) for f in J.sections()] for J in systems] == expect
+    assert all(J.nsections() > 0 for J in systems)
+
+
 def test_sample_points_exhaustive():
     P2 = projective_space(GF(3), 2)
     x = P2.ring.gens()[0]

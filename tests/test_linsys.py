@@ -11,6 +11,7 @@ from hyperlin.blowup import BlowupChainSpec, impose_chain
 from hyperlin.cli import main
 from hyperlin.conditions import SchemeSpec, impose_containment, impose_points
 from hyperlin.fields import GF, rationals
+from hyperlin.linalg import rref
 from hyperlin.linsys import LinearSys, poly_gcd
 
 import random
@@ -195,6 +196,9 @@ def test_complement_rank_additivity():
     J = LinearSys.from_sections(P2, [x * x, x * y + y * z])
     C = L.complement(J)
     assert C.nsections() == L.nsections() - J.nsections() == 4
+    # conics x^2, x*y, y^2, x*z, y*z, z^2: J's echelon pivots (scanning right
+    # to left) are x^2 and y*z; the complement is the other four monomials
+    assert [str(s) for s in C.sections()] == ["z^2", "x*z", "y^2", "x*y"]
     # J together with C spans L
     both = LinearSys.from_sections(
         P2, J.sections() + C.sections()
@@ -210,6 +214,11 @@ def test_complement_requires_subsystem():
     J = LinearSys.from_sections(P2, [x * z])
     with pytest.raises(ValueError):
         L.complement(J)
+    # x*y + y^2 has its echelon pivot at y^2, a pivot of L, but is not in L
+    K = LinearSys.from_sections(P2, [x * y + y * y])
+    assert not K.is_subsystem_of(L)
+    with pytest.raises(ValueError):
+        L.complement(K)
 
 
 def test_complement_trivial_cases():
@@ -233,6 +242,56 @@ def test_same_span_across_supports():
     assert A.is_subsystem_of(B) and B.is_subsystem_of(A)
     C = LinearSys.from_matrix(P2, [[0, 1]], [(2, 0, 0), (0, 2, 0)], degree=2)
     assert not A.same_span(C)
+
+
+_CONICS = [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)]
+
+
+@st.composite
+def _conic_pair(draw):
+    """Two systems of conics over GF(5), either of them possibly empty or
+    complete; often the first is one row whose last nonzero column (its
+    echelon pivot) is a pivot of the second."""
+    P2 = projective_space(GF(5), 2)
+    coeff = st.integers(min_value=0, max_value=4)
+    row = st.lists(coeff, min_size=6, max_size=6)
+
+    def system(rows, complete=False):
+        if complete:
+            return LinearSys.complete(P2, 2)
+        rows = [r for r in rows if any(r)]
+        if not rows:
+            return LinearSys.empty(P2, 2)
+        return LinearSys.from_matrix(P2, rows, _CONICS, degree=2)
+
+    B = system(draw(st.lists(row, max_size=4)), draw(st.booleans()) and draw(st.booleans()))
+    pivots = sorted(set(rref(B.matrix(), GF(5), reverse_cols=True)[1])) if not B.is_complete else []
+    if pivots and draw(st.booleans()):
+        c = draw(st.sampled_from(pivots))
+        head = draw(st.lists(coeff, min_size=c, max_size=c))
+        A = system([head + [draw(st.integers(min_value=1, max_value=4))] + [0] * (5 - c)])
+    else:
+        A = system(draw(st.lists(row, max_size=4)), draw(st.booleans()) and draw(st.booleans()))
+    return (A, B) if draw(st.booleans()) else (B, A)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_conic_pair())
+def test_subspace_predicates_match_membership(pair):
+    A, B = pair
+    a_in_b = all(s in B for s in A.sections())
+    b_in_a = all(s in A for s in B.sections())
+    assert A.is_subsystem_of(B) == a_in_b
+    assert B.is_subsystem_of(A) == b_in_a
+    assert A.same_span(B) == B.same_span(A) == (a_in_b and b_in_a)
+    if b_in_a:
+        # a direct-sum complement: B and C together are a basis of A
+        C = A.complement(B)
+        assert C.nsections() == A.nsections() - B.nsections()
+        assert all(s in A for s in C.sections())
+        if B.sections() or C.sections():
+            both = LinearSys.from_sections(A.ambient, B.sections() + C.sections(), degree=2)
+            assert both.nsections() == A.nsections()
 
 
 def test_base_ideal_generators():
