@@ -5,16 +5,25 @@ first lying on the exceptional line of the previous blowup and selected by a
 tangent direction.  Coordinates are chosen per step so that the exceptional
 line is always {y = 0}: for a direction [c : 1] the blowup substitutes
 x -> x*y and recenters x at c; for [1 : 0] it substitutes y -> x*y and swaps
-the variables afterwards.  Imposing a chain stays entirely inside linear
-algebra: each step cuts the coefficient space by the low-order Taylor
-coefficients of the transformed sections.
+the variables afterwards.
+
+A chain with multiplicities m_0..m_k is imposed as ordinary condition rows:
+C times the Taylor rows of its base point (`point_condition_rows`), where C
+is read off the images of the local monomials x^t, |t| < m_0 + ... + m_k,
+pushed through the blowups.  Before the blowup after point i - 1 the terms
+of degree below m_{i-1} are dropped (that point's rows zero them, and the
+division is then exact); after it, the terms of degree m_i + ... + m_k and
+up, which land at y-degree m_{i+1} + ... + m_k or more and reach no later
+condition.  All chains of one call go into one `solve_nullspace`.
 
 The sextic pencil scan looks for the last tangent direction [1 : a] of a
 chain of nine double points that leaves a pencil.  It does not try every a
-in GF(p^2): the conditions of the last point form a matrix of polynomials
-over GF(p) in c = 1/a, and the a sought are read off the roots in GF(p^2)
-of the gcd of its minors, found by a distinct-degree split and equal-degree
-factoring over GF(p).
+in GF(p^2): the first eight points are imposed as rows over GF(p), the
+conditions of the last point on what is left form a matrix of polynomials
+over GF(p) in c = 1/a, read off the monomials' images at the eighth point,
+and the a sought are read off the roots in GF(p^2) of the gcd of its
+minors, found by a distinct-degree split and equal-degree factoring over
+GF(p).
 """
 
 from __future__ import annotations
@@ -34,7 +43,8 @@ from .fields import (
     lift_rationals,
     primes_from,
 )
-from .linalg import identity, matmul, nullspace
+from .conditions import _impose_rows, point_condition_rows
+from .linalg import clear_denominators, matmul, solve_nullspace
 from .linsys import LinearSys
 from .poly import MultiPoly, monomials_below_degree
 
@@ -133,25 +143,17 @@ def _blow_transform(f, tangent, divide_power):
     """Strict-transform step: substitute the chart of the tangent direction,
     divide the exceptional factor exactly, and recenter the named point at
     the origin (exceptional line = {y = 0} afterwards)."""
-    ring = f.ring
-    field = ring.field
+    field = f.ring.field
     m = divide_power
     terms = {}
-    if tangent.infinite:
-        # y -> x*y, divide x^m, then swap (x, y) -> (y, x)
-        for (a, b), cval in f.terms.items():
-            e = (b, a + b - m)
-            if e[1] < 0:
-                raise ValueError("section is not divisible by the exceptional factor")
-            terms[e] = cval
-        return MultiPoly(ring, terms)
     for (a, b), cval in f.terms.items():
-        e = (a, a + b - m)
+        # y -> x*y and swap (x, y) -> (y, x) for [1 : 0], x -> x*y otherwise
+        e = (b, a + b - m) if tangent.infinite else (a, a + b - m)
         if e[1] < 0:
             raise ValueError("section is not divisible by the exceptional factor")
         terms[e] = cval
-    g = MultiPoly(ring, terms)
-    if field.is_zero(tangent.c):
+    g = MultiPoly(f.ring, terms)
+    if tangent.infinite or field.is_zero(tangent.c):
         return g
     return g.translate((tangent.c, field.zero))
 
@@ -179,33 +181,44 @@ def multiplicity_sequence(f, point, tangents):
 # imposing chains on linear systems
 
 
-def _combine(rows, polys, ring):
-    """The polynomials sum_j row[j] * polys[j], one per coefficient row."""
+def _chain_images(ring, mults, tangents, top):
+    """The chain's conditions on a local polynomial sum f_t x^t, |t| < top:
+    returns (C, images), C one row of coefficients of the f_t per condition,
+    images[t] the image of x^t at the point after the last tangent, up to
+    the degree that the multiplicities after it can see."""
     field = ring.field
-    out = []
-    for row in rows:
-        acc = ring.zero()
-        for cval, g in zip(row, polys):
-            if not field.is_zero(cval):
-                acc = acc + g * cval
-        out.append(acc)
-    return out
+
+    def part(h, lo, hi):
+        return MultiPoly(ring, {e: c for e, c in h.terms.items() if lo <= sum(e) < hi})
+
+    images = [ring.monomial(t) for t in monomials_below_degree(2, top)]
+    bound = sum(mults)
+    C = []
+    for tangent, m, prev in zip([None] + tangents, mults, [0] + mults):
+        if tangent is not None:
+            images = [_blow_transform(part(h, prev, bound + prev), tangent, prev) for h in images]
+        images = [part(h, 0, bound) for h in images]
+        C += [[h.terms.get(t, field.zero) for h in images] for t in monomials_below_degree(2, m)]
+        bound -= m
+    return C, images
 
 
-def _chain_step(V, cur, ring, m, tangent, prev):
-    """One point of a chain.  cur[i] is the member with coefficient vector
-    V[i], transformed so far; blow it up along `tangent` (dividing the
-    exceptional factor to the power `prev`, the previous multiplicity), then
-    keep the combinations vanishing to order m at the origin: the nullspace
-    N of their Taylor rows, folded into V and cur."""
-    field = ring.field
-    if tangent is not None:
-        cur = [_blow_transform(g, tangent, prev) for g in cur]
-    if m == 0:
-        return V, cur
-    rows = [[g.terms.get(t, field.zero) for g in cur] for t in monomials_below_degree(2, m)]
-    N = nullspace(rows, field, ncols=len(cur))
-    return matmul(N, V, field), _combine(N, cur, ring)
+def _chain_rows(L, spec):
+    """Condition rows of one chain over L's monomials: C times the Taylor
+    rows at the base point, of order below min(sum of mults, deg L + 1)."""
+    field = L.ambient.field
+    point = tuple(field.coerce(v) for v in L.ambient.point(spec.point).coords)
+    tangents = [t if isinstance(t, TangentDirection) else TangentDirection(field, t) for t in spec.tangents]
+    top = min(sum(spec.mults), L.degree[0] + 1)
+    C, _ = _chain_images(L.ambient.ring, spec.mults, tangents, top)
+    T = point_condition_rows(L, point, top)
+    if field.kind == "rational":
+        # row t of T is the Taylor row times d_x^(top_x - t_x) d_y^(top_y - t_y):
+        # give every row the same factor, and C integer rows
+        dx, dy = (v.denominator for v in point)
+        T = [[v * dx**a * dy**b for v in row] for (a, b), row in zip(monomials_below_degree(2, top), T)]
+        C = [clear_denominators(row) for row in C]
+    return matmul(C, T, field)
 
 
 def impose_chain(L, specs):
@@ -215,26 +228,12 @@ def impose_chain(L, specs):
     ambient = L.ambient
     if ambient.kind != "affine" or ambient.dims[0] != 2:
         raise ValueError("chains of infinitely near points need the affine plane")
-    field = ambient.field
-    ring = ambient.ring
-    V = identity(L.nsections(), field)
-    sections = L.sections()
+    rows = []
     for spec in specs:
         if not isinstance(spec, BlowupChainSpec):
             spec = BlowupChainSpec(*spec)
-        if not V:
-            break
-        point = tuple(field.coerce(v) for v in ambient.point(spec.point).coords)
-        cur = [g.translate(point) for g in _combine(V, sections, ring)]
-        tangents = [None] + [
-            t if isinstance(t, TangentDirection) else TangentDirection(field, t)
-            for t in spec.tangents
-        ]
-        for tangent, m, prev in zip(tangents, spec.mults, [0] + spec.mults):
-            V, cur = _chain_step(V, cur, ring, m, tangent, prev)
-            if not V:
-                break
-    return LinearSys.from_nullspace(L, V)
+        rows += _chain_rows(L, spec)
+    return _impose_rows(L, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -297,32 +296,29 @@ def sextic_pencil_scan(p, cross_check=0, rng=None):
 
     F = GF(p)
     A2 = affine_space(F, 2)
-    cur = LinearSys.complete(A2, 6).sections()
-    V = identity(len(cur), F)
     # the depth-9 chain of double points up to the 8th point, whose tangent
-    # directions [1,1] .. [1,7] are fixed
-    for k in range(8):
-        tangent = TangentDirection(F, (1, k)) if k else None
-        V, cur = _chain_step(V, cur, A2.ring, 2, tangent, 2)
+    # directions [1,1] .. [1,7] are fixed.  At the origin the Taylor
+    # coefficients of a sextic are its coefficients, so C acts on them as
+    # they are, and the 8th point's images give each g's terms of degree < 4
+    tangents = [TangentDirection(F, (1, k)) for k in range(1, 8)]
+    C, images = _chain_images(A2.ring, [2] * 9, tangents, 7)
+    nsec, basis = solve_nullspace(C, F, len(C[0]))
+    quad, cubic = [(a, 2 - a) for a in range(3)], [(a, 3 - a) for a in range(4)]
+    coeffs = [[h.terms.get(u, 0) for h in images] for u in quad + cubic]
+    G = matmul(coeffs, [list(col) for col in zip(*basis)], F)
     # after the last substitution x -> x*y, y^2 division and recentering at c,
     # the three order-<2 coefficients of each g are univariate in c:
     #   1: sum_{a+b=2} g_ab c^a,  x: sum_{a+b=2} a g_ab c^(a-1),
     #   y: sum_{a+b=3} g_ab c^a
     M = [[], [], []]
-    for g in cur:
-        u0, ux, uy = [0] * 3, [0] * 2, [0] * 4
-        for (a, b), cval in g.terms.items():
-            if a + b == 2:
-                u0[a] = cval
-                if a >= 1:
-                    ux[a - 1] = a * cval % p
-            elif a + b == 3:
-                uy[a] = cval
+    for j in range(nsec):
+        u0, uy = [row[j] for row in G[:3]], [row[j] for row in G[3:]]
+        ux = [a * u0[a] % p for a in (1, 2)]
         for row, u in zip(M, (u0, ux, uy)):
             row.append(_upoly_trim(u))
     # 28 sextic monomials and 8 x 3 conditions: r >= 2
     K = GF(p, 2)
-    r = len(cur) - 2
+    r = nsec - 2
     excluded = set(_minor_roots(M, r, K))
     hits = sorted(
         K.inv(c) for c in _minor_roots(M, r + 1, K) if not K.is_zero(c) and c not in excluded

@@ -7,11 +7,11 @@ maps.  Each construction produces the condition matrix with respect to the
 system's sections and returns the subsystem cut out by its nullspace.  Every
 condition matrix (points, affine containment, images) goes through
 `linalg.solve_nullspace`, so the basis is the canonical one whichever kernel
-runs; the only exception is the chain step in `blowup`, which folds a small
-explicit basis into the system.  Projective containment reads the
-generators' multiples off as rows over all monomials of the degree (the
-complete system's coefficient map) and intersects their span with the
-system by one `rref_with_transform` of the stacked rows.
+runs; the chains of infinitely near points in `blowup` are condition rows
+too.  Projective containment reads the generators' multiples off as rows
+over all monomials of the degree (the complete system's coefficient map)
+and intersects their span with the system by one `rref_with_transform` of
+the stacked rows.
 
 Derivatives are divided-power (Hasse) derivatives throughout, so
 multiplicity conditions are correct in positive characteristic as well.

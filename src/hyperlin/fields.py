@@ -11,6 +11,7 @@ and rational reconstruction of a residue into a bounded fraction.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -790,12 +791,12 @@ def lift_rationals(residue_vectors, moduli):
     return LiftResult(tuple(moduli), tuple(tuple(v) for v in residue_vectors), m, values, ok)
 
 
+def iter_primes(start):
+    """The primes >= start in increasing order, drawn on demand
+    (deterministic Miller-Rabin)."""
+    return filter(_is_prime, itertools.count(max(2, start)))
+
+
 def primes_from(start, count):
-    """The first `count` primes >= start (deterministic Miller-Rabin)."""
-    out = []
-    n = max(2, start)
-    while len(out) < count:
-        if _is_prime(n):
-            out.append(n)
-        n += 1
-    return out
+    """The first `count` primes >= start."""
+    return list(itertools.islice(iter_primes(start), count))

@@ -48,12 +48,13 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import islice
 from math import isqrt, lcm
 from operator import mul
 
 import numpy as np
 
-from .fields import crt_combine, primes_from, rational_reconstruct, rationals
+from .fields import crt_combine, iter_primes, rational_reconstruct, rationals
 
 # Matrices with more entries than this go to the numpy and multimodular
 # kernels; below it the generic loop has less overhead.
@@ -62,6 +63,7 @@ _PROBE_MARGIN_BITS = 20  # the probe's n/d must satisfy |n| d 2^20 < m
 _INT64_P = 1 << 31  # p bound of the GF(p) kernel and the int64 evaluators (products < p^2 < 2^62)
 _F51 = 2**51
 _FIRST_PRIME_ABOVE = (1 << 30) + 1  # the multimodular primes start here
+_MAX_PRIMES = 1024  # primes the multimodular nullspace tries before giving up
 _UPDATE_ROWS = 256  # row block of the float64 kernel's matrix products
 _LEAF = 16  # widest column range the float64 kernel eliminates pivot by pivot
 _HALF = 2.0**15  # base of the split regime's operand halves
@@ -217,7 +219,7 @@ def _solve_rational(rows, field, ncols):
     int_rows = [r for r in map(clear_denominators, rows) if any(r)]
     if not int_rows:
         return ncols, identity(ncols, field)
-    p = primes_from(_FIRST_PRIME_ABOVE, 1)[0]
+    p = next(iter_primes(_FIRST_PRIME_ABOVE))
     r = rank_mod_p(_mod_rows(int_rows, p), p)
     if r == ncols:
         return 0, []
@@ -668,7 +670,7 @@ class RationalNullspace:
         self.primes_used = primes_used
 
 
-def nullspace_rational(rows, max_primes=1024):
+def nullspace_rational(rows):
     """Certified exact right-nullspace over ℚ.
 
     rows: list of rows of ints/Fractions.  Returns a RationalNullspace whose
@@ -700,7 +702,7 @@ def nullspace_rational(rows, max_primes=1024):
     group = None
     probe = 0  # flat index of the probe entry in the k x n basis
     used = []
-    for p in primes_from(_FIRST_PRIME_ABOVE, max_primes):
+    for p in islice(iter_primes(_FIRST_PRIME_ABOVE), _MAX_PRIMES):
         used.append(p)
         R, piv = rref_mod_p(_reduce_limbs(limbs, negative, p), p)
         if len(piv) == n:

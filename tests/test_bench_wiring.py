@@ -4,10 +4,11 @@ benchmark run."""
 
 import importlib
 import importlib.util
+import random
 from fractions import Fraction
 from pathlib import Path
 
-from hyperlin import LinearSys, affine_space, rationals
+from hyperlin import GF, LinearSys, affine_space, rationals
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -82,3 +83,35 @@ def test_qq_rank_reaches_every_assigned_layer(monkeypatch):
     assert certified._pending is not None and certified.nsections() == generic.nsections() == 9
     for name in assigned:
         assert tracer.counts.get(f"{name}.calls"), name
+
+
+def test_fq_search_reaches_every_assigned_layer(monkeypatch):
+    # the z5 scan and the pencil scan of the fq-search workload: the pencil
+    # prefix reaches linalg.nullspace through linalg.solve_nullspace
+    spans = _spans()
+    blowup = importlib.import_module("hyperlin.blowup")
+    conditions = importlib.import_module("hyperlin.conditions")
+    singular = importlib.import_module("hyperlin.singular")
+    assigned = spans.ASSIGNED["fq-search"]
+    assert assigned == ("linalg.nullspace", "singular.singular_points", "singular.classify",
+                        "singular.invariant_family_scan", "blowup.sextic_pencil_scan")
+    tracer = spans.Tracer()
+    spans.install(tracer)
+    try:
+        singular.invariant_family_scan("z5", 101, 2, lambda count, hist: False, rng=random.Random(0))
+        assert len(blowup.sextic_pencil_scan(59)) == 2
+    finally:
+        tracer.uninstall()
+    for name in assigned:
+        assert tracer.counts.get(f"{name}.calls"), name
+
+    # every chain of one impose_chain call goes into a single elimination
+    solved = []
+    real_solve = conditions.solve_nullspace
+    monkeypatch.setattr(conditions, "solve_nullspace", lambda *args: solved.append(args) or real_solve(*args))
+    F = GF(101)
+    L = LinearSys.complete(affine_space(F, 2), 8)
+    specs = [blowup.BlowupChainSpec((1, 2), [3, 2], [(1, 4)]),
+             blowup.BlowupChainSpec((5, 7), [2, 2, 1], [(1, 0), (3, 1)])]
+    assert blowup.impose_chain(L, specs).nsections() == 45 - (6 + 3) - (3 + 3 + 1)
+    assert len(solved) == 1

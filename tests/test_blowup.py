@@ -11,7 +11,6 @@ from hyperlin.blowup import (
     BlowupChainSpec,
     TangentDirection,
     _blow_transform,
-    _chain_step,
     impose_chain,
     multiplicity_sequence,
     pencil_parameter_lift,
@@ -19,8 +18,9 @@ from hyperlin.blowup import (
     sextic_pencil_scan,
 )
 from hyperlin.fields import GF, rationals
-from hyperlin.linalg import identity, rank
+from hyperlin.linalg import identity, matmul, nullspace, rank
 from hyperlin.linsys import LinearSys
+from hyperlin.poly import monomials_below_degree
 
 QQ = rationals()
 
@@ -112,6 +112,61 @@ def test_transform_rejects_inexact_division():
 
 
 # -- imposing chains -----------------------------------------------------------
+# Reference: the chain imposed point by point on the sections themselves.
+# Every member is translated, blown up and divided as a polynomial, a small
+# nullspace of its Taylor rows is taken at each point and folded into the
+# coefficient matrix V.
+
+
+def _combine(rows, polys, ring):
+    """The polynomials sum_j row[j] * polys[j], one per coefficient row."""
+    field = ring.field
+    out = []
+    for row in rows:
+        acc = ring.zero()
+        for cval, g in zip(row, polys):
+            if not field.is_zero(cval):
+                acc = acc + g * cval
+        out.append(acc)
+    return out
+
+
+def _chain_step(V, cur, ring, m, tangent, prev):
+    """One point of a chain.  cur[i] is the member with coefficient vector
+    V[i], transformed so far; blow it up along `tangent` (dividing the
+    exceptional factor to the power `prev`, the previous multiplicity), then
+    keep the combinations vanishing to order m at the origin: the nullspace
+    N of their Taylor rows, folded into V and cur."""
+    field = ring.field
+    if tangent is not None:
+        cur = [_blow_transform(g, tangent, prev) for g in cur]
+    if m == 0:
+        return V, cur
+    rows = [[g.terms.get(t, field.zero) for g in cur] for t in monomials_below_degree(2, m)]
+    N = nullspace(rows, field, ncols=len(cur))
+    return matmul(N, V, field), _combine(N, cur, ring)
+
+
+def stepwise_impose_chain(L, specs):
+    ambient = L.ambient
+    field = ambient.field
+    ring = ambient.ring
+    V = identity(L.nsections(), field)
+    sections = L.sections()
+    for spec in specs:
+        if not V:
+            break
+        point = tuple(field.coerce(v) for v in ambient.point(spec.point).coords)
+        cur = [g.translate(point) for g in _combine(V, sections, ring)]
+        tangents = [None] + [
+            t if isinstance(t, TangentDirection) else TangentDirection(field, t)
+            for t in spec.tangents
+        ]
+        for tangent, m, prev in zip(tangents, spec.mults, [0] + spec.mults):
+            V, cur = _chain_step(V, cur, ring, m, tangent, prev)
+            if not V:
+                break
+    return LinearSys.from_nullspace(L, V)
 
 
 def test_chain_of_length_one_is_a_point_condition():
@@ -195,6 +250,116 @@ def test_tacnode_cusp_quartic():
         total = total + s
     assert multiplicity_sequence(total, (0, 0), [(1, 1)]) == [2, 2]
     assert multiplicity_sequence(total, (2, 3), [(1, 1), (1, 0)]) == [2, 1, 1]
+
+
+def _assert_matches_stepwise(L, specs):
+    rows = impose_chain(L, specs)
+    steps = stepwise_impose_chain(L, specs)
+    assert rows.nsections() == steps.nsections()
+    assert rows.same_span(steps)
+
+
+# 2^31 - 1 is prime: the edge of the GF(p) kernels' int64 bound
+CHAIN_FIELDS = [QQ, GF(101), GF(7, 2), GF(2**31 - 1)]
+
+
+def _even_monomials(A2, d):
+    ring = A2.ring
+    mons = [ring.monomial(e) for e in monomials_below_degree(2, d + 1) if e[0] % 2 == e[1] % 2 == 0]
+    return LinearSys.from_sections(A2, mons, degree=d)
+
+
+@pytest.mark.parametrize(
+    "field, d, system, specs",
+    [
+        # infinite tangents, also twice in a row
+        (QQ, 5, "complete", [BlowupChainSpec((1, -2), [2, 2, 1], [(1, 0), (3, 0)])]),
+        # multiplicity 0 in mid-chain, and at the base point
+        (GF(101), 5, "complete", [BlowupChainSpec((3, 4), [2, 0, 2], [(2, 1), (5, 1)]),
+                                  BlowupChainSpec((1, 1), [0, 2, 1], [(1, 0), (1, 1)])]),
+        # a system that is not complete: quadrifolium's even monomials
+        (QQ, 6, "even", [BlowupChainSpec((0, 0), [4, 2], [(1, 0)]),
+                         BlowupChainSpec((0, 0), [4, 2], [(0, 1)])]),
+        # fractional points and tangents
+        (QQ, 5, "complete", [BlowupChainSpec((Fraction(1, 3), Fraction(-5, 2)), [2, 1, 1],
+                                             [(Fraction(2, 7), 1), (3, Fraction(4, 5))])]),
+        (GF(7, 2), 5, "complete", [BlowupChainSpec(((1, 3), (5, 0)), [2, 2], [((0, 1), (1, 0))])]),
+        (GF(2**31 - 1), 5, "complete", [BlowupChainSpec((2**30, -7), [3, 2], [(12345, 1)])]),
+        # more conditions than the degree: sum of the mults above 4
+        (GF(101), 4, "complete", [BlowupChainSpec((1, 2), [3, 2, 2], [(1, 4), (1, 0)])]),
+        (QQ, 4, "empty", [BlowupChainSpec((0, 0), [2, 1], [(1, 1)])]),
+    ],
+)
+def test_chain_rows_match_stepwise_cases(field, d, system, specs):
+    A2 = affine_space(field, 2)
+    L = {"complete": LinearSys.complete, "even": _even_monomials, "empty": LinearSys.empty}[system](A2, d)
+    _assert_matches_stepwise(L, specs)
+
+
+@st.composite
+def chain_cases(draw):
+    field = draw(st.sampled_from(CHAIN_FIELDS))
+    A2 = affine_space(field, 2)
+    ring = A2.ring
+    d = draw(st.integers(1, 5))
+
+    def coord():
+        if field.kind == "rational":
+            return Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+        if field.kind == "extension":
+            return tuple(draw(st.integers(0, 6)) for _ in range(2))
+        return draw(st.integers(-4, 4))
+
+    def tangent():
+        if draw(st.booleans()):
+            return (1, 0)
+        pair = (coord(), coord())
+        return pair if any(field.coerce(a) != field.zero for a in pair) else (0, 1)
+
+    system = draw(st.sampled_from(["complete", "even", "sections", "empty"]))
+    if system == "sections":
+        mons = monomials_below_degree(2, d + 1)
+        polys = []
+        for _ in range(draw(st.integers(1, 4))):
+            f = ring.zero()
+            for e in draw(st.lists(st.sampled_from(mons), min_size=1, max_size=4, unique=True)):
+                f = f + ring.monomial(e, coord())
+            if not f.is_zero():
+                polys.append(f)
+        L = LinearSys.from_sections(A2, polys, degree=d) if polys else LinearSys.empty(A2, d)
+    else:
+        L = {"complete": LinearSys.complete, "even": _even_monomials, "empty": LinearSys.empty}[system](A2, d)
+    specs = []
+    for _ in range(draw(st.integers(0, 3))):
+        mults = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+        specs.append(BlowupChainSpec((coord(), coord()), mults, [tangent() for _ in mults[1:]]))
+    return L, specs
+
+
+@given(chain_cases())
+@settings(max_examples=60, deadline=None)
+def test_chain_rows_match_stepwise(case):
+    _assert_matches_stepwise(*case)
+
+
+def test_degree_20_chains_over_gf101():
+    import random
+
+    rng = random.Random(20)
+    F = GF(101)
+    A2 = affine_space(F, 2)
+    specs = []
+    while len(specs) < 4:
+        point = (rng.randrange(101), rng.randrange(101))
+        if all(point != s.point for s in specs):
+            specs.append(BlowupChainSpec(point, [5, 4, 3], [(rng.randrange(101), 1) for _ in range(2)]))
+    L = impose_chain(LinearSys.complete(A2, 20), specs)
+    assert L.nsections() == 231 - 4 * (15 + 10 + 6)
+    for _ in range(3):
+        f = L.random_member(rng)
+        for s in specs:
+            seq = multiplicity_sequence(f, s.point, s.tangents)
+            assert all(a >= m for a, m in zip(seq, s.mults)), (s.point, seq)
 
 
 # -- the quadrifolium ----------------------------------------------------------

@@ -401,6 +401,26 @@ def test_nullspace_rational_unlucky_first_prime():
     assert res.primes_used[0] == p0
 
 
+def test_nullspace_rational_gives_up_after_max_primes(monkeypatch):
+    # the same 150-bit matrix needs about 40 primes; with a budget of 5 the
+    # basis cannot be lifted, and the primes are drawn only as they are used
+    rng = random.Random(7)
+    rows = [[rng.randint(-2 ** 150, 2 ** 150) for _ in range(6)] for _ in range(4)]
+    drawn = []
+    real_iter = linalg.iter_primes
+
+    def counted(start):
+        for p in real_iter(start):
+            drawn.append(p)
+            yield p
+
+    monkeypatch.setattr(linalg, "_MAX_PRIMES", 5)
+    monkeypatch.setattr(linalg, "iter_primes", counted)
+    with pytest.raises(RuntimeError, match="did not stabilize"):
+        nullspace_rational(rows)
+    assert drawn == primes_from(linalg._FIRST_PRIME_ABOVE, 5)
+
+
 def test_nullspace_rational_probe_rejects_spurious_reconstructions(monkeypatch):
     # a 4 x 6 integer matrix with 150-bit entries needs about 40 primes; a
     # plain reconstruction of the probe entry succeeds on about half of
