@@ -4,7 +4,8 @@ Two tiers, both exact:
 
 - generic dense routines over any CoefficientField (lists of raw values),
   all built on one Gauss-Jordan loop, used for small systems and for
-  extension fields;
+  extension fields: `rref` and `rank` over every field, `nullspace` over
+  the finite fields (over QQ it is the certified multimodular basis below);
 - one numpy kernel over GF(p) for every 2 <= p < 2^31: a column-recursive
   float64 CUP elimination (as in FFLAS-FFPACK) whose updates are matrix
   products, with a blocked back-substitution for the RREF and the nullspace
@@ -18,15 +19,16 @@ Two tiers, both exact:
   `ref_mod_p`, `rref_mod_p`, `rank_mod_p` and `nullspace_mod_p` all run it.
 
 On top of the GF(p) kernel sits the certified multi-prime nullspace over
-the rationals: rank lower bounds from reductions mod ~2^30 primes, CRT +
-rational reconstruction of the candidate basis, and exact integer
-verification.  Since rank can only drop under reduction mod p, a verified
-basis of size n - max(rank_p) is provably a full nullspace basis.  The
-work per prime is numpy only (rows reduced from 30-bit limbs split once,
-then `rref_mod_p`) plus a probe: one entry is CRT-combined and
-reconstructed.  Only when the probe reconstructs with a margin of 2^20 is
-the whole basis combined, by one vector CRT that extends the previous one,
-so the multiprecision work is O(entries * primes).  The entries of a vector
+the rationals, which is `nullspace` over QQ: rank lower bounds from
+reductions mod the largest primes of the direct regime (`_lift_primes`,
+about 2^22.6 for 230 x 231), CRT + rational reconstruction of the
+candidate basis, and exact integer verification.  Since rank can only drop
+under reduction mod p, a verified basis of size n - max(rank_p) is provably
+a full nullspace basis.  The work per prime is numpy only (rows reduced
+from 30-bit limbs split once, then `rref_mod_p`) plus a probe: one entry is
+CRT-combined and reconstructed.  Only when the probe reconstructs with a
+margin of 2^20 is the whole basis combined, by one vector CRT that extends
+the previous one, so the multiprecision work is O(entries * primes).  The entries of a vector
 are reconstructed against a running common denominator, calling
 `rational_reconstruct` only where it does not already give a small
 numerator, and each vector, scaled by the lcm of its denominators, is
@@ -54,16 +56,16 @@ from operator import mul
 
 import numpy as np
 
-from .fields import crt_combine, iter_primes, rational_reconstruct, rationals
+from .fields import _is_prime, crt_combine, rational_reconstruct, rationals
 
-# Matrices with more entries than this go to the numpy and multimodular
-# kernels; below it the generic loop has less overhead.
+# Above this many entries GF(p) takes the numpy kernel and QQ a one-prime count
+# with a deferred basis; below it the generic loop and the eager QQ basis.
 _NUMPY_MIN_ENTRIES = 50_000
 _PROBE_MARGIN_BITS = 20  # the probe's n/d must satisfy |n| d 2^20 < m
 _INT64_P = 1 << 31  # p bound of the GF(p) kernel and the int64 evaluators (products < p^2 < 2^62)
 _F51 = 2**51
-_FIRST_PRIME_ABOVE = (1 << 30) + 1  # the multimodular primes start here
 _MAX_PRIMES = 1024  # primes the multimodular nullspace tries before giving up
+_PRIME_FLOOR = 1 << 20  # lowest start of the multimodular primes: the 1024 below it exceed 2^19
 _UPDATE_ROWS = 256  # row block of the float64 kernel's matrix products
 _LEAF = 16  # widest column range the float64 kernel eliminates pivot by pivot
 _HALF = 2.0**15  # base of the split regime's operand halves
@@ -141,11 +143,14 @@ def rank(rows, field):
 
 def nullspace(rows, field, ncols=None):
     """Canonical right-nullspace basis: one vector per free column f (ascending),
-    with v[f] = 1 and v[pivot_i] = -R[i][f]."""
+    with v[f] = 1 and v[pivot_i] = -R[i][f].  Over QQ it is the certified
+    basis of `nullspace_rational`, otherwise from the generic `rref`."""
     if not rows:
         if ncols is None:
             raise ValueError("ncols required for an empty matrix")
         return identity(ncols, field)
+    if field.kind == "rational":
+        return nullspace_rational(rows).basis
     n = len(rows[0])
     R, piv = rref(rows, field)
     pivset = set(piv)
@@ -219,7 +224,7 @@ def _solve_rational(rows, field, ncols):
     int_rows = [r for r in map(clear_denominators, rows) if any(r)]
     if not int_rows:
         return ncols, identity(ncols, field)
-    p = next(iter_primes(_FIRST_PRIME_ABOVE))
+    p = next(_lift_primes(len(int_rows), ncols))
     r = rank_mod_p(_mod_rows(int_rows, p), p)
     if r == ncols:
         return 0, []
@@ -599,12 +604,12 @@ def nullspace_mod_p(A, p):
 
 def rank_mod_p(A, p):
     """Rank over GF(p), 2 <= p < 2^31 (ValueError otherwise): the pivot
-    count of `rref_mod_p`."""
+    count of the CUP elimination, with no back-substitution."""
     _check_modulus(p)
     A = np.atleast_2d(np.asarray(A, dtype=np.int64))
     if 0 in A.shape:
         return 0
-    return len(rref_mod_p(A, p)[1])
+    return len(_cup_mod_p(A, p)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +625,16 @@ def clear_denominators(row):
     fr = [Fraction(v) for v in row]
     d = lcm(*(f.denominator for f in fr)) if fr else 1
     return [int(f * d) for f in fr]
+
+
+def _lift_primes(m, n):
+    """The primes of the multimodular path for an m x n matrix, on demand and
+    descending from the largest p with `_float_exact(m, n, p)`, so no product
+    is split; or from `_PRIME_FLOOR`, for min(m, n) above about 2^13."""
+    top = 2 * isqrt(_F51 // min(m, n)) + 1  # at least the largest such p
+    while not _float_exact(m, n, top):
+        top -= 1
+    return filter(_is_prime, range(max(top, _PRIME_FLOOR), 1, -1))
 
 
 def _mod_rows(int_rows, p):
@@ -702,7 +717,7 @@ def nullspace_rational(rows):
     group = None
     probe = 0  # flat index of the probe entry in the k x n basis
     used = []
-    for p in islice(iter_primes(_FIRST_PRIME_ABOVE), _MAX_PRIMES):
+    for p in islice(_lift_primes(len(int_rows), n), _MAX_PRIMES):
         used.append(p)
         R, piv = rref_mod_p(_reduce_limbs(limbs, negative, p), p)
         if len(piv) == n:
@@ -795,10 +810,3 @@ def _verified(basis, int_rows):
             if sum(map(mul, row, w)):
                 return False
     return True
-
-
-def rank_rational(rows):
-    """Certified rank over ℚ."""
-    if not rows:
-        return 0
-    return nullspace_rational(rows).rank

@@ -21,9 +21,10 @@ its orders <= 1 (F and its four partials), in one batch per surface.
 Classification of a double point reads its quadratic part (the orders 2 in
 the local variables of its chart) and its cubic part (the orders 3): rank 3
 is a node (A1), rank 2 with the cubic part nonzero on the kernel line is a
-cusp (A2), anything else is "other".  Over GF(p) a whole list of points is
-classified at once: the rank and a kernel vector come from the adjugate of
-the 3x3 symmetric matrix, which for rank 2 is a nonzero multiple of k k^T.
+cusp (A2), anything else is "other".  The kernel vector comes from the
+adjugate of the 3x3 symmetric matrix, which for rank 2 is a nonzero multiple
+of k k^T; over GF(p) a whole list of points is classified at once, with the
+rank from the adjugate too.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 
 from .ambient import AmbientPoint, projective_space
 from .conditions import impose_points, taylor_row
-from .linalg import _F51, _INT64_P, _reduce_sym, nullspace, rank
+from .linalg import _F51, _INT64_P, _reduce_sym, rank
 from .linsys import LinearSys
 from .poly import monomials_of_degree
 
@@ -375,8 +376,8 @@ def _classify_prime(F, X, charts, p):
 
 def _classify_generic(F, a, chart):
     """(rank, class) of the point a, scaled to its chart, in field
-    arithmetic: the same values as `_classify_prime`, with the rank and a
-    kernel vector from the generic elimination."""
+    arithmetic: the same values as `_classify_prime`, with the rank from the
+    generic elimination and the kernel vector from the same adjugate."""
     field = F.ring.field
     H = _field_hasse_values(F, a, 3)
     if any(not field.is_zero(v) for v in H[:5]):
@@ -389,7 +390,11 @@ def _classify_generic(F, a, chart):
         return r, "A1"
     if r != 2:
         return r, "other"
-    k = nullspace(M, field)[0]
+    # the cofactors, indices mod 3, are the adjugate lambda k k^T
+    C = [[field.sub(field.mul(M[(i + 1) % 3][(j + 1) % 3], M[(i + 2) % 3][(j + 2) % 3]),
+                    field.mul(M[(i + 1) % 3][(j + 2) % 3], M[(i + 2) % 3][(j + 1) % 3]))
+          for j in range(3)] for i in range(3)]
+    k = next(row for i, row in enumerate(C) if not field.is_zero(row[i]))
     cubic = field.zero
     for s, col in zip(_LOCAL_CUBICS, _CUBIC_COLS[chart]):
         v = H[col]

@@ -4,6 +4,7 @@ pure-Python generic path on random instances."""
 
 import random
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -20,12 +21,12 @@ from hyperlin.linalg import (
     nullspace_rational,
     rank,
     rank_mod_p,
-    rank_rational,
     ref_mod_p,
     rref,
     rref_mod_p,
     rref_with_transform,
 )
+from oracles import rref_nullspace
 
 QQ = rationals()
 
@@ -284,7 +285,7 @@ def test_nullspace_rational_matches_generic_on_random():
         m, n = rng.randint(1, 6), rng.randint(2, 7)
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
         res = nullspace_rational(rows)
-        gen = nullspace(frac_rows(rows), QQ)
+        gen = rref_nullspace(frac_rows(rows), QQ)
         assert res.basis == gen
         assert res.rank == rank(frac_rows(rows), QQ)
 
@@ -293,7 +294,6 @@ def test_nullspace_rational_full_rank_certificate():
     rows = [[1, 0], [0, 1], [3, 5]]
     res = nullspace_rational(rows)
     assert res.rank == 2 and res.basis == []
-    assert rank_rational(rows) == 2
 
 
 def test_nullspace_rational_big_entries():
@@ -323,21 +323,24 @@ def test_nullspace_rational_zero_matrix():
 
 
 def test_solve_nullspace_clears_each_rational_row_once(monkeypatch):
-    # forced onto the multimodular path; the third row is dependent
+    # forced onto the multimodular path; the third row is dependent.  The
+    # oracle runs before the spies go in, so they count the solve alone
+    half = Fraction(1, 2)
+    rows = [[half, 2, 3, 4], [0, 1, 1, 1], [half, 3, 4, 5]]
+    expected = rref_nullspace(rows, QQ)
     monkeypatch.setattr(linalg, "_NUMPY_MIN_ENTRIES", 0)
     cleared, solved = [], []
     real_clear, real_solve = linalg.clear_denominators, linalg.nullspace_rational
     monkeypatch.setattr(linalg, "clear_denominators", lambda row: cleared.append(row) or real_clear(row))
     monkeypatch.setattr(linalg, "nullspace_rational", lambda rows: solved.append(rows) or real_solve(rows))
-    half = Fraction(1, 2)
-    rows = [[half, 2, 3, 4], [0, 1, 1, 1], [half, 3, 4, 5]]
     count, basis = linalg.solve_nullspace(rows, QQ, 4)
-    assert count == 2 and basis == nullspace(rows, QQ)
+    assert count == 2 and basis == expected
     assert len(cleared) == 3 and len(solved) == 1
 
 
 def test_generic_nullspace_of_integer_rows_is_exact():
-    # QQ.inv(int) is a Fraction, so integer rows give the Fraction basis
+    # integer rows give the Fraction basis of the same rows as Fractions,
+    # as the oracle does, where QQ.inv(int) is a Fraction
     assert type(QQ.inv(2)) is Fraction and QQ.inv(2) == Fraction(1, 2)
     rows = [[2, 3, 5], [7, 11, 13]]
     assert nullspace(rows, QQ) == [[Fraction(-16), Fraction(9), Fraction(1)]]
@@ -347,7 +350,7 @@ def test_generic_nullspace_of_integer_rows_is_exact():
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
         basis = nullspace(rows, QQ)
         assert all(type(v) is Fraction for vec in basis for v in vec)
-        assert basis == nullspace(frac_rows(rows), QQ)
+        assert basis == rref_nullspace(frac_rows(rows), QQ)
 
 
 @settings(max_examples=40, deadline=None)
@@ -362,13 +365,13 @@ def test_deferred_rational_basis_matches_generic_nullspace(data):
     else:
         entry = st.fractions(min_value=-30, max_value=30, max_denominator=12)
     rows = [[data.draw(entry) for _ in range(n)] for _ in range(m)]
-    p = primes_from(linalg._FIRST_PRIME_ABOVE, 1)[0]
+    p = next(linalg._lift_primes(m, n))
     reduced = np.array([[v % p for v in clear_denominators(row)] for row in rows], dtype=np.int64)
     assume(rank_mod_p(reduced, p) == m)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_NUMPY_MIN_ENTRIES", 0)
         count, basis = linalg.solve_nullspace(rows, QQ, n)
-    expected = nullspace([[Fraction(v) for v in row] for row in rows], QQ)
+    expected = rref_nullspace([[Fraction(v) for v in row] for row in rows], QQ)
     assert callable(basis)
     assert count == len(expected) == n - m
     assert basis() == expected
@@ -390,39 +393,39 @@ def test_nullspace_rational_unlucky_first_prime():
     # mod the first prime p0 the pivots are (0, 2); over QQ, and mod every
     # other prime, they are (0, 1).  The reference group must be the
     # lexicographically smallest pivot tuple of the largest rank, not the
-    # first one seen.
-    p0 = primes_from(linalg._FIRST_PRIME_ABOVE, 1)[0]
-    assert p0 == 1073741827
+    # first one seen.  p0 is the largest prime of the direct regime for 2 x 3
+    p0 = next(linalg._lift_primes(2, 3))
+    assert p0 == 67108859
     rows = [[1, 1, 0], [1, 1 + p0, 1]]
     res = nullspace_rational(rows)
     expected = [[Fraction(1, p0), Fraction(-1, p0), Fraction(1)]]
-    assert nullspace(frac_rows(rows), QQ) == expected
+    assert rref_nullspace(frac_rows(rows), QQ) == expected
     assert res.basis == expected and res.rank == 2
     assert res.primes_used[0] == p0
 
 
 def test_nullspace_rational_gives_up_after_max_primes(monkeypatch):
-    # the same 150-bit matrix needs about 40 primes; with a budget of 5 the
+    # the same 150-bit matrix needs about 50 primes; with a budget of 5 the
     # basis cannot be lifted, and the primes are drawn only as they are used
     rng = random.Random(7)
     rows = [[rng.randint(-2 ** 150, 2 ** 150) for _ in range(6)] for _ in range(4)]
     drawn = []
-    real_iter = linalg.iter_primes
+    real_primes = linalg._lift_primes
 
-    def counted(start):
-        for p in real_iter(start):
+    def counted(m, n):
+        for p in real_primes(m, n):
             drawn.append(p)
             yield p
 
     monkeypatch.setattr(linalg, "_MAX_PRIMES", 5)
-    monkeypatch.setattr(linalg, "iter_primes", counted)
+    monkeypatch.setattr(linalg, "_lift_primes", counted)
     with pytest.raises(RuntimeError, match="did not stabilize"):
         nullspace_rational(rows)
-    assert drawn == primes_from(linalg._FIRST_PRIME_ABOVE, 5)
+    assert drawn == list(islice(real_primes(4, 6), 5))
 
 
 def test_nullspace_rational_probe_rejects_spurious_reconstructions(monkeypatch):
-    # a 4 x 6 integer matrix with 150-bit entries needs about 40 primes; a
+    # a 4 x 6 integer matrix with 150-bit entries needs about 50 primes; a
     # plain reconstruction of the probe entry succeeds on about half of
     # them, the margin 2^20 only once the basis is within reach
     rng = random.Random(7)
@@ -432,7 +435,79 @@ def test_nullspace_rational_probe_rejects_spurious_reconstructions(monkeypatch):
     monkeypatch.setattr(linalg._Lift, "reconstruct", lambda self: combines.append(1) or real(self))
     res = nullspace_rational(rows)
     assert len(res.primes_used) > 30 and len(combines) <= 2
-    assert res.basis == nullspace(frac_rows(rows), QQ)
+    assert res.basis == rref_nullspace(frac_rows(rows), QQ)
+
+
+def test_qq_nullspace_edge_cases():
+    assert nullspace([], QQ, ncols=2) == rref_nullspace([], QQ, ncols=2) == [[1, 0], [0, 1]]
+    for rows in ([[0]], [[3]], [[Fraction(-2, 7)]], [[0, 0], [0, 0]], [[1, 2], [0, 0], [2, 4]]):
+        assert nullspace(rows, QQ) == rref_nullspace(frac_rows(rows), QQ)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_qq_nullspace_matches_the_fraction_oracle(data):
+    # QQ `nullspace` is the certified multimodular basis; the Fraction
+    # Gauss-Jordan is its oracle.  From 0 rows and from 1 x 1; integer or
+    # Fraction entries; with a zero row, a dependent row, or unit rows that
+    # make the column rank full
+    m, n = data.draw(st.integers(0, 6)), data.draw(st.integers(1, 6))
+    if data.draw(st.booleans()):
+        entry = st.integers(-30, 30)
+    else:
+        entry = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+    rows = [[data.draw(entry) for _ in range(n)] for _ in range(m)]
+    kind = data.draw(st.sampled_from(["random", "zero", "dependent", "full"]))
+    if kind == "zero":
+        rows.insert(data.draw(st.integers(0, m)), [0] * n)
+    elif kind == "dependent" and rows:
+        c = data.draw(entry)
+        rows.append([a + c * b for a, b in zip(rows[0], rows[-1])])
+    elif kind == "full":
+        rows += [[int(i == j) for j in range(n)] for i in range(n)]
+    basis = nullspace(rows, QQ, ncols=n)
+    assert basis == rref_nullspace(frac_rows(rows), QQ, ncols=n)
+    assert all(type(v) is Fraction for vec in basis for v in vec)
+    if kind == "full":
+        assert basis == []
+
+
+LIFT_SHAPES = [(1, 2), (2, 1), (2, 3), (4, 6), (16, 17), (62, 66), (66, 62), (124, 136), (230, 231)]
+
+
+def test_lift_primes_are_the_largest_of_the_direct_regime():
+    # descending and consecutive from the largest p of the direct regime,
+    # which the next prime above leaves; all of the budget for 230 x 231
+    for m, n in LIFT_SHAPES:
+        count = linalg._MAX_PRIMES if (m, n) == (230, 231) else 32
+        drawn = list(islice(linalg._lift_primes(m, n), count))
+        assert len(drawn) == count
+        assert all(linalg._float_exact(m, n, p) for p in drawn)
+        assert not linalg._float_exact(m, n, primes_from(drawn[0] + 1, 1)[0])
+        assert all(primes_from(b + 1, 1)[0] == a for a, b in zip(drawn[:32], drawn[1:32]))
+    assert next(linalg._lift_primes(62, 66)) == 12053089
+    assert next(linalg._lift_primes(230, 231)) == 6257917
+    # past min(m, n) of about 2^13 the primes start at the floor instead
+    # (split regime), and the budget stays above 2^19
+    drawn = list(islice(linalg._lift_primes(10**5, 10**5), linalg._MAX_PRIMES))
+    assert drawn[0] == 1048573 and primes_from(drawn[0] + 1, 1)[0] > linalg._PRIME_FLOOR
+    assert not linalg._float_exact(10**5, 10**5, drawn[0]) and drawn[-1] > 2**19
+
+
+def test_rational_paths_draw_from_the_lift_primes(monkeypatch):
+    # the rank prime of the deferred path and every prime of the lift
+    rng = random.Random(7)
+    rows = [[rng.randint(-2 ** 150, 2 ** 150) for _ in range(6)] for _ in range(4)]
+    res = nullspace_rational(rows)
+    assert res.primes_used == list(islice(linalg._lift_primes(4, 6), len(res.primes_used)))
+    assert all(linalg._float_exact(4, 6, p) for p in res.primes_used)
+    seen = []
+    real = linalg.rank_mod_p
+    monkeypatch.setattr(linalg, "rank_mod_p", lambda A, p: seen.append(p) or real(A, p))
+    monkeypatch.setattr(linalg, "_NUMPY_MIN_ENTRIES", 0)
+    count, basis = linalg.solve_nullspace(rows[:3] + [[0] * 6], QQ, 6)
+    assert count == 3 and callable(basis) and seen == [next(linalg._lift_primes(3, 6))]
+    assert basis() == rref_nullspace(frac_rows(rows[:3]), QQ)
 
 
 # -- differential oracles: numpy and multimodular kernels vs the generic loop ----
@@ -639,6 +714,6 @@ def test_nullspace_rational_matches_generic_on_huge_entries(m, n, r, seed):
     B = [[int(i == j) if i < r else rng.randint(-3, 3) for j in range(r)] for i in range(m)]
     rows = [[sum(b * c for b, c in zip(brow, col)) for col in zip(*C)] for brow in B]
     res = nullspace_rational(rows)
-    assert res.basis == nullspace(frac_rows(rows), QQ)
+    assert res.basis == rref_nullspace(frac_rows(rows), QQ)
     assert res.rank == rank(frac_rows(rows), QQ) == r
     assert len(res.primes_used) > 3

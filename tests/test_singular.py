@@ -13,7 +13,7 @@ import hyperlin.singular as singular
 from hyperlin.ambient import affine_space, projective_space
 from hyperlin.conditions import taylor_row
 from hyperlin.fields import GF, primes_from, rationals
-from hyperlin.linalg import nullspace, rank
+from hyperlin.linalg import rank
 from hyperlin.linsys import LinearSys
 from hyperlin.poly import MultiPoly
 from hyperlin.singular import (
@@ -26,6 +26,7 @@ from hyperlin.singular import (
     invariant_family_scan,
     singular_points,
 )
+from oracles import rref_nullspace
 
 
 def quintic_30_nodes():
@@ -270,7 +271,7 @@ def translation_oracle(F, point, chart=None):
         return r, "A1", chart
     if r != 2:
         return r, "other", chart
-    k = nullspace(M, field)[0]
+    k = rref_nullspace(M, field)[0]
     cubic = field.zero
     for e, c in g.terms.items():
         if sum(e) == 3:
