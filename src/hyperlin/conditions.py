@@ -5,13 +5,12 @@ projective and product ambients via the canonical affine chart at each
 point), containment of a subscheme, and images of schemes under polynomial
 maps.  Each construction produces the condition matrix with respect to the
 system's sections and returns the subsystem cut out by its nullspace.  Every
-condition matrix (points, affine containment, images) goes through
-`linalg.solve_nullspace`, so the basis is the canonical one whichever kernel
-runs; the chains of infinitely near points in `blowup` are condition rows
-too.  Projective containment reads the generators' multiples off as rows
-over all monomials of the degree (the complete system's coefficient map)
-and intersects their span with the system by one `rref_with_transform` of
-the stacked rows.
+condition matrix goes through `linalg.solve_nullspace`, so the basis is the
+canonical one whichever kernel runs; the chains of infinitely near points
+in `blowup` are condition rows too.  Projective containment reads the
+generators' multiples off as rows over all monomials of the degree (the
+complete system's coefficient map); the annihilator of their span, also
+from `solve_nullspace`, gives the condition rows.
 
 Derivatives are divided-power (Hasse) derivatives throughout, so
 multiplicity conditions are correct in positive characteristic as well.
@@ -29,10 +28,10 @@ from math import comb
 import numpy as np
 
 from .groebner import groebner_basis, normal_form
-from .linalg import gf_numpy_path, matmul, rref, rref_with_transform, solve_nullspace
+from .linalg import gf_numpy_path, matmul, solve_nullspace
 # unused here; perfbench/selftest.py and tests/test_bench_wiring.py check this binding
 from .linalg import nullspace  # noqa: F401
-from .linsys import LinearSys, _padded_rows
+from .linsys import LinearSys
 from .poly import MultiPoly, grevlex_key, monomials_below_degree
 
 
@@ -271,9 +270,10 @@ def impose_containment(L, scheme):
 
     Projective and product ambients intersect the system with the span of the
     degree-matched multiples of the generators, which is the honest answer
-    exactly when the ideal is saturated; affine ambients reduce the sections
-    to normal form against a Groebner basis and solve for the combinations
-    reducing to zero.
+    exactly when the ideal is saturated: the annihilator of that span is the
+    condition matrix.  Affine ambients reduce the sections to normal form
+    against a Groebner basis and solve for the combinations reducing to zero.
+    Either way the basis is the canonical nullspace basis of the conditions.
     """
     ambient = L.ambient
     field = ambient.field
@@ -322,26 +322,16 @@ def impose_containment(L, scheme):
             candidates.append(g * ambient.ring.monomial(e))
     if not candidates:
         return LinearSys.empty(ambient, degree)
-    return _intersect_with_span(L, candidates)
-
-
-def _intersect_with_span(L, polys):
-    """Subsystem spanned by the intersection of L with span(polys)."""
-    field = L.ambient.field
     # candidate rows over every monomial of L's degree; the complete system's
     # coefficient map reads them off and rejects a candidate of another degree
-    K = LinearSys.complete(L.ambient, L.degree)
-    to_row = K.coefficient_map()
-    B = [[c.raw for c in to_row(q)] for q in polys]
-    if L.is_complete:
-        # the intersection is just the span of the candidates inside L
-        R, _ = rref(B, field)
-        return LinearSys.from_nullspace(L, R)
-    A = _padded_rows(L, to_row.mono_index, len(to_row.monomials))
-    _, _, _, N = rref_with_transform(A + B, field)
-    # each left-null row (u | w) gives u . L_rows inside the intersection
-    R, _ = rref([row[: len(A)] for row in N], field)
-    return LinearSys.from_nullspace(L, R)
+    to_row = LinearSys.complete(ambient, degree).coefficient_map()
+    B = [[c.raw for c in to_row(q)] for q in candidates]
+    # span(B) is where its annihilator W vanishes, so W's columns at L's
+    # monomials are condition rows cutting L down to L ∩ span(B)
+    _, W = solve_nullspace(B, field, len(to_row.monomials))
+    W = W() if callable(W) else W
+    cols = [to_row.mono_index[e] for e in L.monomials()]
+    return _impose_rows(L, [[w[c] for c in cols] for w in W])
 
 
 # ---------------------------------------------------------------------------

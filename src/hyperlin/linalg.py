@@ -124,17 +124,13 @@ def rref_with_transform(rows, field):
     """RREF together with the row-operation record: the `rref` loop run on
     [A | I], with pivots searched only in the columns of A.
 
-    Returns (R, pivots, E, N) with E @ input = R for the nonzero rows, and N
-    the transform rows whose image is zero (a basis of the left nullspace).
+    Returns (R, pivots, E) with E @ input = R for the nonzero rows.
     """
     n = len(rows[0]) if rows else 0
     R = [list(r) + e for r, e in zip(rows, identity(len(rows), field))]
     pivots = _gauss_jordan(R, field, range(n))
     r = len(pivots)
-    main = [row[:n] for row in R[:r]]
-    E = [row[n:] for row in R[:r]]
-    N = [row[n:] for row in R[r:]]
-    return main, pivots, E, N
+    return [row[:n] for row in R[:r]], pivots, [row[n:] for row in R[:r]]
 
 
 def rank(rows, field):
@@ -743,8 +739,8 @@ def nullspace_rational(rows):
 
 class _Lift:
     """The flattened canonical basis of the reference group, lifted by CRT:
-    the combination over the primes of the last full combine, plus the int64
-    residues mod each prime added since."""
+    the combination over the primes of the last full combine, plus the int32
+    residues (each below p < 2^31) mod each prime added since."""
 
     def __init__(self, n):
         self.n = n
@@ -754,13 +750,13 @@ class _Lift:
         self.pending = []  # (p, residues) added since
 
     def add(self, p, residues):
-        self.pending.append((p, residues))
+        self.pending.append((p, residues.astype(np.int32)))
         self.modulus *= p
 
     def combine(self, entry=None):
         """CRT of one flat entry (an int), or of the whole basis (a list,
         kept so the next full combine starts from it)."""
-        # the int64 arrays go in as they are: as lists of ints, the residues
+        # the int32 arrays go in as they are: as lists of ints, the residues
         # of every prime since the last combine would be held at once
         residues = [r if entry is None else int(r[entry]) for _, r in self.pending]
         moduli = [p for p, _ in self.pending]

@@ -19,8 +19,9 @@ the echelon rows are kept in pivot-discovery order.
 Subspace operations stack the two bases on their union monomial support and
 eliminate with `linalg.rank`/`rref`: containment and equality of spans are
 rank comparisons, and `complement` (hence `trace`) returns the echelon rows of
-self at the pivot columns the subsystem's echelon form lacks, which are
-monomials when self is complete.
+self at the pivot columns the subsystem's echelon form lacks.  A complete
+self's echelon form is the unit rows, so there `complement` eliminates only
+the subsystem and returns the monomials at the columns it leaves free.
 """
 
 from __future__ import annotations
@@ -320,6 +321,19 @@ class LinearSys:
         complete self these are the monomials at those columns."""
         self._check_compatible(sub)
         field = self.ambient.field
+        if self.is_complete:
+            # self's echelon form is the unit rows and holds every sub: keep
+            # those at the columns sub's echelon form leaves free; a sub of
+            # self's size spans it (and may be complete, with no matrix)
+            if sub.nsections() == self.nsections():
+                return LinearSys.empty(self.ambient, self.degree)
+            mons = self.monomials()
+            B = _padded_rows(sub, {e: i for i, e in enumerate(mons)}, len(mons))
+            taken = set(rref(B, field, reverse_cols=True)[1])
+            unit = [field.zero] * len(mons)
+            free = [c for c in reversed(range(len(mons))) if c not in taken]
+            comp = [unit[:c] + [field.one] + unit[c + 1 :] for c in free]
+            return LinearSys.from_matrix(self.ambient, comp, mons, degree=self.degree)
         mons, A, B = _aligned_pair(self, sub)
         # with sub inside self, the stacked echelon form is self's own
         R, piv = rref(A + B, field, reverse_cols=True)
@@ -461,7 +475,7 @@ class CoefficientSolver:
         self._complete = system.is_complete
         if not self._complete:
             # a complete system's basis is its monomials: apply() reads f
-            _, self.pivcols, self.E, _ = rref_with_transform(system.matrix(), field)
+            _, self.pivcols, self.E = rref_with_transform(system.matrix(), field)
 
     def apply(self, f):
         """Coefficient vector of f in the stored basis; ValueError when f is

@@ -1,6 +1,7 @@
 """Reference implementations shared by the tests, kept out of the library."""
 
 from hyperlin.linalg import identity, rref
+from hyperlin.linsys import LinearSys, _aligned_pair, _padded_rows
 
 
 def rref_nullspace(rows, field, ncols=None):
@@ -23,3 +24,41 @@ def rref_nullspace(rows, field, ncols=None):
             v[c] = field.neg(R[i][f])
         basis.append(v)
     return basis
+
+
+def intersect_with_span(L, polys):
+    """Subsystem spanned by the intersection of L with span(polys), by
+    elimination of the stacked rows; the oracle of projective containment,
+    which cuts L down by the annihilator of span(polys) instead.
+
+    A complete L takes the span of the candidate rows.  Otherwise each
+    vector (u | w) of the left nullspace of [L's rows; candidate rows]
+    gives u . L's rows inside the intersection."""
+    field = L.ambient.field
+    K = LinearSys.complete(L.ambient, L.degree)
+    to_row = K.coefficient_map()
+    B = [[c.raw for c in to_row(q)] for q in polys]
+    if L.is_complete:
+        R, _ = rref(B, field)
+        return LinearSys.from_nullspace(L, R)
+    A = _padded_rows(L, to_row.mono_index, len(to_row.monomials))
+    left = rref_nullspace([list(col) for col in zip(*(A + B))], field)
+    R, _ = rref([row[: len(A)] for row in left], field)
+    return LinearSys.from_nullspace(L, R)
+
+
+def stacked_complement(L, sub):
+    """`LinearSys.complement` by one reverse-column elimination of the two
+    bases stacked on their union support, for every L: the echelon rows of
+    L at the pivot columns that sub's echelon form lacks.  Builds the
+    identity matrix of a complete L."""
+    field = L.ambient.field
+    mons, A, B = _aligned_pair(L, sub)
+    R, piv = rref(A + B, field, reverse_cols=True)
+    if len(piv) != len(A):
+        raise ValueError("complement argument is not a subsystem")
+    taken = set(rref(B, field, reverse_cols=True)[1])
+    comp = [row for row, c in zip(R, piv) if c not in taken]
+    if not comp:
+        return LinearSys.empty(L.ambient, L.degree)
+    return LinearSys.from_matrix(L.ambient, comp, mons, degree=L.degree)

@@ -22,8 +22,8 @@ from hyperlin.conditions import (
 )
 from hyperlin.fields import GF, rationals
 from hyperlin.linsys import LinearSys
-from hyperlin.poly import monomials_below_degree, random_poly
-from oracles import rref_nullspace
+from hyperlin.poly import MultiPoly, monomials_below_degree, random_poly
+from oracles import intersect_with_span, rref_nullspace, stacked_complement
 
 QQ = rationals()
 
@@ -257,6 +257,103 @@ def test_trace_on_noncomplete_system():
     L = LinearSys.from_sections(P2, [x * x, x * y, y * y, z * z])
     tr = L.trace(SchemeSpec([x], saturated=True))
     assert tr.nsections() == L.nsections() - 2  # x^2, x*y vanish on the line
+
+
+# -- projective containment and trace against the stacked-elimination oracles ---
+
+
+_CONTAINMENT_FIELDS = [QQ, GF(101), GF(7, 2), GF(2**31 - 1)]
+
+
+@st.composite
+def _containment_case(draw):
+    """A system L (complete, cut by simple points, or spanned by forms on a
+    few monomials), a saturated scheme and its degree-matched candidate
+    multiples.  The generators are random forms, one block's variables
+    (whose multiples span every degree they reach) or a form above L's
+    degree (no multiple at all)."""
+    field = draw(st.sampled_from(_CONTAINMENT_FIELDS))
+    product = draw(st.booleans())
+    if product:
+        ambient = product_projective(field, [1, 1])
+        degree = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    else:
+        ambient = projective_space(field, 2)
+        degree = (draw(st.integers(1, 4)),)
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    draw_coeff = (lambda: field.random(rng, -5, 5)) if field.kind == "rational" else (lambda: field.random(rng))
+    def form(support):
+        terms = {e: draw_coeff() for e in support}
+        return MultiPoly(ambient.ring, {e: c for e, c in terms.items() if not field.is_zero(c)})
+
+    L = LinearSys.complete(ambient, degree)
+    npts = draw(st.integers(0, L.nsections() - 1))
+    if draw(st.booleans()):
+        support = rng.sample(L.monomials(), draw(st.integers(1, L.nsections())))
+        forms = [f for f in (form(support) for _ in range(npts + 1)) if not f.is_zero()]
+        assume(forms)
+        L = LinearSys.from_sections(ambient, forms, degree=degree)
+    elif npts:
+        L = impose_points(L, random_points(ambient, npts, rng, lo=-9, hi=9), [1] * npts)
+        assume(L.nsections())
+    kind = draw(st.sampled_from(["random", "spanning", "too high"]))
+    ring = ambient.ring
+    if kind == "spanning":
+        gens = ring.gens()[: ambient.dims[0] + 1]
+    else:
+        gens = []
+        for _ in range(draw(st.integers(1, 2))):
+            gdeg = [draw(st.integers(0, d)) for d in degree]
+            if kind == "too high":
+                gdeg[0] = degree[0] + 1
+            elif sum(gdeg) == 0:
+                gdeg[-1] = 1
+            g = form(ambient.monomial_basis(gdeg))
+            assume(not g.is_zero())
+            gens.append(g)
+    candidates = []
+    for g in gens:
+        gdeg = ambient.block_degrees(next(iter(g.terms)))
+        rest = [d - gd for d, gd in zip(degree, gdeg)]
+        if min(rest) >= 0:
+            candidates += [g * ring.monomial(e) for e in ambient.monomial_basis(rest)]
+    return L, SchemeSpec(gens, saturated=True), candidates
+
+
+@settings(max_examples=60, deadline=None)
+@given(_containment_case(), st.sampled_from([linalg._NUMPY_MIN_ENTRIES, 0]))
+def test_containment_matches_the_stacked_oracle(case, threshold):
+    # the numpy kernel (or the deferred QQ basis) at threshold 0
+    L, scheme, candidates = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_NUMPY_MIN_ENTRIES", threshold)
+        J = impose_containment(L, scheme)
+    expect = intersect_with_span(L, candidates)
+    assert J.nsections() == expect.nsections()
+    assert J.same_span(expect)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_containment_case())
+def test_trace_matches_the_stacked_oracle(case):
+    L, scheme, candidates = case
+    T = L.trace(scheme)
+    if L.is_complete:
+        assert L._matrix is None  # neither step built the identity
+    expect = stacked_complement(L, intersect_with_span(L, candidates))
+    assert [str(s) for s in T.sections()] == [str(s) for s in expect.sections()]
+
+
+def test_trace_of_the_complete_degree_30_plane_on_a_line():
+    # no longer the generic elimination of the 496 unit rows stacked with the
+    # 465 multiples of the line: the annihilator comes from the GF(p) kernel
+    # and the trace is the unit rows at the columns the multiples leave free
+    P2 = projective_space(GF(101), 2)
+    L = LinearSys.complete(P2, 30)
+    T = L.trace(SchemeSpec([P2.ring.parse("x+2*y-3*z")], saturated=True))
+    assert T.nsections() == 31
+    assert all(len(s.terms) == 1 for s in T.sections())
+    assert L._matrix is None
 
 
 def test_image_system_veronese():

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperlin.ambient import affine_space, projective_space
+from hyperlin.ambient import affine_space, product_projective, projective_space
 from hyperlin.blowup import BlowupChainSpec, impose_chain
 from hyperlin.cli import main
 from hyperlin.conditions import SchemeSpec, impose_containment, impose_points
 from hyperlin.fields import GF, rationals
 from hyperlin.linalg import rref
 from hyperlin.linsys import LinearSys, poly_gcd
+from oracles import stacked_complement
 
 import random
 
@@ -440,3 +441,40 @@ def test_complement_additivity_property(data):
     J = LinearSys.from_sections(P1, J.sections(), degree=d) if vecs else J
     C = L.complement(J)
     assert C.nsections() == n - J.nsections()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_complement_matches_the_stacked_oracle(data):
+    # a complete self reads unit rows off sub's free columns, any other self
+    # eliminates the stacked bases: both give the oracle's rows exactly
+    field = data.draw(st.sampled_from([QQ, GF(101), GF(7, 2)]))
+    kind = data.draw(st.sampled_from(["A2", "P2", "P1xP1"]))
+    if kind == "A2":
+        ambient, degree = affine_space(field, 2), data.draw(st.integers(1, 3))
+    elif kind == "P2":
+        ambient, degree = projective_space(field, 2), data.draw(st.integers(1, 4))
+    else:
+        ambient = product_projective(field, [1, 1])
+        degree = [data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))]
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+
+    def build():
+        K = LinearSys.complete(ambient, degree)
+        if data.draw(st.booleans(), label="complete"):
+            return K
+        forms = [K.random_member(rng) for _ in range(K.nsections() // 2 + 1)]
+        return LinearSys.from_sections(ambient, forms, degree=degree)
+
+    L = build()
+    nsub = data.draw(st.integers(0, L.nsections()))
+    sub = (
+        LinearSys.from_sections(ambient, [L.random_member(rng, -3, 3) for _ in range(nsub)], degree=degree)
+        if nsub
+        else LinearSys.empty(ambient, degree)
+    )
+    C = L.complement(sub)
+    if L.is_complete:
+        assert L._matrix is None
+    expect = stacked_complement(L, sub)
+    assert [str(s) for s in C.sections()] == [str(s) for s in expect.sections()]
