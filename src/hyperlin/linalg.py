@@ -16,7 +16,10 @@ Two tiers, both exact:
   writes operands in halves x1 2^15 + x0 and combines their partial
   products by Horner in base 2^15 with a reduction after each step, which
   is exact for inner dimensions below 2^21 - 2^15 (enforced on min(m, n)).
-  `ref_mod_p`, `rref_mod_p`, `rank_mod_p` and `nullspace_mod_p` all run it.
+  `ref_mod_p`, `rref_mod_p`, `rank_mod_p` and `nullspace_mod_p` all run it
+  on a matrix, a batch of one.  `rref_mod_p` also takes a stack of the
+  same matrix mod B primes and eliminates it in one pass, by stacked
+  products, with the pivots common to the slices that reach them.
 
 On top of the GF(p) kernel sits the certified multi-prime nullspace over
 the rationals, which is `nullspace` over QQ: rank lower bounds from
@@ -24,15 +27,17 @@ reductions mod the largest primes of the direct regime (`_lift_primes`,
 about 2^22.6 for 230 x 231), CRT + rational reconstruction of the
 candidate basis, and exact integer verification.  Since rank can only drop
 under reduction mod p, a verified basis of size n - max(rank_p) is provably
-a full nullspace basis.  The work per prime is numpy only (rows reduced
-from 30-bit limbs split once, then `rref_mod_p`) plus a probe: one entry is
-CRT-combined and reconstructed.  Only when the probe reconstructs with a
-margin of 2^20 is the whole basis combined, by one vector CRT that extends
-the previous one, so the multiprecision work is O(entries * primes).  The entries of a vector
-are reconstructed against a running common denominator, calling
-`rational_reconstruct` only where it does not already give a small
-numerator, and each vector, scaled by the lcm of its denominators, is
-checked by integer dot products against every row.
+a full nullspace basis.  The eliminations are numpy only: the rows are
+split once into 30-bit limbs, reduced mod each prime into the slices of a
+float64 stack, and the first prime goes alone through `rref_mod_p`, then
+stacks of 2, 4, ... primes, up to a memory budget.  Each live slice then
+takes a probe: one entry is CRT-combined and reconstructed.  Only when the
+probe reconstructs with a margin of 2^20 is the whole basis combined, by
+one vector CRT that extends the previous one, so the multiprecision work is
+O(entries * primes).  The entries of a vector are reconstructed against a
+running common denominator, calling `rational_reconstruct` only where it
+does not already give a small numerator, and each vector, scaled by the lcm
+of its denominators, is checked by integer dot products against every row.
 
 `solve_nullspace` is the one place that picks a kernel for a condition
 matrix.  It owns the single size threshold (`_NUMPY_MIN_ENTRIES` matrix
@@ -50,7 +55,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import islice
+from itertools import compress, islice
 from math import isqrt, lcm
 from operator import mul
 
@@ -66,12 +71,14 @@ _INT64_P = 1 << 31  # p bound of the GF(p) kernel and the int64 evaluators (prod
 _F51 = 2**51
 _MAX_PRIMES = 1024  # primes the multimodular nullspace tries before giving up
 _PRIME_FLOOR = 1 << 20  # lowest start of the multimodular primes: the 1024 below it exceed 2^19
-_UPDATE_ROWS = 256  # row block of the float64 kernel's matrix products
+_UPDATE_ROWS = 256  # row block of the float64 kernel's matrix products, over all slices of a stack
 _LEAF = 16  # widest column range the float64 kernel eliminates pivot by pivot
 _HALF = 2.0**15  # base of the split regime's operand halves
 _SPLIT_K = 2**21 - 2**15  # split products are exact for inner dimensions below this
 _ONE_SIDED_K = 64  # split products split one operand up to this inner dimension
 _LIMB = 30  # bits per limb of the integer rows reduced mod p
+_STACK_ENTRIES = 1 << 18  # float64 entries of the lift's stacks of slices: a 2 MB budget
+_MAX_STACK = 16  # most primes in one stack of the lift
 
 # ---------------------------------------------------------------------------
 # generic exact routines (any field, raw values)
@@ -252,7 +259,8 @@ def _reduce_sym(X, p, invp):
     |x| <= p // 2, the symmetric range for odd p.  The quotient q = x*invp
     is within |x/p| * 2^-52 < 1/(2p) of x/p, and for odd p x/p is at least
     1/(2p) from any half-integer, so rint(q) is the integer nearest to x/p;
-    for p = 2, invp and q are exact."""
+    for p = 2, invp and q are exact.  p and invp are scalars, or arrays
+    that broadcast one modulus to each slice of a stack."""
     q = X * invp
     np.rint(q, out=q)
     q *= p
@@ -274,8 +282,10 @@ def _product(p, direct):
     """The matrix product of the elimination kernel mod p:
     product(A, B, out=None) is congruent to A @ B, for float64 operands
     reduced to |x| <= h = p // 2 with inner dimension k, and is written to
-    `out` when given.  An inner dimension of 1 is a broadcast product: an
-    outer product, or with B of A's height, a scaling of B's rows.
+    `out` when given.  Operands may be stacks (B x . x .), multiplied slice
+    by slice, with p an array that gives each slice its modulus.  An inner
+    dimension of 1 is a broadcast product: an outer product, or with B of
+    A's height, a scaling of B's rows.
 
     Direct regime (`_float_exact`): the exact product itself, |A @ B| <=
     k h^2, which the caller accumulates and reduces only where an entry
@@ -293,7 +303,7 @@ def _product(p, direct):
     min(m, n) of them between two reductions stays below
     (min(m, n) + 1) h < 2^51."""
     if direct:
-        return lambda A, B, out=None: (np.multiply if A.shape[1] == 1 else np.matmul)(A, B, out=out)
+        return lambda A, B, out=None: (np.multiply if A.shape[-1] == 1 else np.matmul)(A, B, out=out)
     invp = 1.0 / p
 
     def halves(X):
@@ -309,7 +319,7 @@ def _product(p, direct):
             S += P
 
     def product(A, B, out=None):
-        k = A.shape[1]
+        k = A.shape[-1]
         mul = np.multiply if k == 1 else np.matmul
         if k > _ONE_SIDED_K:
             A1, A0 = halves(A)
@@ -334,20 +344,35 @@ def _product(p, direct):
     return product
 
 
+def _column_major(shape):
+    """An uninitialised float64 array of `shape` in the kernel's layout: each
+    matrix (the last two axes) column-major, so leaf panels and pivot
+    searches are contiguous."""
+    return np.empty(shape[:-2] + shape[:-3:-1]).swapaxes(-1, -2)
+
+
 class _Elimination:
     """The state of one GF(p) elimination (`factor`) or back-substitution
-    (`solve_upper`) in float64: the matrix X, the modulus, the product of
-    its regime, the pivots and, per leaf of the CUP, the inverse of its unit
-    lower triangle.  Methods rather than nested functions, so that no
-    reference cycle keeps X alive after the elimination returns."""
+    (`solve_upper`) in float64: X, a matrix (m x n) with one prime or a
+    stack (B x m x n) with a sequence of B primes, the product of their
+    regime, the pivots common to the live slices, the mask of live slices
+    and, per leaf of the CUP, the inverse of its unit lower triangle.
+    Every operation indexes the last two axes, so a matrix is a batch of one
+    with no batch axis, and a stack is eliminated by stacked products with
+    each slice's modulus broadcast.  Methods rather than nested functions,
+    so that no reference cycle keeps X alive after the elimination
+    returns."""
 
-    def __init__(self, X, p, direct):
+    def __init__(self, X, primes, direct):
         self.X = X
-        self.p = p
-        self.invp = 1.0 / p
+        self.slices = X if X.ndim == 3 else X[None]
+        self.primes = primes
+        self.p = primes[0] if X.ndim == 2 else np.array(primes, dtype=np.float64).reshape(-1, 1, 1)
+        self.invp = 1.0 / self.p
         self.direct = direct
-        self.product = _product(p, direct)
+        self.product = _product(self.p, direct)
         self.pivots = []
+        self.live = np.ones(len(self.primes), dtype=bool)
         self.leaves = []  # first row of each leaf's pivots, ascending
         self.lower_inverses = {}  # first row -> inverse of the leaf's unit lower triangle
 
@@ -361,19 +386,22 @@ class _Elimination:
             self.reduce(M)
         return M
 
-    def inverse(self, a):
-        # 1/a mod p in the symmetric range
-        inv = pow(int(a) % self.p, -1, self.p)
-        return inv - self.p if inv > self.p // 2 else inv
+    def inverses(self, D):
+        """The inverses of nonzero entries in the symmetric range, as a
+        column per slice: D holds one list per slice, inverted mod that
+        slice's prime."""
+        inv = [[_inverse(d, p) for d in row] for row, p in zip(D, self.primes)]
+        return np.array(inv).reshape(self.X.shape[:-2] + (-1, 1))
 
     def unit_inverse(self, M):
-        """(I + M)^-1 for a strictly triangular k x k matrix M, reduced: the
-        product (I - M)(I + M^2)(I + M^4)... of ceil(log2 k) factors, since
-        M^k = 0."""
-        eye = np.eye(len(M))
+        """(I + M)^-1 for a strictly triangular k x k matrix M, or a stack
+        of them, reduced: the product (I - M)(I + M^2)(I + M^4)... of
+        ceil(log2 k) factors, since M^k = 0."""
+        k = M.shape[-1]
+        eye = np.eye(k)
         inv = eye - M
         self.reduce(inv)
-        for _ in range(max(len(M) - 1, 0).bit_length() - 1):
+        for _ in range(max(k - 1, 0).bit_length() - 1):
             M = self.mul(M, M)
             factor = eye + M
             self.reduce(factor)
@@ -384,31 +412,35 @@ class _Elimination:
         # rows r0:r1 of X in the columns cols: a view when they are
         # contiguous, else a gathered copy
         if cols[-1] - cols[0] + 1 == len(cols):
-            return self.X[r0:r1, cols[0] : cols[-1] + 1]
-        return self.X[r0:r1, cols]
+            return self.X[..., r0:r1, cols[0] : cols[-1] + 1]
+        return self.X[..., r0:r1, cols]
 
     def update(self, C, r0, cols, B):
         # C -= X[r0:r0+len(C), cols] @ B by row blocks, each product written
-        # to a small column-major buffer laid out like C
-        T = np.empty((min(len(C), _UPDATE_ROWS), C.shape[1]), order="F")
-        for b in range(0, len(C), _UPDATE_ROWS):
-            Cb = C[b : b + _UPDATE_ROWS]
-            Cb -= self.product(self.block(r0 + b, r0 + b + len(Cb), cols), B, out=T[: len(Cb)])
+        # to a small column-major buffer laid out like C; a block of a stack
+        # takes _UPDATE_ROWS rows over all its slices
+        h = C.shape[-2]
+        step = max(1, _UPDATE_ROWS // len(self.slices))
+        T = _column_major(C.shape[:-2] + (min(h, step), C.shape[-1]))
+        for b in range(0, h, step):
+            Cb = C[..., b : b + step, :]
+            rows = Cb.shape[-2]
+            Cb -= self.product(self.block(r0 + b, r0 + b + rows, cols), B, out=T[..., :rows, :])
 
     def factor(self, r, c0, c1):
         """Eliminate the columns c0:c1 in the rows r:, returning the pivot
         count: the left half, the TRSM of its pivot rows against the right
         half, one update of the rows below, the right half."""
-        if r == len(self.X):
+        if r == self.X.shape[-2]:
             return 0
         if c1 - c0 <= _LEAF:
             return self.leaf(r, c0, c1)
         c = (c0 + c1) // 2
         k = self.factor(r, c0, c)
         if k:
-            B = self.X[r : r + k, c:c1]
+            B = self.X[..., r : r + k, c:c1]
             self.trsm(r, r + k, B)
-            self.update(self.X[r + k :, c:c1], r + k, self.pivots[r : r + k], B)
+            self.update(self.X[..., r + k :, c:c1], r + k, self.pivots[r : r + k], B)
         return k + self.factor(r + k, c, c1)
 
     def trsm(self, r0, r1, B):
@@ -422,35 +454,50 @@ class _Elimination:
             B[...] = self.mul(self.lower_inverses[r0], B)
             return
         h = min(self.leaves[i:j], key=lambda s: abs(2 * s - r0 - r1))
-        self.trsm(r0, h, B[: h - r0])
-        self.update(B[h - r0 :], h, self.pivots[r0:h], B[: h - r0])
-        self.trsm(h, r1, B[h - r0 :])
+        self.trsm(r0, h, B[..., : h - r0, :])
+        self.update(B[..., h - r0 :, :], h, self.pivots[r0:h], B[..., : h - r0, :])
+        self.trsm(h, r1, B[..., h - r0 :, :])
 
     def leaf(self, r, c0, c1):
-        """Pivot by pivot: reduce the next column, find its pivot, scale the
-        multipliers below it, one rank-1 update of the panel to its right.
-        Then the inverse of the leaf's unit lower triangle is stored for the
-        TRSMs of its pivot rows."""
-        X, m = self.X, len(self.X)
-        P = X[r:, c0:c1]
+        """Pivot by pivot: reduce the next column, find each slice's first
+        nonzero row in it and swap it up, scale the multipliers below it,
+        one rank-1 update of the panel to its right.  Then the inverse of
+        the leaf's unit lower triangle is stored for the TRSMs of its pivot
+        rows.
+
+        A column is a pivot if a live slice has a nonzero in it.  A live
+        slice without one has a lexicographically later pivot tuple: it
+        dies, and runs on with a unit pivot in place of the zero, so that
+        every slice stays invertible on the common pivots."""
+        S, m = self.slices, self.X.shape[-2]
+        P = self.X[..., r:, c0:c1]
         self.reduce(P)
         k = 0
         for j in range(c1 - c0):
-            col = P[k:, j]
+            # P is reduced on entry: the pivot column and row need reducing
+            # only after a rank-1 update
+            col = P[..., k:, j : j + 1]
             if k:
                 self.reduce(col)
-            nz = np.flatnonzero(col)
-            if nz.size == 0:
-                continue
-            i = r + k + int(nz[0])
-            if i != r + k:
-                X[[r + k, i]] = X[[i, r + k]]
-            f = P[k + 1 :, j, None]
-            self.mul(f, np.array([[self.inverse(P[k, j])]]), out=f)
+            t = r + k
+            for b, i in enumerate(col.astype(bool).argmax(axis=-2).ravel().tolist()):
+                if i:
+                    S[b, [t, t + i]] = S[b, [t + i, t]]
+            D = S[:, t, c0 + j : c0 + j + 1].tolist()
+            if [0.0] in D:
+                found = np.array(D)[:, 0] != 0
+                if not (found & self.live).any():
+                    continue
+                self.live &= found
+                S[~found, t, c0 + j] = 1
+                D = [[d or 1.0] for d, in D]
+            f = P[..., k + 1 :, j : j + 1]
+            self.mul(f, self.inverses(D), out=f)
             if j + 1 < c1 - c0:
-                row = P[k, None, j + 1 :]
-                self.reduce(row)
-                P[k + 1 :, j + 1 :] -= self.product(f, row)
+                row = P[..., k : k + 1, j + 1 :]
+                if k:
+                    self.reduce(row)
+                P[..., k + 1 :, j + 1 :] -= self.product(f, row)
             self.pivots.append(c0 + j)
             k += 1
             if r + k == m:
@@ -469,14 +516,28 @@ class _Elimination:
         inverse of the unit T."""
         if k1 - k0 > _LEAF:
             h = (k0 + k1) // 2
-            self.solve_upper(h, k1, B[h - k0 :], inverses)
-            self.update(B[: h - k0], k0, self.pivots[h:k1], B[h - k0 :])
-            self.solve_upper(k0, h, B[: h - k0], inverses)
+            self.solve_upper(h, k1, B[..., h - k0 :, :], inverses)
+            self.update(B[..., : h - k0, :], k0, self.pivots[h:k1], B[..., h - k0 :, :])
+            self.solve_upper(k0, h, B[..., : h - k0, :], inverses)
             return
-        d = inverses[k0:k1]
+        d = inverses[..., k0:k1, :]
         T = self.unit_inverse(np.triu(self.mul(d, self.block(k0, k1, self.pivots[k0:k1])), 1))
         self.reduce(B)
         B[...] = self.mul(T, self.mul(d, B))
+
+
+def _inverse(d, p):
+    # 1/d mod p in the symmetric range, as a float, for an integer-valued d
+    v = pow(int(d) % p, -1, p)
+    return float(v - p if v > p // 2 else v)
+
+
+def _moduli(p):
+    # the primes of a call: a single prime, or a sequence for a stack
+    primes = [p] if np.ndim(p) == 0 else list(p)
+    for q in primes:
+        _check_modulus(q)
+    return primes
 
 
 def _cup_mod_p(A, p):
@@ -491,33 +552,53 @@ def _cup_mod_p(A, p):
     triangle once, and every TRSM over its pivot rows is one product with
     that inverse.
 
+    A is an integer matrix and p a prime, a batch of one: entries in [0, p)
+    are used as they are, others reduced first, in a float64 copy.  Or A is
+    a float64 stack (B x m x n) laid out by `_column_major`, slice b reduced
+    to [0, p[b]), and p a sequence of B primes: one pass eliminates every
+    slice, in place, by stacked products.  The pivots are common: a column
+    is a pivot if a live slice has a nonzero in it, and each slice swaps up
+    its own first nonzero row (see `_Elimination.leaf`).  The slices that
+    have a nonzero at every pivot stay live, and the pivots are their column
+    rank profile; every other slice has a lexicographically later one (an
+    unlucky prime), and its result is meaningless.
+
     Every product, in the updates, the TRSMs, the leaf inverses, the leaf's
     multiplier scaling and its rank-1 updates, goes through `_product`:
-    direct while `_float_exact` holds, split otherwise (p < 2^31 and
-    min(m, n) < `_SPLIT_K`, else ValueError).  Entries in [0, p) are used as
-    they are, others reduced first.  The working copy is column-major, so
-    leaf panels and pivot searches are contiguous.  An entry is reduced only
-    where it becomes an operand: on entry to a leaf panel, as a leaf's pivot
-    column or pivot row, and as a right-hand side of a TRSM.
+    direct while `_float_exact` holds for the largest prime, split
+    otherwise (p < 2^31 and min(m, n) < `_SPLIT_K`, else ValueError).  An
+    entry is reduced only where it becomes an operand: on entry to a leaf
+    panel, as a leaf's pivot column or pivot row, and as a right-hand side
+    of a TRSM.
 
-    Returns (X, pivots): pivots is the column rank profile (the pivots of
-    the RREF); the first len(pivots) rows of X hold U in the symmetric
-    range, except that the multipliers of the unit lower factor L are stored
-    below each pivot."""
-    _check_modulus(p)
-    A = np.asarray(A, dtype=np.int64)
-    if A.ndim != 2:
-        raise ValueError("matrix required")
-    m, n = A.shape
-    direct = _float_exact(m, n, p)
+    Returns (X, pivots, live): X the eliminated matrix or stack, pivots the
+    common column rank profile (the pivots of the RREF), live the bool mask
+    of the slices it belongs to (one entry for a matrix).  The first
+    len(pivots) rows of each slice hold U in the symmetric range, except
+    that the multipliers of the unit lower factor L are stored below each
+    pivot."""
+    primes = _moduli(p)
+    if np.ndim(p) == 0:
+        A = np.asarray(A, dtype=np.int64)
+        if A.ndim != 2:
+            raise ValueError("matrix required")
+        # one pass checks 0 <= A < p: a negative entry reads as a huge uint64
+        if A.size and A.view(np.uint64).max() >= p:
+            A = np.mod(A, p)
+        X = A.astype(np.float64, order="F")
+    else:
+        X = A
+        if X.ndim != 3 or len(X) != len(primes) or X.dtype != np.float64 or X.strides[1] != X.itemsize:
+            raise ValueError("a stack takes one column-major float64 slice per prime")
+        if X.size and (X.min() < 0 or (X.max(axis=(1, 2)) >= primes).any()):
+            raise ValueError("every slice of a stack must be reduced to [0, p)")
+    m, n = X.shape[-2:]
+    direct = _float_exact(m, n, max(primes))
     if not direct and min(m, n) >= _SPLIT_K:
         raise ValueError(f"a {m} x {n} matrix is beyond the split products' inner dimension bound")
-    # one pass checks 0 <= A < p: a negative entry reads as a huge uint64
-    if A.size and A.view(np.uint64).max() >= p:
-        A = np.mod(A, p)
-    elimination = _Elimination(A.astype(np.float64, order="F"), p, direct)
+    elimination = _Elimination(X, primes, direct)
     elimination.factor(0, 0, n)
-    return elimination.X, elimination.pivots
+    return X, elimination.pivots, elimination.live
 
 
 def _backsolve(U, piv, p, free):
@@ -525,19 +606,22 @@ def _backsolve(U, piv, p, free):
     the pivot columns, as float64 (rank x len(free)) in the symmetric range.
     U is read only on and right of each pivot, so the compact storage of
     `ref_mod_p` serves.  Row k of the canonical RREF is the unit vector of
-    pivot k plus Y[k] on the free columns.
+    pivot k plus Y[k] on the free columns.  A stack U (B x rank x n) with a
+    sequence of B primes, as in `_cup_mod_p`, gives the stack of its
+    slices' Y.
 
     Blocked like the CUP's TRSM (`_Elimination.solve_upper`), with
-    `_product`'s products in the regime of `_float_exact` for U's shape: a
-    right-hand side starts reduced and takes at most one product per pivot
-    below it between two reductions."""
+    `_product`'s products in the regime of `_float_exact` for U's shape and
+    the largest prime: a right-hand side starts reduced and takes at most
+    one product per pivot below it between two reductions."""
     r = len(piv)
-    Y = U[:, free]
+    Y = U[..., free]
     if r and len(free):
-        elimination = _Elimination(U, p, _float_exact(r, U.shape[1], p))
+        primes = _moduli(p)
+        elimination = _Elimination(U, primes, _float_exact(r, U.shape[-1], max(primes)))
         elimination.pivots = piv
-        inverses = np.array([[elimination.inverse(d)] for d in U[np.arange(r), piv]], dtype=np.float64)
-        elimination.solve_upper(0, r, Y, inverses)
+        D = elimination.slices[:, np.arange(r), piv].tolist()
+        elimination.solve_upper(0, r, Y, elimination.inverses(D))
     return Y
 
 
@@ -554,20 +638,31 @@ def ref_mod_p(A, p):
     earlier pivot columns, which hold the multipliers of the unit lower
     factor L.  The echelon form is the entries on and right of each pivot;
     `_backsolve` reads only those."""
-    X, pivots = _cup_mod_p(A, p)
+    X, pivots, _ = _cup_mod_p(A, p)
     return X[: len(pivots)], pivots
 
 
 def rref_mod_p(A, p):
     """RREF over GF(p), 2 <= p < 2^31 (ValueError otherwise): the CUP
     elimination plus the blocked back-substitution.  Returns (R, pivots): R
-    an int64 array of the rank nonzero rows, entries in [0, p)."""
-    X, piv = _cup_mod_p(A, p)
-    n = X.shape[1]
+    an int64 array of the rank nonzero rows, entries in [0, p).
+
+    A stack (B x m x n, see `_cup_mod_p`) with a sequence of B primes is
+    eliminated in one pass, and returns (Y, pivots, live): pivots common to
+    the slices of the bool mask live, and Y int64 (B x rank x (n - rank)),
+    the free columns of each slice's RREF in [0, p[b]).  A canonical RREF
+    has the identity in its pivot columns, so Y[b] is the whole RREF of a
+    live slice.  A slice that is not live has a lexicographically later
+    pivot tuple (an unlucky prime), and its Y is meaningless."""
+    X, piv, live = _cup_mod_p(A, p)
+    n = X.shape[-1]
     free = _free_columns(piv, n)
+    Y = _backsolve(X[..., : len(piv), :], piv, p, free)
+    if X.ndim == 3:
+        return np.mod(Y, np.array(p, dtype=np.float64)[:, None, None]).astype(np.int64), piv, live
     R = np.zeros((len(piv), n), dtype=np.int64)
     R[np.arange(len(piv)), piv] = 1
-    R[:, free] = np.mod(_backsolve(X[: len(piv)], piv, p, free), p)
+    R[:, free] = np.mod(Y, p)
     return R, piv
 
 
@@ -612,11 +707,16 @@ def rank_mod_p(A, p):
 # certified rational nullspace
 
 
+def _integer_row(row):
+    # one pass over the types, not a generator step per entry
+    return set(map(type, row)) <= {int}
+
+
 def clear_denominators(row):
     """Scale a row of Fractions/ints to integers (common denominator).  A
     row of ints, such as a QQ row of `conditions.point_condition_rows`, is
     returned as it is."""
-    if all(type(v) is int for v in row):
+    if _integer_row(row):
         return row
     fr = [Fraction(v) for v in row]
     d = lcm(*(f.denominator for f in fr)) if fr else 1
@@ -689,7 +789,10 @@ def nullspace_rational(rows):
     matrix, and the count matches the best mod-p rank lower bound, which pins
     the rank of the matrix exactly.
 
-    The reference group, whose residues are lifted, is the primes with the
+    The first prime is eliminated alone, then the primes go in stacks of 2,
+    4, ... slices (`_eliminations`), and the live slices of a stack join the
+    lift one by one, in prime order, each followed by the probe.  The
+    reference group, whose residues are lifted, is the primes with the
     largest rank and the lexicographically smallest pivot tuple: a prime can
     only lower the rank or push pivots later, so that is the pattern over ℚ.
     The probe entry is the last one that failed to reconstruct.  Plain
@@ -699,23 +802,22 @@ def nullspace_rational(rows):
     with probability of order 2^-20 log m; the full reconstruction and the
     exact check remain the certificate.  Rows that are already integer,
     such as the cleared rows `solve_nullspace` passes on, are used as they
-    are.
+    are.  primes_used lists every prime eliminated, in order.
     """
-    int_rows = [r if all(type(v) is int for v in r) else clear_denominators(r) for r in rows]
+    int_rows = [r if _integer_row(r) else clear_denominators(r) for r in rows]
     int_rows = [r for r in int_rows if any(r)]
     if not rows and not int_rows:
         raise ValueError("ncols unknown for an empty matrix; use nullspace()")
     n = len(rows[0])
     if not int_rows:
         return RationalNullspace(identity(n, rationals()), 0, [])
-    limbs, negative = _split_limbs(int_rows)
     best = None  # pivots tuple of the reference group
     group = None
     probe = 0  # flat index of the probe entry in the k x n basis
     used = []
-    for p in islice(_lift_primes(len(int_rows), n), _MAX_PRIMES):
-        used.append(p)
-        R, piv = rref_mod_p(_reduce_limbs(limbs, negative, p), p)
+    primes = islice(_lift_primes(len(int_rows), n), _MAX_PRIMES)
+    for stack, Y, piv, live in _eliminations(int_rows, primes):
+        used += stack
         if len(piv) == n:
             # full column rank certified: rank mod p is a lower bound
             return RationalNullspace([], n, used)
@@ -723,18 +825,39 @@ def nullspace_rational(rows):
         if best is None or (-len(key), key) < (-len(best), best):
             best, group, probe = key, _Lift(n), 0
         elif key != best:
-            continue  # unlucky prime: rank dropped or pivots moved right
+            continue  # unlucky primes: rank dropped or pivots moved right
         free = _free_columns(piv, n)
-        group.add(p, _nullspace_basis(R[:, free], piv, free, p).ravel())
-        f = rational_reconstruct(group.combine(probe), group.modulus)
-        if f is None or abs(f.numerator) * f.denominator << _PROBE_MARGIN_BITS >= group.modulus:
-            continue
-        basis, failed = group.reconstruct()
-        if basis is None:
-            probe = failed
-        elif _verified(basis, int_rows):
-            return RationalNullspace(basis, len(best), used)
+        for p, y in compress(zip(stack, Y), live):
+            group.add(p, _nullspace_basis(y, piv, free, p).ravel())
+            f = rational_reconstruct(group.combine(probe), group.modulus)
+            if f is None or abs(f.numerator) * f.denominator << _PROBE_MARGIN_BITS >= group.modulus:
+                continue
+            basis, failed = group.reconstruct()
+            if basis is None:
+                probe = failed
+            elif _verified(basis, int_rows):
+                return RationalNullspace(basis, len(best), used)
     raise RuntimeError("rational nullspace did not stabilize")
+
+
+def _eliminations(int_rows, primes):
+    """The eliminations of the lift, by `rref_mod_p` on stacks of the
+    integer matrix mod the next primes: the first prime alone, then stacks
+    of 2, 4, ... up to `_STACK_ENTRIES` // (m n) slices (at most
+    `_MAX_STACK`), a stack reusing the float64 slices of the last.  Limbs
+    are reduced straight into the slices.  Yields (primes, Y, pivots, live)
+    per stack, as the stacked `rref_mod_p` returns them."""
+    limbs, negative = _split_limbs(int_rows)
+    _, m, n = limbs.shape
+    cap = max(1, min(_MAX_STACK, _STACK_ENTRIES // (m * n)))
+    X = _column_major((cap, m, n))
+    size = 1
+    while stack := list(islice(primes, size)):
+        S = X[: len(stack)]
+        for b, p in enumerate(stack):
+            S[b] = _reduce_limbs(limbs, negative, p)
+        yield (stack, *rref_mod_p(S, stack))
+        size = min(2 * size, cap)
 
 
 class _Lift:
@@ -779,6 +902,7 @@ class _Lift:
         values, m = self.combine(), self.modulus
         bound = isqrt(m // 2)
         basis = []
+        denominators = {}
         for start in range(0, len(values), self.n):
             vec, d = [], 1
             for j, x in enumerate(values[start : start + self.n]):
@@ -792,6 +916,11 @@ class _Lift:
                     if f is None:
                         return None, start + j
                     d = lcm(d, f.denominator)
+                # a basis has few distinct denominators: the Fractions share
+                # one int per value (Fraction keeps it in the slot
+                # _denominator), which takes a third off a basis held by
+                # its caller
+                f._denominator = denominators.setdefault(f.denominator, f.denominator)
                 vec.append(f)
             basis.append(vec)
         return basis, None

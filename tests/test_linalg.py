@@ -399,6 +399,48 @@ def test_nullspace_rational_unlucky_first_prime():
     assert res.primes_used[0] == p0
 
 
+def _lifted_primes(monkeypatch):
+    # the primes whose residues join the lift, in order, as (group, prime)
+    added = []
+    real_add = linalg._Lift.add
+    monkeypatch.setattr(linalg._Lift, "add",
+                        lambda self, p, residues: added.append((id(self), p)) or real_add(self, p, residues))
+    return added
+
+
+def test_a_stack_beats_an_unlucky_reference(monkeypatch):
+    # the first prime p0 is unlucky (pivots (0, 2)); the stack of the next
+    # two has the pivots (0, 1) of QQ, which replace the reference group
+    added = _lifted_primes(monkeypatch)
+    p0 = next(linalg._lift_primes(2, 3))
+    rows = [[1, 1, 0], [1, 1 + p0, 1]]
+    res = nullspace_rational(rows)
+    assert res.basis == rref_nullspace(frac_rows(rows), QQ) and res.rank == 2
+    assert res.primes_used == list(islice(linalg._lift_primes(2, 3), len(res.primes_used)))
+    # p0 starts the first group; the stack starts the second, which lifts
+    first, second = added[0][0], added[1][0]
+    assert added[0] == (first, p0) and first != second
+    assert [p for g, p in added[1:]] == res.primes_used[1 : len(added)] and {g for g, _ in added[1:]} == {second}
+
+
+@pytest.mark.parametrize("index", [1, 2, 4, 9])
+def test_an_unlucky_prime_inside_a_stack_is_left_out(monkeypatch, index):
+    # mod the prime q at `index` of the lift primes the pivots are (0, 2),
+    # over QQ (0, 1).  The stacks are [0], [1, 2], [3..6], [7..14]: q dies
+    # in its stack, the others of the stack join the lift.  The 150-bit
+    # column keeps the lift going past q
+    added = _lifted_primes(monkeypatch)
+    q = next(islice(linalg._lift_primes(2, 4), index, None))
+    big = random.Random(index).randint(2**149, 2**150)
+    rows = [[1, 1, 0, big], [1, 1 + q, 1, 3 * big + 1]]
+    res = nullspace_rational(rows)
+    assert res.basis == rref_nullspace(frac_rows(rows), QQ) and res.rank == 2
+    assert res.primes_used == list(islice(linalg._lift_primes(2, 4), len(res.primes_used)))
+    lifted = [p for _, p in added]
+    assert q in res.primes_used and q not in lifted and len({g for g, _ in added}) == 1
+    assert lifted == [p for p in res.primes_used if p != q][: len(lifted)]
+
+
 def test_nullspace_rational_gives_up_after_max_primes(monkeypatch):
     # the same 150-bit matrix needs about 50 primes; with a budget of 5 the
     # basis cannot be lifted, and the primes are drawn only as they are used
@@ -431,6 +473,16 @@ def test_nullspace_rational_probe_rejects_spurious_reconstructions(monkeypatch):
     res = nullspace_rational(rows)
     assert len(res.primes_used) > 30 and len(combines) <= 2
     assert res.basis == rref_nullspace(frac_rows(rows), QQ)
+
+
+def test_a_lifted_basis_shares_its_denominators():
+    # one int object per distinct denominator value across the basis
+    rng = random.Random(11)
+    rows = [[rng.randint(-2 ** 60, 2 ** 60) for _ in range(7)] for _ in range(4)]
+    basis = nullspace_rational(rows).basis
+    assert basis == rref_nullspace(frac_rows(rows), QQ)
+    dens = [f.denominator for vec in basis for f in vec]
+    assert len({id(d) for d in dens}) == len(set(dens)) < len(dens)
 
 
 def test_qq_nullspace_edge_cases():
@@ -655,6 +707,90 @@ def test_gfp_kernel_matches_the_int64_oracle(data):
         rows = [[int(v) % p for v in row] for row in A]
         assert rref(rows, GF(p)) == (R.tolist(), piv)
         assert nullspace(rows, GF(p)) == N.tolist()
+
+
+def _stack(A, primes):
+    """The stack of the integer matrix A mod each prime, in the kernel's
+    layout."""
+    X = linalg._column_major((len(primes),) + A.shape)
+    for b, p in enumerate(primes):
+        X[b] = np.mod(A, p)
+    return X
+
+
+def _check_stack(A, primes, leaf, one_sided_k=None, update_rows=None):
+    """The stacked rref_mod_p against the int64 oracle of each slice: the
+    pivots are the earliest of the slices' rank profiles (a profile that
+    lacks a column another one has is later), the slices with those pivots
+    are live and give the 2-D result bit for bit, the others are dead.
+    Returns the live mask."""
+    n = A.shape[1]
+    oracle = [rowloop_rref_mod_p(A, p) for p in primes]
+    pivots = min((piv for _, piv in oracle), key=lambda piv: piv + [n] * (n - len(piv)))
+    free = [f for f in range(n) if f not in pivots]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_LEAF", leaf)
+        if one_sided_k is not None:
+            mp.setattr(linalg, "_ONE_SIDED_K", one_sided_k)
+        if update_rows is not None:
+            mp.setattr(linalg, "_UPDATE_ROWS", update_rows)
+        Y, piv, live = rref_mod_p(_stack(A, primes), primes)
+        flat = [rref_mod_p(A, p) for p in primes]
+    assert piv == pivots and Y.dtype == np.int64 and Y.shape == (len(primes), len(piv), n - len(piv))
+    assert live.tolist() == [p == pivots for _, p in oracle]
+    for (R, p_piv), (R2, piv2), y, alive in zip(oracle, flat, Y, live):
+        assert piv2 == p_piv and np.array_equal(R2, R)
+        if alive:
+            assert np.array_equal(y, R[:, free])
+    return live
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_stacked_kernel_matches_the_int64_oracle_slice_by_slice(data):
+    """One pass over a stack of 1-6 primes, drawn from `_KERNEL_PRIMES` or
+    from the first lift primes of the shape: both product regimes (a stack
+    is direct only if its largest prime is), leaf widths 1-8, and updates
+    in one row block or in blocks of a few rows over the stack.  Entries
+    that vanish mod one prime only make its slice swap other rows; a column
+    that vanishes mod one prime only makes its slice die."""
+    m, n = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 40))
+    pool = _KERNEL_PRIMES if data.draw(st.booleans()) else list(islice(linalg._lift_primes(m, n), 6))
+    primes = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
+    if data.draw(st.booleans()):
+        primes.insert(data.draw(st.integers(0, len(primes))), 2147483647)  # the split regime
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    r = data.draw(st.integers(0, min(m, n)))
+    A = rng.integers(-40, 41, size=(m, r)) @ rng.integers(-40, 41, size=(r, n))
+    for _ in range(data.draw(st.integers(0, 4))):
+        A[rng.integers(m), rng.integers(n)] = data.draw(st.sampled_from(primes)) * rng.integers(1, 4)
+    if data.draw(st.booleans()):
+        A[:, rng.integers(n)] = data.draw(st.sampled_from(primes)) * rng.integers(-3, 4, size=m)
+    _check_stack(A, primes, data.draw(st.integers(1, 8)), data.draw(st.sampled_from([0, linalg._ONE_SIDED_K])),
+                 data.draw(st.sampled_from([12, linalg._UPDATE_ROWS])))
+
+
+def test_stacked_kernel_kills_the_slice_of_an_unlucky_prime():
+    # column 2 vanishes mod the middle prime only: that slice dies, the
+    # others keep their pivots; at leaf width 1 the pivot rows of the slices
+    # differ where an entry vanishes mod one prime
+    p, q, s = 397, 401, 409
+    rng = np.random.default_rng(1)
+    A = rng.integers(0, 1000, size=(6, 9))
+    A[:, 2] = q * rng.integers(1, 5, size=6)
+    A[0, 0] = p * s
+    for leaf in (1, 3, 16):
+        assert _check_stack(A, [p, q, s], leaf).tolist() == [True, False, True]
+    # every slice dead but one, and a stack that only holds the unlucky prime
+    assert _check_stack(A, [q, p, q], 2).tolist() == [False, True, False]
+    assert _check_stack(A, [q], 2).tolist() == [True]
+    # a stack is checked: reduced slices, the kernel's layout, one per prime
+    with pytest.raises(ValueError, match="reduced"):
+        rref_mod_p(_stack(A, [p]) + p, [p])
+    with pytest.raises(ValueError, match="column-major"):
+        rref_mod_p(np.ascontiguousarray(_stack(A, [p, s])), [p, s])
+    with pytest.raises(ValueError, match="column-major"):
+        rref_mod_p(_stack(A, [p, s]), [p])
 
 
 def test_split_products_are_exact_at_their_bounds():
