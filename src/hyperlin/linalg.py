@@ -3,9 +3,8 @@
 Two tiers, both exact:
 
 - generic dense routines over any CoefficientField (lists of raw values),
-  all built on one Gauss-Jordan loop, used for small systems and for
-  extension fields: `rref` and `rank` over every field, `nullspace` over
-  the finite fields (over QQ it is the certified multimodular basis below);
+  all built on one Gauss-Jordan loop: `rref`, `rank` and `nullspace` over
+  GF(p^k), p >= 2^31 and small GF(p) matrices, `rref` and `rank` over QQ;
 - one numpy kernel over GF(p) for every 2 <= p < 2^31: a column-recursive
   float64 CUP elimination (as in FFLAS-FFPACK) whose updates are matrix
   products, with a blocked back-substitution for the RREF and the nullspace
@@ -39,11 +38,12 @@ running common denominator, calling `rational_reconstruct` only where it
 does not already give a small numerator, and each vector, scaled by the lcm
 of its denominators, is checked by integer dot products against every row.
 
-`solve_nullspace` is the one place that picks a kernel for a condition
-matrix.  It owns the single size threshold (`_NUMPY_MIN_ENTRIES` matrix
-entries) and the field rule: the GF(p) kernel, and the int64 mass
-evaluation that `gf_numpy_path` selects in `conditions`, need p < 2^31 so
-that every int64 product of residues stays below p^2 < 2^62.
+`gf_numpy_path` is the one rule that sends a GF(p) matrix to the kernel,
+asked by `rref`, `rank`, `nullspace` and the int64 mass evaluation in
+`conditions`: p < 2^31, so that every int64 product of residues stays below
+p^2 < 2^62, and more than `_NUMPY_MIN_ENTRIES` entries, the measured
+crossover below which the generic loop is faster.  `solve_nullspace` gives
+a QQ matrix of more than `_DEFER_MIN_ENTRIES` entries a deferred basis.
 
 Echelonization convention: matrices over monomial bases keep columns in
 grevlex-descending order, and `reverse_cols=True` selects pivots scanning
@@ -63,9 +63,8 @@ import numpy as np
 
 from .fields import _is_prime, crt_combine, rational_reconstruct, rationals
 
-# Above this many entries GF(p) takes the numpy kernel and QQ a one-prime count
-# with a deferred basis; below it the generic loop and the eager QQ basis.
-_NUMPY_MIN_ENTRIES = 50_000
+_NUMPY_MIN_ENTRIES = 150  # GF(p) matrices of more entries take the numpy kernel
+_DEFER_MIN_ENTRIES = 50_000  # QQ condition matrices of more entries get a deferred basis
 _PROBE_MARGIN_BITS = 20  # the probe's n/d must satisfy |n| d 2^20 < m
 _INT64_P = 1 << 31  # p bound of the GF(p) kernel and the int64 evaluators (products < p^2 < 2^62)
 _F51 = 2**51
@@ -120,24 +119,16 @@ def _gauss_jordan(R, field, cols):
 
 def rref(rows, field, reverse_cols=False):
     """Reduced row echelon form.  Returns (R, pivots): R the nonzero rows in
-    pivot-discovery order, pivots the matching column indices."""
+    pivot-discovery order, pivots the matching column indices.  The GF(p)
+    kernel (`gf_numpy_path`) takes the columns reversed for `reverse_cols`."""
+    n = len(rows[0]) if len(rows) else 0
+    if gf_numpy_path(field, len(rows), n):
+        flip = slice(None, None, -1 if reverse_cols else 1)
+        R, pivots = rref_mod_p(np.array(rows, dtype=np.int64)[:, flip], field.p)
+        return R[:, flip].tolist(), [n - 1 - c if reverse_cols else c for c in pivots]
     R = [list(r) for r in rows]
-    n = len(R[0]) if R else 0
     pivots = _gauss_jordan(R, field, range(n - 1, -1, -1) if reverse_cols else range(n))
     return R[: len(pivots)], pivots
-
-
-def rref_with_transform(rows, field):
-    """RREF together with the row-operation record: the `rref` loop run on
-    [A | I], with pivots searched only in the columns of A.
-
-    Returns (R, pivots, E) with E @ input = R for the nonzero rows.
-    """
-    n = len(rows[0]) if rows else 0
-    R = [list(r) + e for r, e in zip(rows, identity(len(rows), field))]
-    pivots = _gauss_jordan(R, field, range(n))
-    r = len(pivots)
-    return [row[:n] for row in R[:r]], pivots, [row[n:] for row in R[:r]]
 
 
 def rank(rows, field):
@@ -146,15 +137,18 @@ def rank(rows, field):
 
 def nullspace(rows, field, ncols=None):
     """Canonical right-nullspace basis: one vector per free column f (ascending),
-    with v[f] = 1 and v[pivot_i] = -R[i][f].  Over QQ it is the certified
-    basis of `nullspace_rational`, otherwise from the generic `rref`."""
-    if not rows:
+    with v[f] = 1 and v[pivot_i] = -R[i][f]: `nullspace_rational` over QQ,
+    `nullspace_mod_p` where `gf_numpy_path` holds (rows may then be int64),
+    otherwise from the generic `rref`."""
+    if len(rows) == 0:
         if ncols is None:
             raise ValueError("ncols required for an empty matrix")
         return identity(ncols, field)
     if field.kind == "rational":
         return nullspace_rational(rows).basis
     n = len(rows[0])
+    if gf_numpy_path(field, len(rows), n):
+        return nullspace_mod_p(rows, field.p).tolist()
     R, piv = rref(rows, field)
     pivset = set(piv)
     basis = []
@@ -197,27 +191,23 @@ def matmul(A, B, field):
 
 
 def gf_numpy_path(field, m, n):
-    """True when `solve_nullspace` eliminates an m x n matrix over `field`
-    with the numpy GF(p) kernel: a prime field with p < 2^31 and more than
-    `_NUMPY_MIN_ENTRIES` entries."""
+    """True when an m x n matrix over `field` goes to the numpy GF(p)
+    kernel: a prime field with p < 2^31 and more than `_NUMPY_MIN_ENTRIES`
+    entries.  The one kernel rule of `rref`, `rank`, `nullspace` and the
+    mass evaluation of `conditions.impose_points`."""
     return field.kind == "prime" and field.p < _INT64_P and m * n > _NUMPY_MIN_ENTRIES
 
 
 def solve_nullspace(rows, field, ncols):
-    """Right nullspace of a condition matrix with `ncols` columns, by the
-    kernel that suits its size and field.
+    """Right nullspace of a condition matrix with `ncols` columns.
 
     rows: lists of raw values, or an int64 array over GF(p).  Returns
-    (count, basis).  basis is the canonical basis of `nullspace` (the same
-    vectors whichever kernel ran), or, for a large rational matrix that has
-    full row rank modulo one word-size prime, a callable that produces it on
+    (count, basis).  basis is the canonical basis of `nullspace`, or, for a
+    rational matrix of more than `_DEFER_MIN_ENTRIES` entries that has full
+    row rank modulo one word-size prime, a callable that produces it on
     demand; the count is then certified by that prime alone.
     """
-    m = len(rows)
-    if gf_numpy_path(field, m, ncols):
-        N = nullspace_mod_p(rows, field.p)
-        return len(N), N.tolist()
-    if field.kind == "rational" and m * ncols > _NUMPY_MIN_ENTRIES:
+    if field.kind == "rational" and len(rows) * ncols > _DEFER_MIN_ENTRIES:
         return _solve_rational(rows, field, ncols)
     basis = nullspace(rows, field, ncols)
     return len(basis), basis
@@ -626,7 +616,10 @@ def _backsolve(U, piv, p, free):
 
 
 def _free_columns(piv, n):
-    return np.setdiff1d(np.arange(n), np.asarray(piv, dtype=np.int64))
+    # a mask, not np.setdiff1d, whose first call imports numpy.ma (about 1.5 MB)
+    free = np.ones(n, dtype=bool)
+    free[piv] = False
+    return np.flatnonzero(free)
 
 
 def ref_mod_p(A, p):

@@ -17,8 +17,9 @@ selects pivots scanning columns right to left (smallest monomial first), and
 the echelon rows are kept in pivot-discovery order.
 
 Subspace operations stack the two bases on their union monomial support and
-eliminate with `linalg.rank`/`rref`: containment and equality of spans are
-rank comparisons, and `complement` (hence `trace`) returns the echelon rows of
+eliminate with `linalg.rank`/`rref` (over GF(p), on the numpy kernel at the
+sizes of `linalg.gf_numpy_path`): containment and equality of spans are rank
+comparisons, and `complement` (hence `trace`) returns the echelon rows of
 self at the pivot columns the subsystem's echelon form lacks.  A complete
 self's echelon form is the unit rows, so there `complement` eliminates only
 the subsystem and returns the monomials at the columns it leaves free.
@@ -27,7 +28,7 @@ the subsystem and returns the monomials at the columns it leaves free.
 from __future__ import annotations
 
 from .fields import FieldElement
-from .linalg import matmul, rank, rref, rref_with_transform
+from .linalg import identity, matmul, rank, rref
 from .poly import MultiPoly, grevlex_key
 
 
@@ -462,8 +463,9 @@ class CoefficientSolver:
     """Cached solver for expressing members in the stored section basis.
 
     Solves f = sum a_j s_j by reading the coefficients of f at the pivot
-    columns of the echelon form of the section matrix and mapping them back
-    through the recorded row operations.  Every answer is verified exactly against f.
+    columns of the RREF of [M | I], M the section matrix, and mapping them
+    back through its right block E; M's rows are independent, so every pivot
+    lies in M.  Every answer is verified exactly against f.
     """
 
     def __init__(self, system):
@@ -475,7 +477,9 @@ class CoefficientSolver:
         self._complete = system.is_complete
         if not self._complete:
             # a complete system's basis is its monomials: apply() reads f
-            _, self.pivcols, self.E = rref_with_transform(system.matrix(), field)
+            M, n = system.matrix(), len(self.monomials)
+            R, self.pivcols = rref([row + e for row, e in zip(M, identity(len(M), field))], field)
+            self.E = [row[n:] for row in R]
 
     def apply(self, f):
         """Coefficient vector of f in the stored basis; ValueError when f is
@@ -495,8 +499,8 @@ class CoefficientSolver:
         if self._complete:
             return [FieldElement(field, x) for x in v]
         a = matmul([[v[pc] for pc in self.pivcols]], self.E, field)[0]
-        # exact membership check: raw values are canonical
-        if matmul([a], system.matrix(), field)[0] != v:
+        # exact membership check (raw values are canonical); no sections span 0
+        if (matmul([a], system.matrix(), field)[0] if a else [field.zero] * len(v)) != v:
             raise ValueError("polynomial is not in the span")
         return [FieldElement(field, x) for x in a]
 

@@ -1,14 +1,26 @@
-"""Reference implementations shared by the tests, kept out of the library."""
+"""Reference implementations shared by the tests, kept out of the library.
 
-from hyperlin.linalg import identity, rref
+They eliminate with the generic Gauss-Jordan loop itself, never with the
+dispatching `linalg.rref`, so they stay independent of the kernel choice
+they check."""
+
+from hyperlin.linalg import _gauss_jordan, identity
 from hyperlin.linsys import LinearSys, _aligned_pair, _padded_rows
 
 
+def rref(rows, field, reverse_cols=False):
+    """`linalg.rref` by the generic loop alone, over any field and size."""
+    R = [list(r) for r in rows]
+    n = len(R[0]) if R else 0
+    pivots = _gauss_jordan(R, field, range(n - 1, -1, -1) if reverse_cols else range(n))
+    return R[: len(pivots)], pivots
+
+
 def rref_nullspace(rows, field, ncols=None):
-    """Canonical right-nullspace basis from the generic `rref`, over any
-    field: one vector per free column f (ascending), with v[f] = 1 and
-    v[pivot_i] = -R[i][f].  Over QQ this is the Fraction Gauss-Jordan, the
-    oracle of the certified multimodular basis that `linalg.nullspace`
+    """Canonical right-nullspace basis from the generic Gauss-Jordan loop,
+    over any field: one vector per free column f (ascending), with v[f] = 1
+    and v[pivot_i] = -R[i][f].  Over QQ this is the Fraction Gauss-Jordan,
+    the oracle of the certified multimodular basis that `linalg.nullspace`
     returns there."""
     if not rows:
         if ncols is None:

@@ -75,7 +75,7 @@ def test_qq_rank_reaches_every_assigned_layer(monkeypatch):
     spans.install(tracer)
     try:
         with monkeypatch.context() as mp:
-            mp.setattr(linalg, "_NUMPY_MIN_ENTRIES", 0)
+            mp.setattr(linalg, "_DEFER_MIN_ENTRIES", 0)
             certified = conditions.impose_points(L, pts, mults)
         generic = conditions.impose_points(L, pts, mults)
     finally:
@@ -87,7 +87,8 @@ def test_qq_rank_reaches_every_assigned_layer(monkeypatch):
 
 def test_fq_search_reaches_every_assigned_layer(monkeypatch):
     # the z5 scan and the pencil scan of the fq-search workload: the pencil
-    # prefix reaches linalg.nullspace through linalg.solve_nullspace
+    # prefix (24 x 28) reaches linalg.nullspace through linalg.solve_nullspace,
+    # and the GF(p) kernel through linalg.nullspace
     spans = _spans()
     blowup = importlib.import_module("hyperlin.blowup")
     conditions = importlib.import_module("hyperlin.conditions")
@@ -99,11 +100,14 @@ def test_fq_search_reaches_every_assigned_layer(monkeypatch):
     spans.install(tracer)
     try:
         singular.invariant_family_scan("z5", 101, 2, lambda count, hist: False, rng=random.Random(0))
+        before = dict(tracer.counts)
         assert len(blowup.sextic_pencil_scan(59)) == 2
     finally:
         tracer.uninstall()
     for name in assigned:
         assert tracer.counts.get(f"{name}.calls"), name
+    for name in ("linalg.nullspace", "linalg.nullspace_mod_p"):
+        assert tracer.counts.get(f"{name}.calls", 0) > before.get(f"{name}.calls", 0), name
 
     # every chain of one impose_chain call goes into a single elimination
     solved = []

@@ -1,11 +1,14 @@
 """Chains of infinitely near points: strict transforms and imposed systems."""
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import hyperlin.blowup as blowup
+import hyperlin.linalg as linalg
 from hyperlin.ambient import affine_space
 from hyperlin.blowup import (
     BlowupChainSpec,
@@ -563,3 +566,29 @@ def test_sequences_add_under_products(fp, gp):
     sg = multiplicity_sequence(g, (0, 0), path)
     sfg = multiplicity_sequence(f * g, (0, 0), path)
     assert sfg == [a + b for a, b in zip(sf, sg)]
+
+
+@pytest.mark.parametrize("p", [101, 2**31 - 1])
+def test_four_chains_on_the_degree_24_plane(p, monkeypatch):
+    # 124 chain rows on 325 monomials: one GF(p) kernel elimination
+    F = GF(p)
+    L = LinearSys.complete(affine_space(F, 2), 24)
+    specs = [
+        BlowupChainSpec((3, 7), [5, 4, 3], [(1, 2), (1, 5)]),
+        BlowupChainSpec((11, 2), [5, 4, 3], [(1, 0), (2, 1)]),
+        BlowupChainSpec((5, 13), [5, 4, 3], [(1, 9), (0, 1)]),
+        BlowupChainSpec((20, 9), [5, 4, 3], [(3, 1), (1, 1)]),
+    ]
+    solved = []
+    real = linalg.nullspace_mod_p
+    monkeypatch.setattr(linalg, "nullspace_mod_p", lambda A, q: solved.append(np.shape(A)) or real(A, q))
+    J = impose_chain(L, specs)
+    assert solved == [(124, 325)]
+    assert J.nsections() == 325 - 4 * (15 + 10 + 6)
+    # every section meets the chains; a random member meets them exactly
+    f = J.random_member(random.Random(p))
+    for spec in specs:
+        assert multiplicity_sequence(f, spec.point, spec.tangents) == spec.mults
+        for g in J.sections()[:3]:
+            seq = multiplicity_sequence(g, spec.point, spec.tangents)
+            assert all(s >= m for s, m in zip(seq, spec.mults))

@@ -130,8 +130,10 @@ def test_mass_evaluation_matches_generic(monkeypatch):
     pts = random_points(P2, 40, rng)
     L = LinearSys.complete(P2, 5)
     few = pts[:15]
-    generic = impose_points(L, pts, [1] * len(pts))
-    generic15 = impose_points(L, few, [1] * 15)
+    with monkeypatch.context() as mp:
+        mp.setattr(linalg, "_NUMPY_MIN_ENTRIES", 10**9)
+        generic = impose_points(L, pts, [1] * len(pts))
+        generic15 = impose_points(L, few, [1] * 15)
     monkeypatch.setattr(linalg, "_NUMPY_MIN_ENTRIES", 10)
     fast = impose_points(L, pts, [1] * len(pts))
     fast15 = impose_points(L, few, [1] * 15)
@@ -321,12 +323,14 @@ def _containment_case(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_containment_case(), st.sampled_from([linalg._NUMPY_MIN_ENTRIES, 0]))
+@given(_containment_case(), st.sampled_from([10**9, 0]))
 def test_containment_matches_the_stacked_oracle(case, threshold):
-    # the numpy kernel (or the deferred QQ basis) at threshold 0
+    # the numpy kernel (or the deferred QQ basis) at threshold 0, the generic
+    # loop (or the eager QQ basis) at 10^9
     L, scheme, candidates = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_NUMPY_MIN_ENTRIES", threshold)
+        mp.setattr(linalg, "_DEFER_MIN_ENTRIES", threshold)
         J = impose_containment(L, scheme)
     expect = intersect_with_span(L, candidates)
     assert J.nsections() == expect.nsections()
@@ -388,9 +392,9 @@ def test_image_system_with_source_scheme():
 
 @pytest.mark.parametrize("field", [GF(7), QQ], ids=["gf7", "qq"])
 def test_image_and_affine_containment_independent_of_kernel(field, monkeypatch):
-    # the same sections whether solve_nullspace picks the generic loop (the
-    # default at these sizes) or the large-matrix kernel (threshold 0): the
-    # numpy GF(p) kernel, or over QQ the certified count with deferred basis
+    # the same sections whether the generic loop runs (thresholds 10^9) or
+    # the large-matrix kernel (thresholds 0): the numpy GF(p) kernel, or
+    # over QQ the certified count with deferred basis
     def build():
         P1 = projective_space(field, 1, names=("s", "t"))
         P2 = projective_space(field, 2)
@@ -408,11 +412,16 @@ def test_image_and_affine_containment_independent_of_kernel(field, monkeypatch):
             ),
         ]
 
-    expect = [[str(f) for f in J.sections()] for J in build()]
     calls = []
     real = linalg.nullspace_mod_p
     monkeypatch.setattr(linalg, "nullspace_mod_p", lambda A, p: calls.append(p) or real(A, p))
+    with monkeypatch.context() as mp:
+        mp.setattr(linalg, "_NUMPY_MIN_ENTRIES", 10**9)
+        mp.setattr(linalg, "_DEFER_MIN_ENTRIES", 10**9)
+        expect = [[str(f) for f in J.sections()] for J in build()]
+    assert not calls
     monkeypatch.setattr(linalg, "_NUMPY_MIN_ENTRIES", 0)
+    monkeypatch.setattr(linalg, "_DEFER_MIN_ENTRIES", 0)
     systems = build()
     if field is QQ:
         assert any(J._pending is not None for J in systems)
@@ -484,7 +493,7 @@ def test_rank_drop_bounded_by_condition_count():
 def test_rational_certificate_path_defers_basis(monkeypatch):
     # force the big-rational dispatch on a small instance: the rank is
     # certified by one prime and the exact basis only materializes on demand
-    monkeypatch.setattr(linalg, "_NUMPY_MIN_ENTRIES", 10)
+    monkeypatch.setattr(linalg, "_DEFER_MIN_ENTRIES", 10)
     A2 = affine_space(QQ, 2)
     L = LinearSys.complete(A2, 4)
     pts = [(1, 2), (3, 5)]
@@ -591,9 +600,10 @@ def test_impose_points_gives_the_canonical_basis_of_the_taylor_rows(data):
     taylor = [taylor_row(mons, pt.coords, t, QQ)
               for pt, m in zip(pts, mults) for t in _taylor_orders(ambient, pt, m)]
     expected = rref_nullspace(taylor, QQ, ncols=len(mons))
-    for threshold in (linalg._NUMPY_MIN_ENTRIES, 0):
+    for threshold in (10**9, 0):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(linalg, "_NUMPY_MIN_ENTRIES", threshold)
+            mp.setattr(linalg, "_DEFER_MIN_ENTRIES", threshold)
             J = impose_points(L, pts, mults)
         assert J.nsections() == len(expected)
         assert J.matrix() == expected

@@ -2,9 +2,13 @@
 rational nullspace.  The numpy kernels are cross-checked against the
 pure-Python generic path on random instances."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +19,6 @@ import hyperlin.linalg as linalg
 from hyperlin.fields import GF, primes_from, rationals
 from hyperlin.linalg import (
     clear_denominators,
-    matmul,
     nullspace,
     nullspace_mod_p,
     nullspace_rational,
@@ -24,8 +27,8 @@ from hyperlin.linalg import (
     ref_mod_p,
     rref,
     rref_mod_p,
-    rref_with_transform,
 )
+import oracles
 from oracles import rref_nullspace
 
 QQ = rationals()
@@ -73,19 +76,6 @@ def test_rref_idempotent():
         R1, p1 = rref(rows, QQ)
         R2, p2 = rref(R1, QQ)
         assert R1 == R2 and p1 == p2
-
-
-def test_rref_with_transform_reconstructs():
-    # one field of each kind: the transform shares the loop of rref
-    for F in (GF(13), QQ, GF(7, 2)):
-        rng = random.Random(9)
-        draw = (lambda: F.random(rng, -6, 6)) if F.kind == "rational" else (lambda: F.random(rng))
-        rows = [[draw() for _ in range(5)] for _ in range(4)]
-        rows.append([F.add(a, b) for a, b in zip(rows[0], rows[1])])
-        R, piv, E = rref_with_transform(rows, F)
-        assert (R, piv) == rref(rows, F)
-        # E @ rows == R
-        assert matmul(E, rows, F) == R
 
 
 def test_nullspace_generic():
@@ -323,7 +313,7 @@ def test_solve_nullspace_clears_each_rational_row_once(monkeypatch):
     half = Fraction(1, 2)
     rows = [[half, 2, 3, 4], [0, 1, 1, 1], [half, 3, 4, 5]]
     expected = rref_nullspace(rows, QQ)
-    monkeypatch.setattr(linalg, "_NUMPY_MIN_ENTRIES", 0)
+    monkeypatch.setattr(linalg, "_DEFER_MIN_ENTRIES", 0)
     cleared, solved = [], []
     real_clear, real_solve = linalg.clear_denominators, linalg.nullspace_rational
     monkeypatch.setattr(linalg, "clear_denominators", lambda row: cleared.append(row) or real_clear(row))
@@ -364,7 +354,7 @@ def test_deferred_rational_basis_matches_generic_nullspace(data):
     reduced = np.array([[v % p for v in clear_denominators(row)] for row in rows], dtype=np.int64)
     assume(rank_mod_p(reduced, p) == m)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "_NUMPY_MIN_ENTRIES", 0)
+        mp.setattr(linalg, "_DEFER_MIN_ENTRIES", 0)
         count, basis = linalg.solve_nullspace(rows, QQ, n)
     expected = rref_nullspace([[Fraction(v) for v in row] for row in rows], QQ)
     assert callable(basis)
@@ -373,7 +363,7 @@ def test_deferred_rational_basis_matches_generic_nullspace(data):
 
 
 def test_deferred_rational_basis_checks_its_rank_certificate(monkeypatch):
-    monkeypatch.setattr(linalg, "_NUMPY_MIN_ENTRIES", 0)
+    monkeypatch.setattr(linalg, "_DEFER_MIN_ENTRIES", 0)
     count, basis = linalg.solve_nullspace([[1, 2, 3], [4, 5, 6]], QQ, 3)
     assert count == 1 and callable(basis)
     # a reconstruction of rank 1 contradicts the rank 2 found mod p
@@ -551,7 +541,7 @@ def test_rational_paths_draw_from_the_lift_primes(monkeypatch):
     seen = []
     real = linalg.rank_mod_p
     monkeypatch.setattr(linalg, "rank_mod_p", lambda A, p: seen.append(p) or real(A, p))
-    monkeypatch.setattr(linalg, "_NUMPY_MIN_ENTRIES", 0)
+    monkeypatch.setattr(linalg, "_DEFER_MIN_ENTRIES", 0)
     count, basis = linalg.solve_nullspace(rows[:3] + [[0] * 6], QQ, 6)
     assert count == 3 and callable(basis) and seen == [next(linalg._lift_primes(3, 6))]
     assert basis() == rref_nullspace(frac_rows(rows[:3]), QQ)
@@ -707,6 +697,65 @@ def test_gfp_kernel_matches_the_int64_oracle(data):
         rows = [[int(v) % p for v in row] for row in A]
         assert rref(rows, GF(p)) == (R.tolist(), piv)
         assert nullspace(rows, GF(p)) == N.tolist()
+
+
+# the largest prime below 2^26.5, and the first prime above 2^31
+_P26_5, _P31_NEXT = 94906249, 2147483659
+
+
+def _spy_on_the_kernel(mp):
+    """Record the primes of every `rref_mod_p` and `nullspace_mod_p` call."""
+    calls = {"rref_mod_p": [], "nullspace_mod_p": []}
+    for name, seen in calls.items():
+        real = getattr(linalg, name)
+        mp.setattr(linalg, name, lambda A, p, real=real, seen=seen: seen.append(p) or real(A, p))
+    return calls
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_rref_rank_and_nullspace_match_the_generic_loop(data):
+    """The GF(p) entry points, which take the numpy kernel above
+    `_NUMPY_MIN_ENTRIES` entries, against the Gauss-Jordan loop itself:
+    `rref` in both column orders, `rank` and `nullspace`, on shapes on both
+    sides of the threshold and of every rank."""
+    p = data.draw(st.sampled_from([2, 3, 101, _P26_5, 2**31 - 1]))
+    m, n = data.draw(st.integers(1, 24)), data.draw(st.integers(1, 24))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rows = _matrix_mod_p(rng, p, m, n, data.draw(st.integers(0, min(m, n)))).tolist()
+    F = GF(p)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _spy_on_the_kernel(mp)
+        got = [rref(rows, F), rref(rows, F, reverse_cols=True), rank(rows, F), nullspace(rows, F)]
+    R, piv = oracles.rref(rows, F)
+    assert got == [(R, piv), oracles.rref(rows, F, reverse_cols=True), len(piv), rref_nullspace(rows, F)]
+    kernel = m * n > linalg._NUMPY_MIN_ENTRIES
+    assert calls == {"rref_mod_p": [p] * 3 if kernel else [], "nullspace_mod_p": [p] if kernel else []}
+
+
+@pytest.mark.parametrize("F", [GF(7, 2), GF(_P31_NEXT)], ids=["gf49", "p>2^31"])
+def test_fields_outside_the_kernel_never_reach_it(F, monkeypatch):
+    # 20 x 20 is above the threshold, but the kernel takes only p < 2^31
+    rng = random.Random(4)
+    rows = [[F.random(rng) for _ in range(20)] for _ in range(18)]
+    rows += [[F.add(a, b) for a, b in zip(rows[0], rows[1])], rows[2]]
+    calls = _spy_on_the_kernel(monkeypatch)
+    R, piv = rref(rows, F)
+    assert (R, piv) == oracles.rref(rows, F) and len(piv) == rank(rows, F) == 18
+    assert rref(rows, F, reverse_cols=True) == oracles.rref(rows, F, reverse_cols=True)
+    assert nullspace(rows, F) == rref_nullspace(rows, F)
+    assert calls == {"rref_mod_p": [], "nullspace_mod_p": []}
+
+
+def test_free_columns_leave_numpy_ma_unimported():
+    # np.setdiff1d imports numpy.ma on its first call, about 1.5 MB of memory
+    code = ("import sys, numpy as np, hyperlin.linalg as l; "
+            "assert l._free_columns([3, 0], 5).tolist() == [1, 2, 4]; "
+            "assert l._free_columns([], 2).tolist() == [0, 1]; "
+            "print('numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(linalg.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 def _stack(A, primes):

@@ -10,6 +10,7 @@ from hyperlin.ambient import affine_space, product_projective, projective_space
 from hyperlin.blowup import BlowupChainSpec, impose_chain
 from hyperlin.cli import main
 from hyperlin.conditions import SchemeSpec, impose_containment, impose_points
+import hyperlin.linalg as linalg
 from hyperlin.fields import GF, rationals
 from hyperlin.linalg import rref
 from hyperlin.linsys import LinearSys, poly_gcd
@@ -165,6 +166,61 @@ def test_coefficient_map_dependent_sections():
     f = 5 * x + y
     a = [c.raw for c in L.coefficient_map()(f)]
     assert L.polynomial_map(a) == f
+
+
+@pytest.mark.parametrize("field", [GF(101), GF(7, 2), QQ], ids=["gf101", "gf49", "qq"])
+def test_coefficient_solver_round_trips_and_rejects(field, monkeypatch):
+    # 17 sextics from 19 dependent ones; over GF(101) the RREF of [M | I]
+    # (17 x 45) runs on the numpy kernel
+    P2 = projective_space(field, 2)
+    K = LinearSys.complete(P2, 6)
+    rng = random.Random(8)
+    forms = [K.random_member(rng) for _ in range(17)]
+    L = LinearSys.from_sections(P2, forms + [forms[0] + forms[1], 3 * forms[2]], degree=6)
+    assert L.nsections() == 17
+    calls = []
+    real = linalg.rref_mod_p
+    monkeypatch.setattr(linalg, "rref_mod_p", lambda A, p: calls.append(p) or real(A, p))
+    solver = L.coefficient_map()
+    assert len(calls) == (field.kind == "prime")
+    for _ in range(4):
+        a = [field.from_int(rng.randint(-9, 9)) for _ in range(17)]
+        assert [c.raw for c in solver(L.polynomial_map(a))] == a
+    g = K.random_member(rng)
+    assert LinearSys.from_sections(P2, forms + [g], degree=6).nsections() == 18
+    with pytest.raises(ValueError, match="not in the span"):
+        solver(g)
+
+
+def test_coefficient_solver_of_a_system_without_sections():
+    # not complete and no sections, with or without a monomial list: only
+    # the zero polynomial is a member, with no coefficients
+    P2 = projective_space(GF(101), 2)
+    for E in (LinearSys.empty(P2, 2), LinearSys.from_matrix(P2, [], P2.monomial_basis(2), degree=2)):
+        assert not E.is_complete and E.nsections() == 0
+        assert E.coefficient_map()(P2.ring.zero()) == []
+        assert P2.ring.parse("x^2") not in E
+
+
+def test_subspace_operations_at_degree_20_match_the_stacked_oracle(monkeypatch):
+    # a non-complete degree-20 plane system over GF(101) and a subsystem:
+    # the kernel's rank, span and complement against the generic loop
+    P2 = projective_space(GF(101), 2)
+    K = LinearSys.complete(P2, 20)
+    rng = random.Random(20)
+    L = LinearSys.from_sections(P2, [K.random_member(rng) for _ in range(40)], degree=20)
+    sub = LinearSys.from_sections(P2, [L.random_member(rng, -3, 3) for _ in range(25)], degree=20)
+    assert (L.nsections(), sub.nsections()) == (40, 25)
+    calls = []
+    real = linalg.rref_mod_p
+    monkeypatch.setattr(linalg, "rref_mod_p", lambda A, p: calls.append(p) or real(A, p))
+    C = L.complement(sub)
+    assert calls and sub.is_subsystem_of(L) and not L.is_subsystem_of(sub)
+    expect = stacked_complement(L, sub)
+    assert [str(s) for s in C.sections()] == [str(s) for s in expect.sections()]
+    assert C.nsections() == 15
+    assert L.same_span(LinearSys.from_sections(P2, sub.sections() + C.sections(), degree=20))
+    assert not L.same_span(sub)
 
 
 def test_membership():
