@@ -183,34 +183,38 @@ def point_condition_rows(L, point, multiplicity):
 
 
 def _mass_evaluation_rows(L, points):
-    """Evaluation of every basis monomial at every (simple) point, vectorized
-    over GF(p) in int64: a product of per-variable power-table entries below
-    p, reduced mod p only where the next factor could take it past 2^63.
-    Exact for p < 2^31, where a reduced entry times a factor stays below
-    p^2 < 2^62.  The rows (one per point) are returned column-major, the
-    layout of the elimination kernel's working copy."""
+    """Evaluation of every basis monomial at every (simple) point over GF(p)
+    into the kernel's float64 working matrix: points x monomials, in [0, p),
+    column-major.  A block of monomials at a time, in int64: products of
+    power-table entries below p, reduced mod p only where the next factor
+    could take them past 2^63.  Exact for p < 2^31, where a reduced entry
+    times a factor stays below p^2 < 2^62."""
     p = L.ambient.field.p
     E = np.array(L.monomials(), dtype=np.int64)
     X = np.array([pt.coords for pt in points], dtype=np.int64)
-    out = np.ones((len(E), len(points)), dtype=np.int64)  # transposed: a row per monomial
-    factor = np.empty_like(out)
-    top = 1  # bound on the entries of out
-    for i in range(E.shape[1]):
-        # power table: X[r, i]^d for d = 0..max degree in variable i, a row per d
-        tbl = np.ones((int(E[:, i].max()) + 1, len(X)), dtype=np.int64)
+    # power tables: X[r, i]^d for d = 0..max degree in variable i, a row per d
+    tables = [np.ones((int(e.max()) + 1, len(X)), dtype=np.int64) for e in E.T]
+    for tbl, x in zip(tables, X.T):
         for d in range(1, len(tbl)):
-            tbl[d] = tbl[d - 1] * X[:, i] % p
-        # exponents index tbl in range; "clip" makes take write to `factor`
-        # without the full-size buffer it uses for mode="raise"
-        np.take(tbl, E[:, i], axis=0, out=factor, mode="clip")
-        if top * (p - 1) >= 1 << 63:
-            out %= p
-            top = p - 1
-        out *= factor
-        top *= p - 1
-    if top >= p:
-        out %= p
-    return out.T
+            tbl[d] = tbl[d - 1] * x % p
+    out = np.empty((len(X), len(E)), order="F")
+    step = max(1, (1 << 16) // len(X))  # monomials per block of 2^16 int64 entries
+    acc = np.empty((step, len(X)), dtype=np.int64)  # transposed: a row per monomial
+    for j in range(0, len(E), step):
+        block = E[j : j + step]
+        a = acc[: len(block)]
+        a[...] = 1
+        top = 1  # bound on the entries of a
+        for tbl, e in zip(tables, block.T):
+            if top * (p - 1) >= 1 << 63:
+                a %= p
+                top = p - 1
+            a *= tbl[e]
+            top *= p - 1
+        if top >= p:
+            a %= p
+        out[:, j : j + len(block)] = a.T
+    return out
 
 
 def impose_points(L, points, multiplicities):

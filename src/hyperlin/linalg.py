@@ -16,9 +16,9 @@ Two tiers, both exact:
   products by Horner in base 2^15 with a reduction after each step, which
   is exact for inner dimensions below 2^21 - 2^15 (enforced on min(m, n)).
   `ref_mod_p`, `rref_mod_p`, `rank_mod_p` and `nullspace_mod_p` all run it
-  on a matrix, a batch of one.  `rref_mod_p` also takes a stack of the
-  same matrix mod B primes and eliminates it in one pass, by stacked
-  products, with the pivots common to the slices that reach them.
+  on a matrix, a batch of one, in place if float64.  `rref_mod_p` also
+  takes a stack of a matrix mod B primes and eliminates it in one pass, by
+  stacked products, with the pivots common to the slices that reach them.
 
 On top of the GF(p) kernel sits the certified multi-prime nullspace over
 the rationals, which is `nullspace` over QQ: rank lower bounds from
@@ -39,7 +39,7 @@ does not already give a small numerator, and each vector, scaled by the lcm
 of its denominators, is checked by integer dot products against every row.
 
 `gf_numpy_path` is the one rule that sends a GF(p) matrix to the kernel,
-asked by `rref`, `rank`, `nullspace` and the int64 mass evaluation in
+asked by `rref`, `rank`, `nullspace` and the mass evaluation in
 `conditions`: p < 2^31, so that every int64 product of residues stays below
 p^2 < 2^62, and more than `_NUMPY_MIN_ENTRIES` entries, the measured
 crossover below which the generic loop is faster.  `solve_nullspace` gives
@@ -138,8 +138,8 @@ def rank(rows, field):
 def nullspace(rows, field, ncols=None):
     """Canonical right-nullspace basis: one vector per free column f (ascending),
     with v[f] = 1 and v[pivot_i] = -R[i][f]: `nullspace_rational` over QQ,
-    `nullspace_mod_p` where `gf_numpy_path` holds (rows may then be int64),
-    otherwise from the generic `rref`."""
+    `nullspace_mod_p` where `gf_numpy_path` holds (in place on a float64
+    working matrix), otherwise from the generic `rref`."""
     if len(rows) == 0:
         if ncols is None:
             raise ValueError("ncols required for an empty matrix")
@@ -201,11 +201,12 @@ def gf_numpy_path(field, m, n):
 def solve_nullspace(rows, field, ncols):
     """Right nullspace of a condition matrix with `ncols` columns.
 
-    rows: lists of raw values, or an int64 array over GF(p).  Returns
-    (count, basis).  basis is the canonical basis of `nullspace`, or, for a
-    rational matrix of more than `_DEFER_MIN_ENTRIES` entries that has full
-    row rank modulo one word-size prime, a callable that produces it on
-    demand; the count is then certified by that prime alone.
+    rows: lists of raw values, or a float64 working matrix over GF(p),
+    which `nullspace_mod_p` overwrites.  Returns (count, basis).  basis is
+    the canonical basis of `nullspace`, or, for a rational matrix of more
+    than `_DEFER_MIN_ENTRIES` entries that has full row rank modulo one
+    word-size prime, a callable that produces it on demand; the count is
+    then certified by that prime alone.
     """
     if field.kind == "rational" and len(rows) * ncols > _DEFER_MIN_ENTRIES:
         return _solve_rational(rows, field, ncols)
@@ -542,11 +543,11 @@ def _cup_mod_p(A, p):
     triangle once, and every TRSM over its pivot rows is one product with
     that inverse.
 
-    A is an integer matrix and p a prime, a batch of one: entries in [0, p)
-    are used as they are, others reduced first, in a float64 copy.  Or A is
-    a float64 stack (B x m x n) laid out by `_column_major`, slice b reduced
-    to [0, p[b]), and p a sequence of B primes: one pass eliminates every
-    slice, in place, by stacked products.  The pivots are common: a column
+    A is a matrix and p a prime, a batch of one, or a stack (B x m x n)
+    and a sequence of B primes, eliminated in one pass by stacked products.
+    A float64 A laid out by `_column_major`, slice b reduced to [0, p[b]),
+    is eliminated in place; an integer matrix is reduced into a float64
+    copy; anything else raises ValueError.  The pivots are common: a column
     is a pivot if a live slice has a nonzero in it, and each slice swaps up
     its own first nonzero row (see `_Elimination.leaf`).  The slices that
     have a nonzero at every pivot stay live, and the pivots are their column
@@ -568,7 +569,7 @@ def _cup_mod_p(A, p):
     that the multipliers of the unit lower factor L are stored below each
     pivot."""
     primes = _moduli(p)
-    if np.ndim(p) == 0:
+    if np.ndim(p) == 0 and getattr(A, "dtype", None) != np.float64:
         A = np.asarray(A, dtype=np.int64)
         if A.ndim != 2:
             raise ValueError("matrix required")
@@ -578,10 +579,10 @@ def _cup_mod_p(A, p):
         X = A.astype(np.float64, order="F")
     else:
         X = A
-        if X.ndim != 3 or len(X) != len(primes) or X.dtype != np.float64 or X.strides[1] != X.itemsize:
-            raise ValueError("a stack takes one column-major float64 slice per prime")
-        if X.size and (X.min() < 0 or (X.max(axis=(1, 2)) >= primes).any()):
-            raise ValueError("every slice of a stack must be reduced to [0, p)")
+        if X.ndim < 2 or X.shape[:-2] != np.shape(p) or X.dtype != np.float64 or X.size and X.strides[-2] != 8:
+            raise ValueError("a float64 matrix, or a stack of one slice per prime, must be column-major")
+        if X.size and (X.min() < 0 or (X.max(axis=(-2, -1)) >= primes).any()):
+            raise ValueError("a float64 matrix or stack must be reduced to [0, p)")
     m, n = X.shape[-2:]
     direct = _float_exact(m, n, max(primes))
     if not direct and min(m, n) >= _SPLIT_K:
@@ -673,9 +674,9 @@ def nullspace_mod_p(A, p):
     """Canonical right-nullspace basis over GF(p), 2 <= p < 2^31 (ValueError
     otherwise), as an int64 array (nullity x n): `ref_mod_p` plus the
     back-substitution of the free columns only, so the RREF is never
-    formed."""
+    formed.  A float64 A is eliminated in place (see `_cup_mod_p`)."""
     _check_modulus(p)
-    A = np.atleast_2d(np.asarray(A, dtype=np.int64))
+    A = A if getattr(A, "dtype", None) == np.float64 else np.atleast_2d(np.asarray(A, dtype=np.int64))
     m, n = A.shape
     if n == 0:
         return np.zeros((0, 0), dtype=np.int64)
@@ -690,7 +691,7 @@ def rank_mod_p(A, p):
     """Rank over GF(p), 2 <= p < 2^31 (ValueError otherwise): the pivot
     count of the CUP elimination, with no back-substitution."""
     _check_modulus(p)
-    A = np.atleast_2d(np.asarray(A, dtype=np.int64))
+    A = A if getattr(A, "dtype", None) == np.float64 else np.atleast_2d(np.asarray(A, dtype=np.int64))
     if 0 in A.shape:
         return 0
     return len(_cup_mod_p(A, p)[1])
@@ -727,8 +728,11 @@ def _lift_primes(m, n):
 
 
 def _mod_rows(int_rows, p):
-    # one prime: a big-int % per entry costs less than splitting into limbs
-    return np.array([[v % p for v in row] for row in int_rows], dtype=np.int64)
+    # one prime, row by row into the kernel's layout: a big-int % per entry costs less than limbs
+    X = _column_major((len(int_rows), len(int_rows[0])))
+    for i, row in enumerate(int_rows):
+        X[i] = [v % p for v in row]
+    return X
 
 
 def _split_limbs(int_rows):

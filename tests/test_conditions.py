@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from math import prod
 
@@ -154,7 +155,7 @@ def test_mass_evaluation_rows_match_exact_monomial_values(p):
         L = LinearSys.complete(Pn, degree)
         pts = random_points(Pn, min(9, p + 1), rng)  # P^1 has p + 1 points
         rows = conditions._mass_evaluation_rows(L, pts)
-        assert rows.dtype == np.int64 and rows.flags.f_contiguous
+        assert rows.dtype == np.float64 and rows.flags.f_contiguous
         expected = [[prod(pow(c, e, p) for c, e in zip(pt.coords, mon)) % p for mon in L.monomials()]
                     for pt in pts]
         assert rows.tolist() == expected
@@ -178,6 +179,24 @@ def test_mass_evaluation_exact_for_large_prime(monkeypatch):
     for s in J.sections():
         for pt in pts:
             assert F.is_zero(s._eval_raw(pt.coords))
+
+
+@pytest.mark.parametrize("n, degree, npts", [(2, 40, 860), (3, 16, 968)])
+def test_mass_point_conditions_hold_one_working_matrix(n, degree, npts):
+    # the evaluation is written into the kernel's float64 working matrix,
+    # which is eliminated in place: tracemalloc, which traces numpy's
+    # buffers, sees a peak of at most 1.5 such m x n matrices
+    P = projective_space(GF(397), n)
+    L = LinearSys.complete(P, degree)
+    pts = random_points(P, npts, random.Random(1))
+    tracemalloc.start()
+    try:
+        J = impose_points(L, pts, [1] * npts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert J.nsections() == L.nsections() - npts == 1
+    assert peak <= 1.5 * npts * L.nsections() * 8
 
 
 def test_imposing_on_an_empty_system_stays_empty():

@@ -842,6 +842,57 @@ def test_stacked_kernel_kills_the_slice_of_an_unlucky_prime():
         rref_mod_p(_stack(A, [p, s]), [p])
 
 
+def _full_rank_mod_p(rng, p, m, n):
+    """An m x n matrix of rank min(m, n) mod every p: a unit lower times a
+    unit upper trapezoid."""
+    k = min(m, n)
+    lower = np.tril(rng.integers(0, p, size=(m, k)).astype(object), -1) + np.eye(m, k, dtype=np.int64)
+    upper = np.triu(rng.integers(0, p, size=(k, n)).astype(object), 1) + np.eye(k, n, dtype=np.int64)
+    return (lower @ upper % p).astype(np.int64)
+
+
+@pytest.mark.parametrize("p", [2, 397, _P40, 2147483647])
+def test_a_float64_working_matrix_is_eliminated_in_place(p):
+    """The four GF(p) functions on a float64 column-major matrix reduced to
+    [0, p), which they eliminate in place, against the int64 copy (which
+    they leave as it is) and the Gauss-Jordan loop: full rank and rank
+    deficient, at min(m, n) = 40, where _P40 is the largest prime of the
+    direct regime and 2^31 - 1 takes the split one."""
+    assert linalg._float_exact(40, 40, p) == (p != 2147483647)
+    rng = np.random.default_rng(p % 1000)
+    F = GF(p)
+    for A, full in ((_full_rank_mod_p(rng, p, 40, 52), True), (_full_rank_mod_p(rng, p, 60, 40), True),
+                    (_matrix_mod_p(rng, p, 60, 40, 25), False)):
+        n = A.shape[1]
+        before = A.copy()
+        rows = A.tolist()
+        piv = linalg._gauss_jordan(rows, F, range(n))
+        assert (len(piv) == 40) == full
+        R = np.array(rows[: len(piv)], dtype=np.int64).reshape(-1, n)
+        U, piv_ref = ref_mod_p(A, p)
+        X = np.asfortranarray(A, dtype=np.float64)
+        U_X, piv_X = ref_mod_p(X, p)
+        assert piv_ref == piv_X == piv and np.array_equal(U_X, U) and np.shares_memory(U_X, X)
+        assert rank_mod_p(np.asfortranarray(A, dtype=np.float64), p) == rank_mod_p(A, p) == len(piv)
+        R_X, piv_X = rref_mod_p(np.asfortranarray(A, dtype=np.float64), p)
+        assert piv_X == piv and np.array_equal(R_X, R) and np.array_equal(rref_mod_p(A, p)[0], R)
+        N = oracle_basis(R, piv, n, p)
+        assert np.array_equal(nullspace_mod_p(np.asfortranarray(A, dtype=np.float64), p), N)
+        assert np.array_equal(nullspace_mod_p(A, p), N)
+        assert np.array_equal(A, before)
+    # an empty matrix has no pivots, though numpy gives it zero strides
+    for shape in ((0, 5), (3, 0)):
+        assert ref_mod_p(np.zeros(shape, order="F"), p)[1] == rref_mod_p(np.zeros(shape, order="F"), p)[1] == []
+    # anything else in float64 is refused: row-major, or not reduced
+    negative, large = np.asfortranarray(A, dtype=np.float64), np.asfortranarray(A, dtype=np.float64)
+    negative[3, 5], large[-1, -1] = -1, p
+    for bad, message in ((np.ascontiguousarray(A, dtype=np.float64), "column-major"),
+                         (negative, "reduced"), (large, "reduced")):
+        for fn in (ref_mod_p, rref_mod_p, rank_mod_p, nullspace_mod_p):
+            with pytest.raises(ValueError, match=message):
+                fn(bad, p)
+
+
 def test_split_products_are_exact_at_their_bounds():
     # operands at the largest magnitudes of their halves: h = 2^30 - 1 has
     # the high half 2^15, and 2^29 + 2^14 the low half 2^14
