@@ -29,7 +29,10 @@ under reduction mod p, a verified basis of size n - max(rank_p) is provably
 a full nullspace basis.  The eliminations are numpy only: the rows are
 split once into 30-bit limbs, reduced mod each prime into the slices of a
 float64 stack, and the first prime goes alone through `rref_mod_p`, then
-stacks of 2, 4, ... primes, up to a memory budget.  Each live slice then
+stacks of 2, 4, ... primes, up to a memory budget, with the rows put once
+in the order of the first prime's pivot steps: the lucky primes share its
+pivot rows (Dumas, Pernet and Sultan, ISSAC 2013), so the later ones find
+their pivots in place instead of searching for them.  Each live slice then
 takes a probe: one entry is CRT-combined and reconstructed.  Only when the
 probe reconstructs with a margin of 2^20 is the whole basis combined, by
 one vector CRT that extends the previous one, so the multiprecision work is
@@ -76,7 +79,7 @@ _HALF = 2.0**15  # base of the split regime's operand halves
 _SPLIT_K = 2**21 - 2**15  # split products are exact for inner dimensions below this
 _ONE_SIDED_K = 64  # split products split one operand up to this inner dimension
 _LIMB = 30  # bits per limb of the integer rows reduced mod p
-_STACK_ENTRIES = 1 << 18  # float64 entries of the lift's stacks of slices: a 2 MB budget
+_STACK_ENTRIES = 7 << 16  # float64 entries of the lift's stacks of slices: a 3.5 MB budget, eight of 230 x 231
 _MAX_STACK = 16  # most primes in one stack of the lift
 
 # ---------------------------------------------------------------------------
@@ -450,11 +453,11 @@ class _Elimination:
         self.trsm(h, r1, B[..., h - r0 :, :])
 
     def leaf(self, r, c0, c1):
-        """Pivot by pivot: reduce the next column, find each slice's first
-        nonzero row in it and swap it up, scale the multipliers below it,
-        one rank-1 update of the panel to its right.  Then the inverse of
-        the leaf's unit lower triangle is stored for the TRSMs of its pivot
-        rows.
+        """Pivot by pivot: reduce the next column; where a slice has a zero
+        in the pivot row, swap up its first nonzero row below, and its entry
+        of `order`; scale the multipliers below the pivot, one rank-1 update
+        of the panel to its right.  Then the inverse of the leaf's unit
+        lower triangle is stored for the TRSMs of its pivot rows.
 
         A column is a pivot if a live slice has a nonzero in it.  A live
         slice without one has a lexicographically later pivot tuple: it
@@ -471,10 +474,13 @@ class _Elimination:
             if k:
                 self.reduce(col)
             t = r + k
-            for b, i in enumerate(col.astype(bool).argmax(axis=-2).ravel().tolist()):
-                if i:
-                    S[b, [t, t + i]] = S[b, [t + i, t]]
             D = S[:, t, c0 + j : c0 + j + 1].tolist()
+            if [0.0] in D:
+                for b, i in enumerate(col.astype(bool).argmax(axis=-2).ravel().tolist()):
+                    if i:
+                        S[b, [t, t + i]] = S[b, [t + i, t]]
+                        self.order[b, [t, t + i]] = self.order[b, [t + i, t]]
+                D = S[:, t, c0 + j : c0 + j + 1].tolist()
             if [0.0] in D:
                 found = np.array(D)[:, 0] != 0
                 if not (found & self.live).any():
@@ -531,7 +537,7 @@ def _moduli(p):
     return primes
 
 
-def _cup_mod_p(A, p):
+def _cup_mod_p(A, p, order=None):
     """Column-recursive CUP elimination over GF(p) in float64, the scheme of
     FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008; rank
     profiles after Dumas, Pernet and Sultan, ISSAC 2013).  A column range is
@@ -567,7 +573,10 @@ def _cup_mod_p(A, p):
     of the slices it belongs to (one entry for a matrix).  The first
     len(pivots) rows of each slice hold U in the symmetric range, except
     that the multipliers of the unit lower factor L are stored below each
-    pivot."""
+    pivot.  `order`, if given an int array of A's shape less the last axis,
+    receives each slice's row order: row i of the slice is row order[i] of
+    A.  The first len(pivots) of a live slice are independent mod its prime;
+    in that order a lucky prime that divides no pivot minor never swaps."""
     primes = _moduli(p)
     if np.ndim(p) == 0 and getattr(A, "dtype", None) != np.float64:
         A = np.asarray(A, dtype=np.int64)
@@ -587,7 +596,10 @@ def _cup_mod_p(A, p):
     direct = _float_exact(m, n, max(primes))
     if not direct and min(m, n) >= _SPLIT_K:
         raise ValueError(f"a {m} x {n} matrix is beyond the split products' inner dimension bound")
+    order = np.empty(X.shape[:-1], dtype=np.intp) if order is None else order
+    order[...] = np.arange(m)
     elimination = _Elimination(X, primes, direct)
+    elimination.order = order.reshape(len(primes), m)
     elimination.factor(0, 0, n)
     return X, elimination.pivots, elimination.live
 
@@ -636,7 +648,7 @@ def ref_mod_p(A, p):
     return X[: len(pivots)], pivots
 
 
-def rref_mod_p(A, p):
+def rref_mod_p(A, p, *, order=None):
     """RREF over GF(p), 2 <= p < 2^31 (ValueError otherwise): the CUP
     elimination plus the blocked back-substitution.  Returns (R, pivots): R
     an int64 array of the rank nonzero rows, entries in [0, p).
@@ -647,8 +659,9 @@ def rref_mod_p(A, p):
     the free columns of each slice's RREF in [0, p[b]).  A canonical RREF
     has the identity in its pivot columns, so Y[b] is the whole RREF of a
     live slice.  A slice that is not live has a lexicographically later
-    pivot tuple (an unlucky prime), and its Y is meaningless."""
-    X, piv, live = _cup_mod_p(A, p)
+    pivot tuple (an unlucky prime), and its Y is meaningless.  `order`
+    receives the row order of each slice, as in `_cup_mod_p`."""
+    X, piv, live = _cup_mod_p(A, p, order)
     n = X.shape[-1]
     free = _free_columns(piv, n)
     Y = _backsolve(X[..., : len(piv), :], piv, p, free)
@@ -787,11 +800,13 @@ def nullspace_rational(rows):
     the rank of the matrix exactly.
 
     The first prime is eliminated alone, then the primes go in stacks of 2,
-    4, ... slices (`_eliminations`), and the live slices of a stack join the
-    lift one by one, in prime order, each followed by the probe.  The
-    reference group, whose residues are lifted, is the primes with the
-    largest rank and the lexicographically smallest pivot tuple: a prime can
-    only lower the rank or push pivots later, so that is the pattern over ℚ.
+    4, ... slices (`_eliminations`) in the row order of the first prime's
+    pivot steps, which changes no slice's RREF, pivots or liveness, and the
+    live slices of a stack join the lift one by one, in prime order, each
+    followed by the probe.  The reference group, whose residues are lifted,
+    is the primes with the largest rank and the lexicographically smallest
+    pivot tuple: a prime can only lower the rank or push pivots later, so
+    that is the pattern over ℚ.
     The probe entry is the last one that failed to reconstruct.  Plain
     reconstruction succeeds on about 60% of random residues, so the probe
     is accepted only with a margin, |n| d 2^20 < m (Monagan's
@@ -841,19 +856,27 @@ def _eliminations(int_rows, primes):
     """The eliminations of the lift, by `rref_mod_p` on stacks of the
     integer matrix mod the next primes: the first prime alone, then stacks
     of 2, 4, ... up to `_STACK_ENTRIES` // (m n) slices (at most
-    `_MAX_STACK`), a stack reusing the float64 slices of the last.  Limbs
-    are reduced straight into the slices.  Yields (primes, Y, pivots, live)
-    per stack, as the stacked `rref_mod_p` returns them."""
+    `_MAX_STACK`; eight for 230 x 231), a stack reusing the float64 slices
+    of the last.  Limbs are reduced straight into the slices.  After the
+    first prime, which sets the first reference group, they are put once in
+    the row order it recorded, its pivot rows first, so the later lucky
+    primes skip the pivot search.  Every row stays in every stack: a stack
+    of higher rank can still replace an unlucky first prime.  Yields
+    (primes, Y, pivots, live) per stack, as the stacked `rref_mod_p`
+    returns them."""
     limbs, negative = _split_limbs(int_rows)
     _, m, n = limbs.shape
     cap = max(1, min(_MAX_STACK, _STACK_ENTRIES // (m * n)))
     X = _column_major((cap, m, n))
-    size = 1
+    order = np.empty((cap, m), dtype=np.intp)
+    size, reorder = 1, True
     while stack := list(islice(primes, size)):
         S = X[: len(stack)]
         for b, p in enumerate(stack):
             S[b] = _reduce_limbs(limbs, negative, p)
-        yield (stack, *rref_mod_p(S, stack))
+        yield (stack, *rref_mod_p(S, stack, order=order[: len(stack)]))
+        if reorder:
+            limbs, negative, reorder = limbs[:, order[0]], negative[order[0]], False
         size = min(2 * size, cap)
 
 

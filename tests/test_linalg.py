@@ -16,6 +16,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hyperlin.linalg as linalg
+from hyperlin import LinearSys, affine_space
+from hyperlin.conditions import point_condition_rows
 from hyperlin.fields import GF, primes_from, rationals
 from hyperlin.linalg import (
     clear_denominators,
@@ -431,6 +433,112 @@ def test_an_unlucky_prime_inside_a_stack_is_left_out(monkeypatch, index):
     assert lifted == [p for p in res.primes_used if p != q][: len(lifted)]
 
 
+def _recorded_orders(monkeypatch):
+    # per stack of the lift: the row order each slice's elimination recorded
+    orders = []
+    real = linalg.rref_mod_p
+
+    def spy(A, p, **kw):
+        out = real(A, p, **kw)
+        orders.append(kw["order"].copy())
+        return out
+
+    monkeypatch.setattr(linalg, "rref_mod_p", spy)
+    return orders
+
+
+def test_an_unlucky_first_prime_in_another_row_order(monkeypatch):
+    # the two tests of an unlucky first prime, with the row order it
+    # records reversed before the lift puts the limbs in it: any order
+    # gives the same lift
+    reversed_first = []
+    real = linalg.rref_mod_p
+
+    def reversing(A, p, **kw):
+        out = real(A, p, **kw)
+        if not reversed_first:
+            reversed_first.append(kw["order"][0].tolist())
+            kw["order"][0] = kw["order"][0][::-1].copy()
+        return out
+
+    monkeypatch.setattr(linalg, "rref_mod_p", reversing)
+    test_nullspace_rational_unlucky_first_prime()
+    reversed_first.clear()
+    test_a_stack_beats_an_unlucky_reference(monkeypatch)
+    assert reversed_first == [[0, 1]]
+
+
+def test_a_wrong_first_order_costs_later_primes_only_swaps(monkeypatch):
+    # rows c = [0, p0, 0, 0], a = e0, b = e2.  Mod the first prime p0, c
+    # vanishes: p0 is unlucky, and the order it records, a, b, c, puts b
+    # where the lucky primes need their pivot of column 1.  Their
+    # eliminations swap c up again
+    orders = _recorded_orders(monkeypatch)
+    p0 = next(linalg._lift_primes(3, 4))
+    rows = [[0, p0, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0]]
+    res = nullspace_rational(rows)
+    assert res.basis == rref_nullspace(frac_rows(rows), QQ) and res.rank == 3
+    assert orders[0].tolist() == [[1, 2, 0]]
+    assert all(o.tolist() == [0, 2, 1] for o in orders[1][:2])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_the_reordered_lift_matches_the_fraction_oracle(data):
+    """Taylor rows of fat points have structural zeros (a d/dy row vanishes
+    on x^d), so the first prime's elimination swaps rows and the lift puts
+    its pivot rows first for the later primes.  Any order gives the same
+    basis: condition rows of a complete plane system at random integer
+    points, coordinates up to 10^4 so that the lift takes several stacks,
+    shuffled, with repeated points, rows that are sums of two others and
+    zero rows."""
+    L = LinearSys.complete(affine_space(QQ, 2), data.draw(st.integers(2, 6)))
+    coordinate = st.one_of(st.integers(-3, 3), st.integers(-10**4, 10**4))
+    rows = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        point = (data.draw(coordinate), data.draw(coordinate))
+        rows += point_condition_rows(L, point, data.draw(st.integers(1, 4)))
+    for _ in range(data.draw(st.integers(0, 3))):
+        i, j = data.draw(st.integers(0, len(rows) - 1)), data.draw(st.integers(0, len(rows) - 1))
+        rows.append([a + b for a, b in zip(rows[i], rows[j])])
+    rows += [[0] * len(L.monomials())] * data.draw(st.integers(0, 2))
+    random.Random(data.draw(st.integers(0, 2**32 - 1))).shuffle(rows)
+    res = nullspace_rational(rows)
+    assert res.basis == rref_nullspace(frac_rows(rows), QQ)
+
+
+# qq-special's system for its seed 0 (perfbench/workloads.py): complete
+# degree 20 over QQ, 18 integer points, three of them on the line
+# y = x + 1 with multiplicities 7, 8 and 9, in special position
+_SPECIAL_POINTS = [(17, 8), (18, 1), (4, 16), (3, 4), (1, 13), (5, 6), (14, 1), (14, 20), (9, 8),
+                   (9, 10), (8, 15), (19, 4), (11, 1), (1, 1), (1, 15), (13, 7), (12, 8), (18, 8)]
+_SPECIAL_MULTS = [5, 3, 2, 8, 2, 7, 3, 2, 2, 9, 7, 3, 3, 3, 2, 2, 5, 5]
+# the lift of this system in the given row order, in stacks of at most 4,
+# takes 119 primes in 31 stacks and 4 full reconstructions
+_SPECIAL_PRIMES, _SPECIAL_RECONSTRUCTIONS = 119, 4
+
+
+def test_the_reordered_lift_draws_no_more_primes_on_a_special_system(monkeypatch):
+    """A guard against a runaway lift: the same primes, rounded up to the
+    stacks of 8 of a 230 x 231 matrix, no more reconstructions, and no
+    pivot search that moves a row after the first stack."""
+    orders = _recorded_orders(monkeypatch)
+    reconstructions = []
+    real = linalg._Lift.reconstruct
+    monkeypatch.setattr(linalg._Lift, "reconstruct", lambda self: reconstructions.append(1) or real(self))
+    L = LinearSys.complete(affine_space(QQ, 2), 20)
+    rows = [row for pt, mult in zip(_SPECIAL_POINTS, _SPECIAL_MULTS) for row in point_condition_rows(L, pt, mult)]
+    res = nullspace_rational(rows)
+    assert (len(rows), len(rows[0]), res.rank, len(res.basis)) == (230, 231, 226, 5)
+    sizes = [len(o) for o in orders]
+    assert sizes == [1, 2, 4] + [8] * (len(sizes) - 3)
+    # 119 = 1 + 2 + 4 + 14 * 8 is a boundary of the stacks of 8
+    assert len(res.primes_used) == sum(sizes) == _SPECIAL_PRIMES and len(sizes) == 17
+    assert len(reconstructions) <= _SPECIAL_RECONSTRUCTIONS
+    assert not np.array_equal(orders[0][0], np.arange(230))
+    assert all(np.array_equal(o, np.broadcast_to(np.arange(230), o.shape)) for o in orders[1:])
+
+
 def test_nullspace_rational_gives_up_after_max_primes(monkeypatch):
     # the same 150-bit matrix needs about 50 primes; with a budget of 5 the
     # basis cannot be lifted, and the primes are drawn only as they are used
@@ -840,6 +948,56 @@ def test_stacked_kernel_kills_the_slice_of_an_unlucky_prime():
         rref_mod_p(np.ascontiguousarray(_stack(A, [p, s])), [p, s])
     with pytest.raises(ValueError, match="column-major"):
         rref_mod_p(_stack(A, [p, s]), [p])
+
+
+def _echelon_combinations(rng, m, n, r, u):
+    """An m x n integer matrix whose rows are combinations, with
+    coefficients in {-1, 0, 1}, of an r x n echelon form E: r rows by a unit
+    lower triangle, the rest at random, most of them zero, then shuffled.
+    E's pivots are 1 except one, which is the prime u, so u is unlucky and
+    every other prime keeps the rank and the pivots.  On E's pivots a set
+    of rows has the minor of its coefficients times 1 or u, which is below
+    r^(r/2) <= 4096 in absolute value before the factor u."""
+    piv = np.sort(rng.choice(n, size=r, replace=False))
+    E = rng.integers(-9, 10, size=(r, n))
+    for i, c in enumerate(piv):
+        E[i, :c] = 0
+        E[i, c] = 1
+        E[:i, c] = 0
+    E[r // 2, piv[r // 2]] = u
+    C = np.vstack([np.tril(rng.integers(-1, 2, size=(r, r)), -1) + np.eye(r, dtype=np.int64),
+                   rng.integers(-1, 2, size=(m - r, r)) * (rng.random((m - r, 1)) < 0.3)])
+    return rng.permutation(C @ E), list(piv)
+
+
+@pytest.mark.parametrize("p", [2, 397, _P40, 2147483647])
+def test_the_kernel_records_each_slices_row_order(p):
+    """The row order `rref_mod_p` records, slice by slice, is a permutation
+    of the rows whose first rank rows are independent mod the slice's prime.
+    Mod another lucky prime q, the reordered matrix needs no row swap: q is
+    above every pivot minor of the coefficients.  In a stack, the unlucky
+    prime u dies and the live slices record what they record alone."""
+    m, n, r, u = 48, 40, 8, 401
+    q = 2147483647 if p == _P40 else _P40
+    A, piv = _echelon_combinations(np.random.default_rng(p % 1000), m, n, r, u)
+    order = np.empty(m, dtype=np.intp)
+    R, piv_p = rref_mod_p(A, p, order=order)
+    assert piv_p == piv and sorted(order.tolist()) == list(range(m))
+    assert not np.array_equal(order, np.arange(m)) and rank_mod_p(A[order[:r]], p) == r
+    again = np.empty(m, dtype=np.intp)
+    R_q, piv_q = rref_mod_p(A[order], q, order=again)
+    assert piv_q == piv and np.array_equal(again[:r], np.arange(r))
+    assert np.array_equal(R_q, rref_mod_p(A, q)[0])
+    primes = [p, u, q]
+    orders = np.empty((3, m), dtype=np.intp)
+    Y, piv_s, live = rref_mod_p(_stack(A, primes), primes, order=orders)
+    assert piv_s == piv and live.tolist() == [True, False, True]
+    for o, prime, alive in zip(orders, primes, live):
+        assert sorted(o.tolist()) == list(range(m))
+        if alive:
+            assert rank_mod_p(A[o[:r]], prime) == r
+    assert np.array_equal(orders[0], order)
+    assert np.array_equal(R[:, [f for f in range(n) if f not in piv]], Y[0])
 
 
 def _full_rank_mod_p(rng, p, m, n):
