@@ -13,6 +13,7 @@ is ever printed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import random
 import sys
@@ -48,6 +49,14 @@ def _fail(path, message):
     raise JobError(f"{path}: {message}")
 
 
+@contextlib.contextmanager
+def _located(path, errors=ValueError):
+    try:
+        yield
+    except errors as exc:
+        _fail(path, str(exc))
+
+
 def _check_keys(obj, path, required=(), optional=()):
     if not isinstance(obj, dict):
         _fail(path, "expected an object")
@@ -65,29 +74,25 @@ def _check_keys(obj, path, required=(), optional=()):
 
 def _load_field(data, path):
     _check_keys(data, path, required=("kind",), optional=("p", "k"))
-    try:
+    if data["kind"] != "gf":
+        _check_keys(data, path, required=("kind",))  # p and k are GF's
+    with _located(path, (ValueError, TypeError)):
         return CoefficientField.from_json(data)
-    except (ValueError, TypeError) as exc:
-        _fail(path, str(exc))
 
 
 def _load_ambient(data, field, path):
     _check_keys(data, path, required=("kind",), optional=("dim", "dims", "names"))
     kind = data["kind"]
     if kind in ("affine", "projective"):
-        if "dim" not in data:
-            _fail(path, f"{kind} ambient needs a 'dim'")
+        _check_keys(data, path, required=("kind", "dim"), optional=("names",))
         dims = [data["dim"]]
     elif kind == "product":
-        if "dims" not in data:
-            _fail(path, "product ambient needs 'dims'")
+        _check_keys(data, path, required=("kind", "dims"), optional=("names",))
         dims = data["dims"]
     else:
         _fail(path, f"unknown ambient kind {kind!r}")
-    try:
+    with _located(path, (ValueError, TypeError)):
         return Ambient(kind, dims, field, names=data.get("names"))
-    except (ValueError, TypeError) as exc:
-        _fail(path, str(exc))
 
 
 def _parse_poly(ring, text, path):
@@ -112,22 +117,30 @@ def _parse_coord(field, value, path):
     _fail(path, f"bad coordinate {value!r}")
 
 
+# the (required, optional) keys of each kind of starting system, in precedence order
+_SYSTEM_KEYS = {
+    "sections": (("sections",), ("degree",)),
+    "matrix": (("matrix", "monomials"), ("degree",)),
+    "degree": (("degree",), ()),
+}
+
+
 def _load_system(data, ambient, path):
-    _check_keys(data, path, optional=("degree", "sections", "matrix", "monomials"))
+    kind = next((k for k in _SYSTEM_KEYS if k in data), None) if isinstance(data, dict) else None
+    if kind is None:
+        _check_keys(data, path)  # not an object, or a key of no kind of system
+        _fail(path, "one of 'degree', 'sections' or 'matrix' is required")
+    _check_keys(data, path, *_SYSTEM_KEYS[kind])
     ring = ambient.ring
     field = ambient.field
-    if "sections" in data:
+    if kind == "sections":
         secs = [
             _parse_poly(ring, s, f"{path}.sections[{i}]")
             for i, s in enumerate(data["sections"])
         ]
-        try:
+        with _located(path):
             return LinearSys.from_sections(ambient, secs, degree=data.get("degree"))
-        except ValueError as exc:
-            _fail(path, str(exc))
-    if "matrix" in data:
-        if "monomials" not in data:
-            _fail(path, "a matrix system needs 'monomials'")
+    if kind == "matrix":
         mons = []
         for i, m in enumerate(data["monomials"]):
             poly = _parse_poly(ring, m, f"{path}.monomials[{i}]")
@@ -138,16 +151,10 @@ def _load_system(data, ambient, path):
             [_parse_coord(field, v, f"{path}.matrix[{i}][{j}]") for j, v in enumerate(row)]
             for i, row in enumerate(data["matrix"])
         ]
-        try:
+        with _located(path):
             return LinearSys.from_matrix(ambient, rows, mons, degree=data.get("degree"))
-        except ValueError as exc:
-            _fail(path, str(exc))
-    if "degree" in data:
-        try:
-            return LinearSys.complete(ambient, data["degree"])
-        except ValueError as exc:
-            _fail(path, str(exc))
-    _fail(path, "one of 'degree', 'sections' or 'matrix' is required")
+    with _located(path):
+        return LinearSys.complete(ambient, data["degree"])
 
 
 def _load_scheme(data, ring, path):
@@ -158,75 +165,62 @@ def _load_scheme(data, ring, path):
     saturated = data.get("saturated", False)
     if not isinstance(saturated, bool):
         _fail(f"{path}.saturated", "expected true or false")
-    try:
+    with _located(path):
         return SchemeSpec(gens, saturated=saturated)
-    except ValueError as exc:
-        _fail(path, str(exc))
+
+
+# the (required, optional) keys of each operation, besides 'op'
+_OPERATION_KEYS = {
+    "impose-points": (("points", "multiplicities"), ()),
+    "impose-chain": (("chains",), ()),
+    "containment": ((), ("generators", "saturated")),
+    "trace": ((), ("generators", "saturated")),
+    "image-system": (("components", "target", "degree"), ("generators", "saturated")),
+}
 
 
 def _apply_operation(L, data, path):
-    _check_keys(
-        data, path, required=("op",),
-        optional=(
-            "points", "multiplicities", "chains", "generators", "saturated",
-            "components", "target", "degree",
-        ),
-    )
-    op = data["op"]
+    op = data.get("op") if isinstance(data, dict) else None
+    if not isinstance(op, str) or op not in _OPERATION_KEYS:
+        _check_keys(data, path, required=("op",), optional=data)  # not an object, or no 'op'
+        _fail(path, f"unknown operation {op!r}")
+    required, optional = _OPERATION_KEYS[op]
+    _check_keys(data, path, ("op", *required), optional)
     ambient = L.ambient
     field = ambient.field
     if op == "impose-points":
-        for key in ("points", "multiplicities"):
-            if key not in data:
-                _fail(path, f"impose-points needs '{key}'")
         points = [
             [_parse_coord(field, v, f"{path}.points[{i}]") for v in pt]
             for i, pt in enumerate(data["points"])
         ]
-        try:
+        with _located(path):
             return impose_points(L, points, data["multiplicities"])
-        except ValueError as exc:
-            _fail(path, str(exc))
     if op == "impose-chain":
-        if "chains" not in data:
-            _fail(path, "impose-chain needs 'chains'")
         specs = []
         for i, c in enumerate(data["chains"]):
             cpath = f"{path}.chains[{i}]"
             _check_keys(c, cpath, required=("point", "mults"), optional=("tangents",))
-            try:
+            with _located(cpath, (ValueError, TypeError)):
                 specs.append(BlowupChainSpec.from_json(c, field))
-            except (ValueError, TypeError) as exc:
-                _fail(cpath, str(exc))
-        try:
+        with _located(path):
             return impose_chain(L, specs)
-        except ValueError as exc:
-            _fail(path, str(exc))
     if op in ("containment", "trace"):
         scheme = _load_scheme(data, ambient.ring, path)
-        try:
+        with _located(path):
             if op == "containment":
                 return impose_containment(L, scheme)
             return L.trace(scheme)
-        except ValueError as exc:
-            _fail(path, str(exc))
     if op == "image-system":
-        for key in ("components", "target", "degree"):
-            if key not in data:
-                _fail(path, f"image-system needs '{key}'")
+        if "saturated" in data and "generators" not in data:
+            _fail(path, "'saturated' needs 'generators'")
         target = _load_ambient(data["target"], field, f"{path}.target")
         comps = [
             _parse_poly(ambient.ring, c, f"{path}.components[{i}]")
             for i, c in enumerate(data["components"])
         ]
-        scheme = None
-        if "generators" in data:
-            scheme = _load_scheme(data, ambient.ring, path)
-        try:
+        scheme = _load_scheme(data, ambient.ring, path) if "generators" in data else None
+        with _located(path):
             return image_system(comps, target, data["degree"], scheme=scheme)
-        except ValueError as exc:
-            _fail(path, str(exc))
-    _fail(path, f"unknown operation {op!r}")
 
 
 def _describe_ambient(ambient):

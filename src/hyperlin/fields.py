@@ -5,8 +5,9 @@ residue in [0, p) for GF(p), a tuple of k residues for GF(p^k)) and can be
 wrapped in FieldElement for operator syntax.  The raw-level methods on
 CoefficientField are what the linear-algebra kernels call in hot loops.
 
-The module also provides the multi-prime lifting tools: Chinese remaindering
-and rational reconstruction of a residue into a bounded fraction.
+The module also provides the multi-prime lifting tools: Chinese remaindering,
+rational reconstruction of a residue into a bounded fraction, and of vectors
+against a running denominator (`lift_rationals` and `linalg`'s lift).
 """
 
 from __future__ import annotations
@@ -771,24 +772,50 @@ class LiftResult:
         return f"LiftResult({good}/{len(self.ok)} lifted, modulus ~1e{len(str(self.combined_modulus)) - 1})"
 
 
+def reconstruct_rationals(xs, m, length=None):
+    """Yield `rational_reconstruct(x, m)` for each x of the list xs, cut into
+    vectors of `length` entries (one vector by default).  In a vector the
+    running lcm d of the denominators found gives y/d directly when
+    y = d*x mod m is within the bound, and `rational_reconstruct` is called
+    only when it is not.  Its denominators are prime to m, so y/d in lowest
+    terms meets the congruence and is, unique within the bound, what it
+    gives.  Each distinct denominator is one int object across the block
+    (Fraction's slot _denominator), which takes a third off a basis."""
+    length = length or len(xs) or 1
+    bound = math.isqrt(m // 2)
+    denominators = {}
+    for start in range(0, len(xs), length):
+        d = 1
+        for x in xs[start : start + length]:
+            y = x * d % m
+            if y > m - y:
+                y -= m
+            if -bound <= y <= bound and d <= bound:
+                f = Fraction(y, d)
+            else:
+                f = rational_reconstruct(x, m)
+                if f is None:
+                    yield None
+                    continue
+                d = math.lcm(d, f.denominator)
+            f._denominator = denominators.setdefault(f.denominator, f.denominator)
+            yield f
+
+
 def lift_rationals(residue_vectors, moduli):
     """CRT-combine per-modulus residue vectors and rationally reconstruct each entry.
 
     residue_vectors[i] is the vector of residues mod moduli[i]; all vectors must
-    share one length.  Entries that fail reconstruction get value None, ok False.
+    share one length.  The combined vector is reconstructed by
+    `reconstruct_rationals`, entry for entry what `rational_reconstruct`
+    gives.  Entries that fail reconstruction get value None, ok False.
+    `crt_combine` rejects mismatched or missing moduli.
     """
-    if len(residue_vectors) != len(moduli):
-        raise ValueError("one residue vector per modulus required")
-    if not moduli:
-        raise ValueError("need at least one modulus")
     combined = crt_combine(residue_vectors, moduli)
     m = math.prod(moduli)
-    values, ok = [], []
-    for x in combined:
-        f = rational_reconstruct(x, m)
-        values.append(f)
-        ok.append(f is not None)
-    return LiftResult(tuple(moduli), tuple(tuple(v) for v in residue_vectors), m, values, ok)
+    values = list(reconstruct_rationals(combined, m))
+    ok = [f is not None for f in values]
+    return LiftResult(tuple(moduli), tuple(map(tuple, residue_vectors)), m, values, ok)
 
 
 def iter_primes(start):

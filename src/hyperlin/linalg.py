@@ -23,23 +23,25 @@ Two tiers, both exact:
 On top of the GF(p) kernel sits the certified multi-prime nullspace over
 the rationals, which is `nullspace` over QQ: rank lower bounds from
 reductions mod the largest primes of the direct regime (`_lift_primes`,
-about 2^22.6 for 230 x 231), CRT + rational reconstruction of the
-candidate basis, and exact integer verification.  Since rank can only drop
-under reduction mod p, a verified basis of size n - max(rank_p) is provably
-a full nullspace basis.  The eliminations are numpy only: the rows are
-split once into 30-bit limbs, reduced mod each prime into the slices of a
-float64 stack, and the first prime goes alone through `rref_mod_p`, then
-stacks of 2, 4, ... primes, up to a memory budget, with the rows put once
-in the order of the first prime's pivot steps: the lucky primes share its
-pivot rows (Dumas, Pernet and Sultan, ISSAC 2013), so the later ones find
-their pivots in place instead of searching for them.  Each live slice then
-takes a probe: one entry is CRT-combined and reconstructed.  Only when the
-probe reconstructs with a margin of 2^20 is the whole basis combined, by
-one vector CRT that extends the previous one, so the multiprecision work is
-O(entries * primes).  The entries of a vector are reconstructed against a
-running common denominator, calling `rational_reconstruct` only where it
-does not already give a small numerator, and each vector, scaled by the lcm
-of its denominators, is checked by integer dot products against every row.
+about 2^22.6 for 230 x 231), CRT + rational reconstruction of the RREF's
+free block Y (rank x nullity), and exact integer verification.  Since rank
+can only drop under reduction mod p, a verified basis of size
+n - max(rank_p) is provably a full nullspace basis.  The eliminations are
+numpy only: the rows are split once into 30-bit limbs, reduced mod each
+prime into the slices of a float64 stack, and the first prime goes alone
+through `rref_mod_p`, then stacks of 2, 4, ... primes, up to a memory
+budget, with the rows put once in the order of the first prime's pivot
+steps: the lucky primes share its pivot rows (Dumas, Pernet and Sultan,
+ISSAC 2013), so the later ones find their pivots in place.  Each live slice
+adds its Y, column by column, and takes a probe: one entry is CRT-combined
+and reconstructed.  Only when the probe reconstructs with a margin of 2^20
+is all of Y combined, by one vector CRT that extends the previous one, and
+each column reconstructed against a running denominator
+(`fields.reconstruct_rationals`, as in `lift_rationals`).  Its basis
+vector, 1 at its free column and -Y at the pivots, scaled by the lcm of its
+denominators, is checked against every row by integer dot products over
+the pivot columns; `_canonical_basis`, as in the generic `nullspace`,
+builds it.
 
 `gf_numpy_path` is the one rule that sends a GF(p) matrix to the kernel,
 asked by `rref`, `rank`, `nullspace` and the mass evaluation in
@@ -58,13 +60,14 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import compress, islice
+from itertools import compress, islice, takewhile
 from math import isqrt, lcm
 from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
-from .fields import _is_prime, crt_combine, rational_reconstruct, rationals
+from .fields import _is_prime, crt_combine, rational_reconstruct, rationals, reconstruct_rationals
 
 _NUMPY_MIN_ENTRIES = 150  # GF(p) matrices of more entries take the numpy kernel
 _DEFER_MIN_ENTRIES = 50_000  # QQ condition matrices of more entries get a deferred basis
@@ -142,7 +145,7 @@ def nullspace(rows, field, ncols=None):
     """Canonical right-nullspace basis: one vector per free column f (ascending),
     with v[f] = 1 and v[pivot_i] = -R[i][f]: `nullspace_rational` over QQ,
     `nullspace_mod_p` where `gf_numpy_path` holds (in place on a float64
-    working matrix), otherwise from the generic `rref`."""
+    working matrix), otherwise `_canonical_basis` of the generic `rref`."""
     if len(rows) == 0:
         if ncols is None:
             raise ValueError("ncols required for an empty matrix")
@@ -153,15 +156,20 @@ def nullspace(rows, field, ncols=None):
     if gf_numpy_path(field, len(rows), n):
         return nullspace_mod_p(rows, field.p).tolist()
     R, piv = rref(rows, field)
-    pivset = set(piv)
+    free = sorted(set(range(n)) - set(piv))
+    return _canonical_basis([[row[f] for row in R] for f in free], piv, free, field)
+
+
+def _canonical_basis(columns, pivots, free, field):
+    """The canonical nullspace basis from the columns of an RREF's free block
+    Y: the vector of columns[j] has 1 at free[j], -Y[i][j] at pivots[i]."""
+    n = len(pivots) + len(free)
     basis = []
-    for f in range(n):
-        if f in pivset:
-            continue
+    for f, column in zip(free, columns):
         v = [field.zero] * n
         v[f] = field.one
-        for i, c in enumerate(piv):
-            v[c] = field.neg(R[i][f])
+        for c, y in zip(pivots, column):
+            v[c] = field.neg(y)
         basis.append(v)
     return basis
 
@@ -673,21 +681,12 @@ def rref_mod_p(A, p, *, order=None):
     return R, piv
 
 
-def _nullspace_basis(Y, piv, free, p):
-    """Canonical nullspace basis (int64, nullity x n) from the free columns
-    Y = R[:, free] of an RREF mod p (any representatives): v[f] = 1 on its
-    free column f, v[pivot_i] = -R[i][f]."""
-    N = np.zeros((len(free), len(piv) + len(free)), dtype=np.int64)
-    N[np.arange(len(free)), free] = 1
-    N[:, piv] = np.mod(-Y.T, p)
-    return N
-
-
 def nullspace_mod_p(A, p):
     """Canonical right-nullspace basis over GF(p), 2 <= p < 2^31 (ValueError
     otherwise), as an int64 array (nullity x n): `ref_mod_p` plus the
     back-substitution of the free columns only, so the RREF is never
-    formed.  A float64 A is eliminated in place (see `_cup_mod_p`)."""
+    formed: v[f] = 1 on its free column f, v[pivot_i] = -R[i][f].  A
+    float64 A is eliminated in place (see `_cup_mod_p`)."""
     _check_modulus(p)
     A = A if getattr(A, "dtype", None) == np.float64 else np.atleast_2d(np.asarray(A, dtype=np.int64))
     m, n = A.shape
@@ -697,7 +696,10 @@ def nullspace_mod_p(A, p):
         return np.eye(n, dtype=np.int64)
     U, piv = ref_mod_p(A, p)
     free = _free_columns(piv, n)
-    return _nullspace_basis(_backsolve(U, piv, p, free), piv, free, p)
+    N = np.zeros((len(free), n), dtype=np.int64)
+    N[np.arange(len(free)), free] = 1
+    N[:, piv] = np.mod(-_backsolve(U, piv, p, free).T, p)
+    return N
 
 
 def rank_mod_p(A, p):
@@ -778,17 +780,14 @@ def _reduce_limbs(limbs, negative, p):
     return acc
 
 
-class RationalNullspace:
+class RationalNullspace(NamedTuple):
     """Result of the certified multi-prime nullspace: exact basis (list of
     Fraction vectors, identity pattern on the free columns) plus the certified
     rank of the input matrix."""
 
-    __slots__ = ("basis", "rank", "primes_used")
-
-    def __init__(self, basis, rank, primes_used):
-        self.basis = basis
-        self.rank = rank
-        self.primes_used = primes_used
+    basis: list
+    rank: int
+    primes_used: list
 
 
 def nullspace_rational(rows):
@@ -803,11 +802,12 @@ def nullspace_rational(rows):
     4, ... slices (`_eliminations`) in the row order of the first prime's
     pivot steps, which changes no slice's RREF, pivots or liveness, and the
     live slices of a stack join the lift one by one, in prime order, each
-    followed by the probe.  The reference group, whose residues are lifted,
-    is the primes with the largest rank and the lexicographically smallest
-    pivot tuple: a prime can only lower the rank or push pivots later, so
-    that is the pattern over ℚ.
-    The probe entry is the last one that failed to reconstruct.  Plain
+    followed by the probe.  The reference group, whose free blocks Y are
+    lifted (`_Lift`) into the basis (`_canonical_basis`), is the primes with
+    the largest rank and the lexicographically smallest pivot tuple: a prime
+    can only lower the rank or push pivots later, so that is the pattern
+    over ℚ.
+    The probe entry of Y is the last one that failed to reconstruct.  Plain
     reconstruction succeeds on about 60% of random residues, so the probe
     is accepted only with a margin, |n| d 2^20 < m (Monagan's
     maximal-quotient criterion, ISSAC 2004), which a random residue meets
@@ -823,9 +823,8 @@ def nullspace_rational(rows):
     n = len(rows[0])
     if not int_rows:
         return RationalNullspace(identity(n, rationals()), 0, [])
-    best = None  # pivots tuple of the reference group
-    group = None
-    probe = 0  # flat index of the probe entry in the k x n basis
+    best = group = None  # pivots tuple of the reference group, and its _Lift
+    probe = 0  # flat index of the probe entry in the lifted Y
     used = []
     primes = islice(_lift_primes(len(int_rows), n), _MAX_PRIMES)
     for stack, Y, piv, live in _eliminations(int_rows, primes):
@@ -835,20 +834,20 @@ def nullspace_rational(rows):
             return RationalNullspace([], n, used)
         key = tuple(piv)
         if best is None or (-len(key), key) < (-len(best), best):
-            best, group, probe = key, _Lift(n), 0
-        elif key != best:
-            continue  # unlucky primes: rank dropped or pivots moved right
-        free = _free_columns(piv, n)
+            best, group, probe = key, _Lift(len(key)), 0
+        if key != best or not key:
+            continue  # unlucky primes (rank dropped or pivots moved right), or rows that vanish mod p
+        free = _free_columns(piv, n).tolist()
         for p, y in compress(zip(stack, Y), live):
-            group.add(p, _nullspace_basis(y, piv, free, p).ravel())
+            group.add(p, y.T.ravel())
             f = rational_reconstruct(group.combine(probe), group.modulus)
             if f is None or abs(f.numerator) * f.denominator << _PROBE_MARGIN_BITS >= group.modulus:
                 continue
-            basis, failed = group.reconstruct()
-            if basis is None:
+            columns, failed = group.reconstruct()
+            if columns is None:
                 probe = failed
-            elif _verified(basis, int_rows):
-                return RationalNullspace(basis, len(best), used)
+            elif _verified(columns, piv, free, int_rows):
+                return RationalNullspace(_canonical_basis(columns, piv, free, rationals()), len(best), used)
     raise RuntimeError("rational nullspace did not stabilize")
 
 
@@ -881,12 +880,13 @@ def _eliminations(int_rows, primes):
 
 
 class _Lift:
-    """The flattened canonical basis of the reference group, lifted by CRT:
-    the combination over the primes of the last full combine, plus the int32
-    residues (each below p < 2^31) mod each prime added since."""
+    """The reference group's free block Y, flattened column by column (one
+    basis vector per `rank` entries) and lifted by CRT: the combination of
+    the last full combine, plus the int32 residues (below p < 2^31) mod each
+    prime added since."""
 
-    def __init__(self, n):
-        self.n = n
+    def __init__(self, rank):
+        self.rank = rank
         self.modulus = 1  # product of all the primes added
         self.values = None  # the last full combination, mod self.combined_modulus
         self.combined_modulus = 1
@@ -897,7 +897,7 @@ class _Lift:
         self.modulus *= p
 
     def combine(self, entry=None):
-        """CRT of one flat entry (an int), or of the whole basis (a list,
+        """CRT of one flat entry (an int), or of the whole block (a list,
         kept so the next full combine starts from it)."""
         # the int32 arrays go in as they are: as lists of ints, the residues
         # of every prime since the last combine would be held at once
@@ -912,46 +912,24 @@ class _Lift:
         return x
 
     def reconstruct(self):
-        """Rational basis from the residues, or (None, flat index of the
-        first entry that fails).  Entries of one vector share most of their
-        denominator: the running lcm d of the denominators found so far gives
-        the entry n/d directly when d*x mod m is within the reconstruction
-        bound, and `rational_reconstruct` is called only when it is not.
-        Either way the result is the one `rational_reconstruct` gives, which
-        is unique within the bound."""
-        values, m = self.combine(), self.modulus
-        bound = isqrt(m // 2)
-        basis = []
-        denominators = {}
-        for start in range(0, len(values), self.n):
-            vec, d = [], 1
-            for j, x in enumerate(values[start : start + self.n]):
-                y = x * d % m
-                if y > m - y:
-                    y -= m
-                if -bound <= y <= bound and d <= bound:
-                    f = Fraction(y, d)
-                else:
-                    f = rational_reconstruct(x, m)
-                    if f is None:
-                        return None, start + j
-                    d = lcm(d, f.denominator)
-                # a basis has few distinct denominators: the Fractions share
-                # one int per value (Fraction keeps it in the slot
-                # _denominator), which takes a third off a basis held by
-                # its caller
-                f._denominator = denominators.setdefault(f.denominator, f.denominator)
-                vec.append(f)
-            basis.append(vec)
-        return basis, None
+        """(columns of Y as Fraction lists, None), one running denominator
+        per column, or (None, flat index of the first entry that fails)."""
+        values = self.combine()
+        flat = list(takewhile(lambda f: f is not None, reconstruct_rationals(values, self.modulus, self.rank)))
+        if len(flat) < len(values):
+            return None, len(flat)
+        return [flat[i : i + self.rank] for i in range(0, len(flat), self.rank)], None
 
 
-def _verified(basis, int_rows):
-    """Exact check: every lcm-scaled basis vector is orthogonal to every row."""
-    for vec in basis:
-        scale = lcm(*(f.denominator for f in vec))
-        w = [f.numerator * (scale // f.denominator) for f in vec]
-        for row in int_rows:
-            if sum(map(mul, row, w)):
+def _verified(columns, pivots, free, int_rows):
+    """Exact check of a lifted Y: each `_canonical_basis` vector, scaled by
+    the lcm of its denominators, is orthogonal to every row: row[f] * scale
+    is the row's pivot entries times the scaled column of Y."""
+    pivot_entries = [[row[c] for c in pivots] for row in int_rows]
+    for f, column in zip(free, columns):
+        scale = lcm(*(y.denominator for y in column))
+        w = [y.numerator * (scale // y.denominator) for y in column]
+        for row, entries in zip(int_rows, pivot_entries):
+            if sum(map(mul, entries, w)) != row[f] * scale:
                 return False
     return True

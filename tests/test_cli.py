@@ -240,6 +240,51 @@ def test_run_job_raises_job_error_directly():
                  "system": {}})
 
 
+_POINTS = {"op": "impose-points", "points": [[0, 0]], "multiplicities": [1]}
+_TRACE = {"op": "trace", "generators": ["x^2-y"], "saturated": True}
+_IMAGE = {"op": "image-system", "components": ["x", "y"], "degree": 1,
+          "target": {"kind": "affine", "dim": 2}}
+
+
+@pytest.mark.parametrize("job, location, message", [
+    # every key of another operation, or of another kind of system
+    (base_job(operations=[dict(_POINTS, generators=["x"])]), "job.operations[0]", "unknown key(s): generators"),
+    (base_job(operations=[dict(_POINTS, degree=2)]), "job.operations[0]", "unknown key(s): degree"),
+    (base_job(operations=[dict(_POINTS, saturated=True)]), "job.operations[0]", "unknown key(s): saturated"),
+    (base_job(operations=[_POINTS, dict(_TRACE, points=[[0, 0]])]), "job.operations[1]", "unknown key(s): points"),
+    (base_job(operations=[dict(_TRACE, multiplicities=[1])]), "job.operations[0]", "unknown key(s): multiplicities"),
+    (base_job(operations=[{"op": "impose-chain", "chains": [], "target": {}}]), "job.operations[0]",
+     "unknown key(s): target"),
+    (base_job(operations=[{"op": "containment", "components": ["x"]}]), "job.operations[0]",
+     "unknown key(s): components"),
+    (base_job(operations=[dict(_IMAGE, saturated=True)]), "job.operations[0]", "'saturated' needs 'generators'"),
+    (base_job(operations=[{"op": "blow-up"}]), "job.operations[0]", "unknown operation 'blow-up'"),
+    (base_job(operations=[{"points": []}]), "job.operations[0]", "missing key(s): op"),
+    (base_job(system={"sections": ["x"], "matrix": [[1]], "monomials": ["x"]}), "job.system",
+     "unknown key(s): matrix, monomials"),
+    (base_job(system={"sections": ["x"], "monomials": ["x"]}), "job.system", "unknown key(s): monomials"),
+    (base_job(system={"degree": 2, "monomials": ["x"]}), "job.system", "unknown key(s): monomials"),
+    (base_job(system={"monomials": ["x"]}), "job.system", "unknown key(s): monomials"),
+    (base_job(system={"degree": 2, "matrix": [[1]]}), "job.system", "missing key(s): monomials"),
+    (base_job(field={"kind": "rationals", "p": 7}), "job.field", "unknown key(s): p"),
+    (base_job(ambient={"kind": "affine", "dim": 2, "dims": [1, 1]}), "job.ambient", "unknown key(s): dims"),
+    (base_job(ambient={"kind": "product", "dims": [1, 1], "dim": 2}), "job.ambient", "unknown key(s): dim"),
+    (base_job(ambient={"kind": "projective"}), "job.ambient", "missing key(s): dim"),
+])
+def test_every_key_is_honoured_or_rejected(tmp_path, capsys, job, location, message):
+    rc = main(["run", write_job(tmp_path, job)])
+    assert rc == 2
+    assert f"{location}: {message}" in capsys.readouterr().err
+
+
+def test_image_system_takes_saturated_with_generators(tmp_path, capsys):
+    # the image of the parabola y = x^2 under the identity: the conics
+    # through it are the multiples of b - a^2
+    job = base_job(operations=[dict(_IMAGE, degree=2, generators=["y-x^2"], saturated=True)])
+    rc = main(["run", write_job(tmp_path, job), "--json"])
+    assert rc == 0 and json.loads(capsys.readouterr().out)["nsections"] == 1
+
+
 def test_missing_or_invalid_job_file(tmp_path, capsys):
     rc = main(["run", str(tmp_path / "nope.json")])
     assert rc == 2

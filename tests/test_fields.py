@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hyperlin.fields import (
@@ -251,6 +251,40 @@ def test_lift_rationals_flags_failures():
         if math.gcd(abs(n), d) == 1 and (n - d * 8) % 101 == 0
     ]
     assert res.ok[1] is False and res.values[1] is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_lift_rationals_matches_rational_reconstruct(data):
+    """lift_rationals reconstructs against a running denominator; entry by
+    entry it gives what rational_reconstruct gives, in values and ok.
+    Vectors of fractions that share a denominator, or of fractions with
+    coprime denominators whose lcm exceeds the bound sqrt(m/2), with
+    random residues put in between, most of which fail."""
+    primes = sorted(set(data.draw(st.lists(st.sampled_from(primes_from(2, 40) + primes_from(1 << 20, 8)),
+                                           min_size=1, max_size=4))))
+    m = math.prod(primes)
+    bound = math.isqrt(m // 2)
+    kind = data.draw(st.sampled_from(["shared", "coprime", "none"]))
+    size = data.draw(st.integers(1, 8))
+    if kind == "shared":
+        d = data.draw(st.integers(1, max(1, bound)))
+        values = [Fraction(data.draw(st.integers(-bound, bound)), d) for _ in range(size)]
+    elif kind == "coprime":
+        dens = data.draw(st.lists(st.sampled_from(primes_from(2, 60)), min_size=2, max_size=size + 1, unique=True))
+        values = [Fraction(data.draw(st.integers(-bound, bound)) or 1, q) for q in dens]
+        assume(math.lcm(*dens) > bound)
+    else:
+        values = []
+    assume(all(f.denominator % p for f in values for p in primes))
+    entries = [[f.numerator * pow(f.denominator, -1, p) % p for p in primes] for f in values]
+    for _ in range(data.draw(st.integers(0 if values else 1, 4))):
+        entries.insert(data.draw(st.integers(0, len(entries))), [data.draw(st.integers(0, p - 1)) for p in primes])
+    residues = [list(vector) for vector in zip(*entries)]
+    res = lift_rationals(residues, primes)
+    expected = [rational_reconstruct(x, m) for x in crt_combine(residues, primes)]
+    assert res.values == expected
+    assert res.ok == [f is not None for f in expected]
 
 
 def test_primes_from():

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import hyperlin.fields as fields
 import hyperlin.linalg as linalg
 from hyperlin import LinearSys, affine_space
 from hyperlin.conditions import point_condition_rows
@@ -514,15 +515,33 @@ _SPECIAL_POINTS = [(17, 8), (18, 1), (4, 16), (3, 4), (1, 13), (5, 6), (14, 1), 
                    (9, 10), (8, 15), (19, 4), (11, 1), (1, 1), (1, 15), (13, 7), (12, 8), (18, 8)]
 _SPECIAL_MULTS = [5, 3, 2, 8, 2, 7, 3, 2, 2, 9, 7, 3, 3, 3, 2, 2, 5, 5]
 # the lift of this system in the given row order, in stacks of at most 4,
-# takes 119 primes in 31 stacks and 4 full reconstructions
-_SPECIAL_PRIMES, _SPECIAL_RECONSTRUCTIONS = 119, 4
+# takes 119 primes in 31 stacks and 4 full reconstructions, which call
+# rational_reconstruct 177 times with the probes
+_SPECIAL_PRIMES, _SPECIAL_RECONSTRUCTIONS, _SPECIAL_CALLS = 119, 4, 177
+
+
+def _rational_reconstructions(monkeypatch):
+    # every call of rational_reconstruct, by the probe in linalg or by
+    # fields.reconstruct_rationals
+    calls = []
+    real = fields.rational_reconstruct
+
+    def counted(x, m):
+        calls.append(1)
+        return real(x, m)
+
+    monkeypatch.setattr(fields, "rational_reconstruct", counted)
+    monkeypatch.setattr(linalg, "rational_reconstruct", counted)
+    return calls
 
 
 def test_the_reordered_lift_draws_no_more_primes_on_a_special_system(monkeypatch):
     """A guard against a runaway lift: the same primes, rounded up to the
-    stacks of 8 of a 230 x 231 matrix, no more reconstructions, and no
-    pivot search that moves a row after the first stack."""
+    stacks of 8 of a 230 x 231 matrix, no more reconstructions, no more
+    calls of rational_reconstruct (a lift of Y a pivot row at a time makes
+    1081), and no pivot search that moves a row after the first stack."""
     orders = _recorded_orders(monkeypatch)
+    calls = _rational_reconstructions(monkeypatch)
     reconstructions = []
     real = linalg._Lift.reconstruct
     monkeypatch.setattr(linalg._Lift, "reconstruct", lambda self: reconstructions.append(1) or real(self))
@@ -535,8 +554,28 @@ def test_the_reordered_lift_draws_no_more_primes_on_a_special_system(monkeypatch
     # 119 = 1 + 2 + 4 + 14 * 8 is a boundary of the stacks of 8
     assert len(res.primes_used) == sum(sizes) == _SPECIAL_PRIMES and len(sizes) == 17
     assert len(reconstructions) <= _SPECIAL_RECONSTRUCTIONS
+    assert len(calls) <= _SPECIAL_CALLS
     assert not np.array_equal(orders[0][0], np.arange(230))
     assert all(np.array_equal(o, np.broadcast_to(np.arange(230), o.shape)) for o in orders[1:])
+
+
+# qq-rank's degree-10 system for its seed 0 (perfbench/workloads.py)
+_DEG10_POINTS = [(30, 34), (38, 30), (17, 25), (14, 7), (22, 37), (6, 2), (13, 22), (15, 26), (19, 4)]
+_DEG10_MULTS = [2, 2, 2, 3, 3, 3, 4, 4, 5]
+
+
+def test_the_lift_of_a_general_system_makes_few_reconstructions(monkeypatch):
+    """The 62 x 66 condition matrix of qq-rank's degree-10 system takes 63
+    primes and 92 calls of rational_reconstruct: each column of the free
+    block has one running denominator (a lift a pivot row at a time makes
+    297 calls)."""
+    calls = _rational_reconstructions(monkeypatch)
+    L = LinearSys.complete(affine_space(QQ, 2), 10)
+    rows = [row for pt, mult in zip(_DEG10_POINTS, _DEG10_MULTS) for row in point_condition_rows(L, pt, mult)]
+    res = nullspace_rational(rows)
+    assert (len(rows), len(rows[0]), res.rank, len(res.basis)) == (62, 66, 62, 4)
+    assert len(res.primes_used) == 63 and len(calls) <= 92
+    assert res.basis == rref_nullspace(frac_rows(rows), QQ)
 
 
 def test_nullspace_rational_gives_up_after_max_primes(monkeypatch):
@@ -571,6 +610,16 @@ def test_nullspace_rational_probe_rejects_spurious_reconstructions(monkeypatch):
     res = nullspace_rational(rows)
     assert len(res.primes_used) > 30 and len(combines) <= 2
     assert res.basis == rref_nullspace(frac_rows(rows), QQ)
+
+
+def test_rows_that_vanish_mod_the_first_prime():
+    # rank 0 mod p0 sets no reference group that can lift; the next primes
+    # see rank 1
+    p0 = next(linalg._lift_primes(2, 3))
+    rows = [[p0, 2 * p0, 0], [3 * p0, 6 * p0, 0]]
+    res = nullspace_rational(rows)
+    assert res.basis == rref_nullspace(frac_rows(rows), QQ) and res.rank == 1
+    assert res.primes_used[0] == p0
 
 
 def test_a_lifted_basis_shares_its_denominators():
@@ -700,7 +749,8 @@ def _check_ref_mod_p(A, p, leaf, one_sided_k=None):
     """ref_mod_p and the back-substitution at leaf width `leaf` against the
     int64 oracle: the same pivots; U in the symmetric range, echelon once
     the stored multipliers are cleared, with the oracle's RREF; the
-    back-substitution gives the oracle's RREF rows on the free columns."""
+    back-substitution gives the oracle's RREF rows on the free columns, and
+    nullspace_mod_p the oracle's basis."""
     n = A.shape[1]
     R, piv_ref = rowloop_rref_mod_p(A, p)
     with pytest.MonkeyPatch.context() as mp:
@@ -710,6 +760,7 @@ def _check_ref_mod_p(A, p, leaf, one_sided_k=None):
         U, piv = ref_mod_p(A, p)
         free = linalg._free_columns(piv, n)
         Y = linalg._backsolve(U, piv, p, free)
+        N = nullspace_mod_p(A, p)
     assert piv == piv_ref
     assert U.shape == (len(piv), n) and (np.abs(U) <= p // 2).all()
     E = echelon(U, piv, p)
@@ -718,7 +769,7 @@ def _check_ref_mod_p(A, p, leaf, one_sided_k=None):
     R_of_U, piv_of_U = rowloop_rref_mod_p(E, p)
     assert piv_of_U == piv and np.array_equal(R_of_U, R)
     assert (np.abs(Y) <= p // 2).all() and np.array_equal(np.mod(Y, p), R[:, free])
-    assert np.array_equal(linalg._nullspace_basis(Y, piv, free, p), oracle_basis(R, piv, n, p))
+    assert np.array_equal(N, oracle_basis(R, piv, n, p))
 
 
 @settings(max_examples=60, deadline=None)
