@@ -430,8 +430,9 @@ def sample_points(ambient, generators, count=None, rng=None, limit=6_000_000):
         raise ValueError("random sampling needs an rng")
     seen = set()
     found = []
-    budget = 400 * count
-    for _ in range(budget):
+    if count == 0:
+        return SamplePoints(found, True)
+    for _ in range(400 * count):
         pt = ambient.random_point(rng)
         if pt in seen:
             continue
@@ -446,6 +447,8 @@ def sample_points(ambient, generators, count=None, rng=None, limit=6_000_000):
 def random_points(ambient, n, rng, lo=None, hi=None):
     """n distinct random points (canonical representatives)."""
     out = []
+    if n == 0:
+        return out
     seen = set()
     for _ in range(400 * n):
         pt = ambient.random_point(rng, lo=lo, hi=hi)

@@ -32,11 +32,11 @@ prime into the slices of a float64 stack, and the first prime goes alone
 through `rref_mod_p`, then stacks of 2, 4, ... primes, up to a memory
 budget, with the rows put once in the order of the first prime's pivot
 steps: the lucky primes share its pivot rows (Dumas, Pernet and Sultan,
-ISSAC 2013), so the later ones find their pivots in place.  Each live slice
-adds its Y, column by column, and takes a probe: one entry is CRT-combined
-and reconstructed.  Only when the probe reconstructs with a margin of 2^20
-is all of Y combined, by one vector CRT that extends the previous one, and
-each column reconstructed against a running denominator
+ISSAC 2013), so the later ones find their pivots in place.  After each
+stack, one vector CRT extends the combined Y, column by column, by the Y of
+all the stack's live slices, and one entry of it is reconstructed as a
+probe.  Only when the probe reconstructs with a margin of 2^20 is each
+column reconstructed against a running denominator
 (`fields.reconstruct_rationals`, as in `lift_rationals`).  Its basis
 vector, 1 at its free column and -Y at the pivots, scaled by the lcm of its
 denominators, is checked against every row by integer dot products over
@@ -61,7 +61,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import compress, islice, takewhile
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 from operator import mul
 from typing import NamedTuple
 
@@ -800,13 +800,15 @@ def nullspace_rational(rows):
 
     The first prime is eliminated alone, then the primes go in stacks of 2,
     4, ... slices (`_eliminations`) in the row order of the first prime's
-    pivot steps, which changes no slice's RREF, pivots or liveness, and the
-    live slices of a stack join the lift one by one, in prime order, each
-    followed by the probe.  The reference group, whose free blocks Y are
-    lifted (`_Lift`) into the basis (`_canonical_basis`), is the primes with
-    the largest rank and the lexicographically smallest pivot tuple: a prime
-    can only lower the rank or push pivots later, so that is the pattern
-    over ℚ.
+    pivot steps, which changes no slice's RREF, pivots or liveness.  The
+    reference group, whose free blocks Y are lifted into the basis
+    (`_canonical_basis`), is the primes with the largest rank and the
+    lexicographically smallest pivot tuple: a prime can only lower the rank
+    or push pivots later, so that is the pattern over ℚ.  After each stack
+    of its key, one `crt_combine` extends the group's combined Y, column by
+    column, by the Y of all the stack's live slices, and one probe entry is
+    reconstructed; only if it passes is all of Y reconstructed.  A new
+    reference group starts the combination afresh.
     The probe entry of Y is the last one that failed to reconstruct.  Plain
     reconstruction succeeds on about 60% of random residues, so the probe
     is accepted only with a margin, |n| d 2^20 < m (Monagan's
@@ -823,8 +825,8 @@ def nullspace_rational(rows):
     n = len(rows[0])
     if not int_rows:
         return RationalNullspace(identity(n, rationals()), 0, [])
-    best = group = None  # pivots tuple of the reference group, and its _Lift
-    probe = 0  # flat index of the probe entry in the lifted Y
+    best = values = None  # pivots tuple of the reference group, and its combined Y, column by column
+    modulus = probe = 0  # product of the primes in values, and the flat index of the probe entry
     used = []
     primes = islice(_lift_primes(len(int_rows), n), _MAX_PRIMES)
     for stack, Y, piv, live in _eliminations(int_rows, primes):
@@ -834,20 +836,27 @@ def nullspace_rational(rows):
             return RationalNullspace([], n, used)
         key = tuple(piv)
         if best is None or (-len(key), key) < (-len(best), best):
-            best, group, probe = key, _Lift(len(key)), 0
+            best, values, probe = key, None, 0
         if key != best or not key:
             continue  # unlucky primes (rank dropped or pivots moved right), or rows that vanish mod p
+        residues = [y.T.ravel() for y in compress(Y, live)]
+        moduli = list(compress(stack, live))
+        if values is not None:  # Garner's scheme extends the last combination
+            residues.insert(0, values)
+            moduli.insert(0, modulus)
+        values, modulus = crt_combine(residues, moduli), prod(moduli)
+        f = rational_reconstruct(values[probe], modulus)
+        if f is None or abs(f.numerator) * f.denominator << _PROBE_MARGIN_BITS >= modulus:
+            continue
+        rank = len(key)
+        flat = list(takewhile(lambda f: f is not None, reconstruct_rationals(values, modulus, rank)))
+        if len(flat) < len(values):
+            probe = len(flat)
+            continue
+        columns = [flat[i : i + rank] for i in range(0, len(flat), rank)]
         free = _free_columns(piv, n).tolist()
-        for p, y in compress(zip(stack, Y), live):
-            group.add(p, y.T.ravel())
-            f = rational_reconstruct(group.combine(probe), group.modulus)
-            if f is None or abs(f.numerator) * f.denominator << _PROBE_MARGIN_BITS >= group.modulus:
-                continue
-            columns, failed = group.reconstruct()
-            if columns is None:
-                probe = failed
-            elif _verified(columns, piv, free, int_rows):
-                return RationalNullspace(_canonical_basis(columns, piv, free, rationals()), len(best), used)
+        if _verified(columns, piv, free, int_rows):
+            return RationalNullspace(_canonical_basis(columns, piv, free, rationals()), rank, used)
     raise RuntimeError("rational nullspace did not stabilize")
 
 
@@ -877,48 +886,6 @@ def _eliminations(int_rows, primes):
         if reorder:
             limbs, negative, reorder = limbs[:, order[0]], negative[order[0]], False
         size = min(2 * size, cap)
-
-
-class _Lift:
-    """The reference group's free block Y, flattened column by column (one
-    basis vector per `rank` entries) and lifted by CRT: the combination of
-    the last full combine, plus the int32 residues (below p < 2^31) mod each
-    prime added since."""
-
-    def __init__(self, rank):
-        self.rank = rank
-        self.modulus = 1  # product of all the primes added
-        self.values = None  # the last full combination, mod self.combined_modulus
-        self.combined_modulus = 1
-        self.pending = []  # (p, residues) added since
-
-    def add(self, p, residues):
-        self.pending.append((p, residues.astype(np.int32)))
-        self.modulus *= p
-
-    def combine(self, entry=None):
-        """CRT of one flat entry (an int), or of the whole block (a list,
-        kept so the next full combine starts from it)."""
-        # the int32 arrays go in as they are: as lists of ints, the residues
-        # of every prime since the last combine would be held at once
-        residues = [r if entry is None else int(r[entry]) for _, r in self.pending]
-        moduli = [p for p, _ in self.pending]
-        if self.values is not None:
-            residues.insert(0, self.values if entry is None else self.values[entry])
-            moduli.insert(0, self.combined_modulus)
-        x = crt_combine(residues, moduli)
-        if entry is None:
-            self.values, self.combined_modulus, self.pending = x, self.modulus, []
-        return x
-
-    def reconstruct(self):
-        """(columns of Y as Fraction lists, None), one running denominator
-        per column, or (None, flat index of the first entry that fails)."""
-        values = self.combine()
-        flat = list(takewhile(lambda f: f is not None, reconstruct_rationals(values, self.modulus, self.rank)))
-        if len(flat) < len(values):
-            return None, len(flat)
-        return [flat[i : i + self.rank] for i in range(0, len(flat), self.rank)], None
 
 
 def _verified(columns, pivots, free, int_rows):

@@ -485,6 +485,18 @@ def test_random_points_distinct():
         random_points(A2, 50, rng)  # only 49 points exist
 
 
+def test_zero_points_are_drawn_at_once():
+    # a request for no points is met: no draw, no error, complete
+    A2 = affine_space(GF(7), 2)
+    a, b = A2.ring.gens()
+    rng = random.Random(3)
+    state = rng.getstate()
+    assert random_points(A2, 0, rng) == []
+    none = sample_points(A2, [b - a * a], count=0, rng=rng)
+    assert none.complete and len(none) == 0
+    assert rng.getstate() == state
+
+
 def test_rank_drop_bounded_by_condition_count():
     rng = random.Random(9)
     P2 = projective_space(GF(13), 2)

@@ -7,7 +7,8 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -393,18 +394,27 @@ def test_nullspace_rational_unlucky_first_prime():
 
 
 def _lifted_primes(monkeypatch):
-    # the primes whose residues join the lift, in order, as (group, prime)
-    added = []
-    real_add = linalg._Lift.add
-    monkeypatch.setattr(linalg._Lift, "add",
-                        lambda self, p, residues: added.append((id(self), p)) or real_add(self, p, residues))
-    return added
+    # the primes whose residues join the lift, in order, as (group, prime),
+    # and the moduli of each crt_combine call.  A combine that extends its
+    # group's last combination passes the product of the group's primes first
+    added, combines = [], []
+    real = linalg.crt_combine
+
+    def spy(residues, moduli):
+        extends = bool(added) and moduli[0] == prod(p for g, p in added if g == added[-1][0])
+        group = added[-1][0] if extends else len(combines)
+        added.extend((group, p) for p in moduli[extends:])
+        combines.append(list(moduli))
+        return real(residues, moduli)
+
+    monkeypatch.setattr(linalg, "crt_combine", spy)
+    return added, combines
 
 
 def test_a_stack_beats_an_unlucky_reference(monkeypatch):
     # the first prime p0 is unlucky (pivots (0, 2)); the stack of the next
     # two has the pivots (0, 1) of QQ, which replace the reference group
-    added = _lifted_primes(monkeypatch)
+    added, _ = _lifted_primes(monkeypatch)
     p0 = next(linalg._lift_primes(2, 3))
     rows = [[1, 1, 0], [1, 1 + p0, 1]]
     res = nullspace_rational(rows)
@@ -416,13 +426,30 @@ def test_a_stack_beats_an_unlucky_reference(monkeypatch):
     assert [p for g, p in added[1:]] == res.primes_used[1 : len(added)] and {g for g, _ in added[1:]} == {second}
 
 
+def test_a_group_combined_twice_is_replaced(monkeypatch):
+    # mod each of the first three primes p0, p1, p2 the pivots are (0, 2),
+    # over QQ (0, 1).  The groups [p0] and [p1, p2] share the unlucky
+    # pivots and are combined twice; the stack [p3..p6] replaces them, and
+    # its first combine holds none of their primes
+    added, combines = _lifted_primes(monkeypatch)
+    p = list(islice(linalg._lift_primes(2, 3), 7))
+    rows = [[1, 1, 0], [1, 1 + prod(p[:3]), 1]]
+    res = nullspace_rational(rows)
+    assert res.basis == rref_nullspace(frac_rows(rows), QQ) and res.rank == 2
+    assert res.primes_used == list(islice(linalg._lift_primes(2, 3), len(res.primes_used)))
+    assert len(res.primes_used) == 15
+    assert combines[:3] == [[p[0]], [p[0], p[1], p[2]], p[3:7]]
+    assert {g for g, q in added if q in p[:3]} == {0} and {g for g, q in added if q not in p[:3]} == {2}
+
+
 @pytest.mark.parametrize("index", [1, 2, 4, 9])
 def test_an_unlucky_prime_inside_a_stack_is_left_out(monkeypatch, index):
     # mod the prime q at `index` of the lift primes the pivots are (0, 2),
     # over QQ (0, 1).  The stacks are [0], [1, 2], [3..6], [7..14]: q dies
     # in its stack, the others of the stack join the lift.  The 150-bit
     # column keeps the lift going past q
-    added = _lifted_primes(monkeypatch)
+    added, combines = _lifted_primes(monkeypatch)
+    orders = _recorded_orders(monkeypatch)
     q = next(islice(linalg._lift_primes(2, 4), index, None))
     big = random.Random(index).randint(2**149, 2**150)
     rows = [[1, 1, 0, big], [1, 1 + q, 1, 3 * big + 1]]
@@ -432,6 +459,10 @@ def test_an_unlucky_prime_inside_a_stack_is_left_out(monkeypatch, index):
     lifted = [p for _, p in added]
     assert q in res.primes_used and q not in lifted and len({g for g, _ in added}) == 1
     assert lifted == [p for p in res.primes_used if p != q][: len(lifted)]
+    # one combine per stack, which folds in all of its live slices at once
+    ends = list(accumulate(len(o) for o in orders))
+    stacks = [res.primes_used[a:b] for a, b in zip([0, *ends], ends)]
+    assert [c[1:] if i else c for i, c in enumerate(combines)] == [[p for p in s if p != q] for s in stacks]
 
 
 def _recorded_orders(monkeypatch):
@@ -514,10 +545,18 @@ def test_the_reordered_lift_matches_the_fraction_oracle(data):
 _SPECIAL_POINTS = [(17, 8), (18, 1), (4, 16), (3, 4), (1, 13), (5, 6), (14, 1), (14, 20), (9, 8),
                    (9, 10), (8, 15), (19, 4), (11, 1), (1, 1), (1, 15), (13, 7), (12, 8), (18, 8)]
 _SPECIAL_MULTS = [5, 3, 2, 8, 2, 7, 3, 2, 2, 9, 7, 3, 3, 3, 2, 2, 5, 5]
-# the lift of this system in the given row order, in stacks of at most 4,
-# takes 119 primes in 31 stacks and 4 full reconstructions, which call
-# rational_reconstruct 177 times with the probes
-_SPECIAL_PRIMES, _SPECIAL_RECONSTRUCTIONS, _SPECIAL_CALLS = 119, 4, 177
+# the lift of this system in the given row order takes 119 primes in 17
+# stacks, and one full reconstruction, which with the probes, one a stack,
+# calls rational_reconstruct 46 times
+_SPECIAL_PRIMES, _SPECIAL_RECONSTRUCTIONS, _SPECIAL_CALLS = 119, 1, 46
+
+
+def _full_reconstructions(monkeypatch):
+    # every call of reconstruct_rationals in linalg: one a full reconstruction of Y
+    calls = []
+    real = linalg.reconstruct_rationals
+    monkeypatch.setattr(linalg, "reconstruct_rationals", lambda *args: calls.append(1) or real(*args))
+    return calls
 
 
 def _rational_reconstructions(monkeypatch):
@@ -537,14 +576,14 @@ def _rational_reconstructions(monkeypatch):
 
 def test_the_reordered_lift_draws_no_more_primes_on_a_special_system(monkeypatch):
     """A guard against a runaway lift: the same primes, rounded up to the
-    stacks of 8 of a 230 x 231 matrix, no more reconstructions, no more
-    calls of rational_reconstruct (a lift of Y a pivot row at a time makes
-    1081), and no pivot search that moves a row after the first stack."""
+    stacks of 8 of a 230 x 231 matrix, one combine a stack, no more
+    reconstructions, no more calls of rational_reconstruct (a lift of Y a
+    pivot row at a time makes 1081), and no pivot search that moves a row
+    after the first stack."""
     orders = _recorded_orders(monkeypatch)
     calls = _rational_reconstructions(monkeypatch)
-    reconstructions = []
-    real = linalg._Lift.reconstruct
-    monkeypatch.setattr(linalg._Lift, "reconstruct", lambda self: reconstructions.append(1) or real(self))
+    reconstructions = _full_reconstructions(monkeypatch)
+    added, combines = _lifted_primes(monkeypatch)
     L = LinearSys.complete(affine_space(QQ, 2), 20)
     rows = [row for pt, mult in zip(_SPECIAL_POINTS, _SPECIAL_MULTS) for row in point_condition_rows(L, pt, mult)]
     res = nullspace_rational(rows)
@@ -553,6 +592,9 @@ def test_the_reordered_lift_draws_no_more_primes_on_a_special_system(monkeypatch
     assert sizes == [1, 2, 4] + [8] * (len(sizes) - 3)
     # 119 = 1 + 2 + 4 + 14 * 8 is a boundary of the stacks of 8
     assert len(res.primes_used) == sum(sizes) == _SPECIAL_PRIMES and len(sizes) == 17
+    # every prime is lucky here, and every stack's slices go into one combine
+    assert [p for _, p in added] == res.primes_used and len({g for g, _ in added}) == 1
+    assert len(combines) == len(sizes)
     assert len(reconstructions) <= _SPECIAL_RECONSTRUCTIONS
     assert len(calls) <= _SPECIAL_CALLS
     assert not np.array_equal(orders[0][0], np.arange(230))
@@ -566,15 +608,15 @@ _DEG10_MULTS = [2, 2, 2, 3, 3, 3, 4, 4, 5]
 
 def test_the_lift_of_a_general_system_makes_few_reconstructions(monkeypatch):
     """The 62 x 66 condition matrix of qq-rank's degree-10 system takes 63
-    primes and 92 calls of rational_reconstruct: each column of the free
-    block has one running denominator (a lift a pivot row at a time makes
-    297 calls)."""
+    primes and 26 calls of rational_reconstruct: one probe a stack, and
+    each column of the free block has one running denominator (a lift a
+    pivot row at a time makes 297 calls)."""
     calls = _rational_reconstructions(monkeypatch)
     L = LinearSys.complete(affine_space(QQ, 2), 10)
     rows = [row for pt, mult in zip(_DEG10_POINTS, _DEG10_MULTS) for row in point_condition_rows(L, pt, mult)]
     res = nullspace_rational(rows)
     assert (len(rows), len(rows[0]), res.rank, len(res.basis)) == (62, 66, 62, 4)
-    assert len(res.primes_used) == 63 and len(calls) <= 92
+    assert len(res.primes_used) == 63 and len(calls) <= 26
     assert res.basis == rref_nullspace(frac_rows(rows), QQ)
 
 
@@ -604,11 +646,9 @@ def test_nullspace_rational_probe_rejects_spurious_reconstructions(monkeypatch):
     # them, the margin 2^20 only once the basis is within reach
     rng = random.Random(7)
     rows = [[rng.randint(-2 ** 150, 2 ** 150) for _ in range(6)] for _ in range(4)]
-    combines = []
-    real = linalg._Lift.reconstruct
-    monkeypatch.setattr(linalg._Lift, "reconstruct", lambda self: combines.append(1) or real(self))
+    reconstructions = _full_reconstructions(monkeypatch)
     res = nullspace_rational(rows)
-    assert len(res.primes_used) > 30 and len(combines) <= 2
+    assert len(res.primes_used) > 30 and len(reconstructions) <= 1
     assert res.basis == rref_nullspace(frac_rows(rows), QQ)
 
 
