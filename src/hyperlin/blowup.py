@@ -43,8 +43,8 @@ from .fields import (
     lift_rationals,
     primes_from,
 )
-from .conditions import _impose_rows, point_condition_rows
-from .linalg import clear_denominators, matmul, solve_nullspace
+from .conditions import _impose_rows, _multiplicity, point_condition_rows
+from .linalg import clear_denominators, matmul, nullspace
 from .linsys import LinearSys
 from .poly import MultiPoly, monomials_below_degree
 
@@ -88,11 +88,9 @@ class BlowupChainSpec:
 
     def __init__(self, point, mults, tangents=()):
         self.point = tuple(point)
-        self.mults = [int(m) for m in mults]
+        self.mults = [_multiplicity(m) for m in mults]
         if not self.mults:
             raise ValueError("a chain needs at least one multiplicity")
-        if any(m < 0 for m in self.mults):
-            raise ValueError("multiplicities must be nonnegative")
         self.tangents = list(tangents)
         if len(self.tangents) != len(self.mults) - 1:
             raise ValueError(
@@ -128,11 +126,8 @@ def _coord_json(v):
 
 
 def _coord_parse(v, field):
-    if isinstance(v, str):
-        return field.parse(v)
-    if isinstance(v, int):
-        return field.from_int(v)
-    raise ValueError(f"cannot read coordinate {v!r}")
+    # coerce, not from_int: a JSON true or 2.5 is refused, as in impose-points
+    return field.parse(v) if isinstance(v, str) else field.coerce(v)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +297,8 @@ def sextic_pencil_scan(p, cross_check=0, rng=None):
     # they are, and the 8th point's images give each g's terms of degree < 4
     tangents = [TangentDirection(F, (1, k)) for k in range(1, 8)]
     C, images = _chain_images(A2.ring, [2] * 9, tangents, 7)
-    nsec, basis = solve_nullspace(C, F, len(C[0]))
+    basis = nullspace(C, F, len(C[0]))
+    nsec = len(basis)
     quad, cubic = [(a, 2 - a) for a in range(3)], [(a, 3 - a) for a in range(4)]
     coeffs = [[h.terms.get(u, 0) for h in images] for u in quad + cubic]
     G = matmul(coeffs, [list(col) for col in zip(*basis)], F)

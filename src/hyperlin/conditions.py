@@ -9,8 +9,8 @@ condition matrix goes through `linalg.solve_nullspace`, so the basis is the
 canonical one whichever kernel runs; the chains of infinitely near points
 in `blowup` are condition rows too.  Projective containment reads the
 generators' multiples off as rows over all monomials of the degree (the
-complete system's coefficient map); the annihilator of their span, also
-from `solve_nullspace`, gives the condition rows.
+complete system's coefficient map); the annihilator of their span, a
+basis from `linalg.nullspace`, gives the condition rows.
 
 Derivatives are divided-power (Hasse) derivatives throughout, so
 multiplicity conditions are correct in positive characteristic as well.
@@ -28,9 +28,7 @@ from math import comb
 import numpy as np
 
 from .groebner import groebner_basis, normal_form
-from .linalg import gf_numpy_path, matmul, solve_nullspace
-# unused here; perfbench/selftest.py and tests/test_bench_wiring.py check this binding
-from .linalg import nullspace  # noqa: F401
+from .linalg import gf_numpy_path, matmul, nullspace, solve_nullspace
 from .linsys import LinearSys
 from .poly import MultiPoly, grevlex_key, monomials_below_degree
 
@@ -225,9 +223,7 @@ def impose_points(L, points, multiplicities):
         raise ValueError("one multiplicity per point required")
     pts = []
     for pt, m in zip(points, multiplicities):
-        m = int(m)
-        if m < 0:
-            raise ValueError("multiplicities must be nonnegative")
+        m = _multiplicity(m)
         if m == 0:
             continue
         pts.append((ambient.point(pt.coords if hasattr(pt, "coords") else pt), m))
@@ -242,6 +238,15 @@ def impose_points(L, points, multiplicities):
     else:
         rows = [row for pt, m in pts for row in point_condition_rows(L, pt, m)]
     return _impose_rows(L, rows)
+
+
+def _multiplicity(m):
+    # a Python or numpy int m >= 0: 2.5 and True are refused, not truncated
+    if isinstance(m, bool) or not hasattr(m, "__index__"):
+        raise ValueError(f"multiplicities must be integers, got {m!r}")
+    if (m := operator.index(m)) < 0:
+        raise ValueError("multiplicities must be nonnegative")
+    return m
 
 
 def _impose_rows(L, rows):
@@ -332,8 +337,7 @@ def impose_containment(L, scheme):
     B = [[c.raw for c in to_row(q)] for q in candidates]
     # span(B) is where its annihilator W vanishes, so W's columns at L's
     # monomials are condition rows cutting L down to L ∩ span(B)
-    _, W = solve_nullspace(B, field, len(to_row.monomials))
-    W = W() if callable(W) else W
+    W = nullspace(B, field, len(to_row.monomials))
     cols = [to_row.mono_index[e] for e in L.monomials()]
     return _impose_rows(L, [[w[c] for c in cols] for w in W])
 

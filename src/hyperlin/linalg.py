@@ -16,7 +16,9 @@ Two tiers, both exact:
   products by Horner in base 2^15 with a reduction after each step, which
   is exact for inner dimensions below 2^21 - 2^15 (enforced on min(m, n)).
   `ref_mod_p`, `rref_mod_p`, `rank_mod_p` and `nullspace_mod_p` all run it
-  on a matrix, a batch of one, in place if float64.  `rref_mod_p` also
+  on a matrix, a batch of one; `_cup_mod_p` alone checks p and copies their
+  input (rows of ints of any size, a flat row, an integer array) to float64,
+  or eliminates a float64 working matrix in place.  `rref_mod_p` also
   takes a stack of a matrix mod B primes and eliminates it in one pass, by
   stacked products, with the pivots common to the slices that reach them.
 
@@ -44,11 +46,13 @@ the pivot columns; `_canonical_basis`, as in the generic `nullspace`,
 builds it.
 
 `gf_numpy_path` is the one rule that sends a GF(p) matrix to the kernel,
-asked by `rref`, `rank`, `nullspace` and the mass evaluation in
-`conditions`: p < 2^31, so that every int64 product of residues stays below
-p^2 < 2^62, and more than `_NUMPY_MIN_ENTRIES` entries, the measured
-crossover below which the generic loop is faster.  `solve_nullspace` gives
-a QQ matrix of more than `_DEFER_MIN_ENTRIES` entries a deferred basis.
+asked by `rref`, `rank` (by `rank_mod_p`, with no RREF), `nullspace` and
+the mass evaluation in `conditions`: p < 2^31, so that every int64 product
+of residues stays below p^2 < 2^62, and more than `_NUMPY_MIN_ENTRIES`
+entries, the measured crossover below which the generic loop is faster.
+`solve_nullspace`, for `conditions._kernel_subsystem` alone, gives a QQ
+matrix of more than `_DEFER_MIN_ENTRIES` entries a deferred basis; every
+other caller asks `nullspace` for a basis.
 
 Echelonization convention: matrices over monomial bases keep columns in
 grevlex-descending order, and `reverse_cols=True` selects pivots scanning
@@ -138,6 +142,9 @@ def rref(rows, field, reverse_cols=False):
 
 
 def rank(rows, field):
+    """Rank: by `rank_mod_p` where `gf_numpy_path` holds, else by `rref`."""
+    if gf_numpy_path(field, len(rows), len(rows[0]) if len(rows) else 0):
+        return rank_mod_p(rows, field.p)
     return len(rref(rows, field)[1])
 
 
@@ -230,7 +237,7 @@ def _solve_rational(rows, field, ncols):
     if not int_rows:
         return ncols, identity(ncols, field)
     p = next(_lift_primes(len(int_rows), ncols))
-    r = rank_mod_p(_mod_rows(int_rows, p), p)
+    r = rank_mod_p(int_rows, p)
     if r == ncols:
         return 0, []
     if r < len(int_rows):
@@ -249,11 +256,6 @@ def _solve_rational(rows, field, ncols):
 
 # ---------------------------------------------------------------------------
 # GF(p) numpy kernel
-
-
-def _check_modulus(p):
-    if not 2 <= p < _INT64_P:
-        raise ValueError(f"the GF(p) kernel needs 2 <= p < 2^31, got p = {p}")
 
 
 def _reduce_sym(X, p, invp):
@@ -541,7 +543,8 @@ def _moduli(p):
     # the primes of a call: a single prime, or a sequence for a stack
     primes = [p] if np.ndim(p) == 0 else list(p)
     for q in primes:
-        _check_modulus(q)
+        if not 2 <= q < _INT64_P:
+            raise ValueError(f"the GF(p) kernel needs 2 <= p < 2^31, got p = {q}")
     return primes
 
 
@@ -557,16 +560,21 @@ def _cup_mod_p(A, p, order=None):
     triangle once, and every TRSM over its pivot rows is one product with
     that inverse.
 
-    A is a matrix and p a prime, a batch of one, or a stack (B x m x n)
-    and a sequence of B primes, eliminated in one pass by stacked products.
-    A float64 A laid out by `_column_major`, slice b reduced to [0, p[b]),
-    is eliminated in place; an integer matrix is reduced into a float64
-    copy; anything else raises ValueError.  The pivots are common: a column
-    is a pivot if a live slice has a nonzero in it, and each slice swaps up
-    its own first nonzero row (see `_Elimination.leaf`).  The slices that
-    have a nonzero at every pivot stay live, and the pivots are their column
-    rank profile; every other slice has a lexicographically later one (an
-    unlucky prime), and its result is meaningless.
+    A is a matrix and p a prime, a batch of one, or a stack (B x m x n) and
+    a sequence of B primes, eliminated in one pass by stacked products.  Here
+    the four GF(p) functions check p (2 <= p < 2^31, else ValueError, on an
+    empty A too) and take their input.  A float64 A laid out by
+    `_column_major`, slice b reduced to [0, p[b]), is eliminated in place;
+    any other float64 A, or a stack of another dtype, raises ValueError.
+    With one prime, integers are copied into a float64 working matrix: an
+    integer array or rows of ints (a flat row is 1 x n), reduced by numpy,
+    or rows with an int beyond int64, reduced row by row with `%`.  An empty
+    A (0 x n or m x 0) has no pivots.  The pivots are common: a column is a
+    pivot if a live slice has a nonzero in it, and each slice swaps up its
+    own first nonzero row (see `_Elimination.leaf`).  The slices that have a
+    nonzero at every pivot stay live, and the pivots are their column rank
+    profile; every other slice has a lexicographically later one (an unlucky
+    prime), and its result is meaningless.
 
     Every product, in the updates, the TRSMs, the leaf inverses, the leaf's
     multiplier scaling and its rank-1 updates, goes through `_product`:
@@ -586,20 +594,28 @@ def _cup_mod_p(A, p, order=None):
     A.  The first len(pivots) of a live slice are independent mod its prime;
     in that order a lucky prime that divides no pivot minor never swaps."""
     primes = _moduli(p)
-    if np.ndim(p) == 0 and getattr(A, "dtype", None) != np.float64:
-        A = np.asarray(A, dtype=np.int64)
-        if A.ndim != 2:
-            raise ValueError("matrix required")
-        # one pass checks 0 <= A < p: a negative entry reads as a huge uint64
-        if A.size and A.view(np.uint64).max() >= p:
-            A = np.mod(A, p)
-        X = A.astype(np.float64, order="F")
-    else:
+    if getattr(A, "dtype", None) == np.float64 or np.ndim(p):
         X = A
         if X.ndim < 2 or X.shape[:-2] != np.shape(p) or X.dtype != np.float64 or X.size and X.strides[-2] != 8:
             raise ValueError("a float64 matrix, or a stack of one slice per prime, must be column-major")
         if X.size and (X.min() < 0 or (X.max(axis=(-2, -1)) >= primes).any()):
             raise ValueError("a float64 matrix or stack must be reduced to [0, p)")
+    else:
+        try:
+            A = np.atleast_2d(np.asarray(A, dtype=np.int64))
+        except OverflowError:
+            # ints beyond int64: a big-int % per entry costs less than limbs for one prime
+            rows = [A] if np.ndim(A[0]) == 0 else A
+            X = _column_major((len(rows), len(rows[0])))
+            for i, row in enumerate(rows):
+                X[i] = [v % p for v in row]
+        else:
+            if A.ndim != 2:
+                raise ValueError("matrix required")
+            # one pass checks 0 <= A < p: a negative entry reads as a huge uint64
+            if A.size and A.view(np.uint64).max() >= p:
+                A = np.mod(A, p)
+            X = A.astype(np.float64, order="F")
     m, n = X.shape[-2:]
     direct = _float_exact(m, n, max(primes))
     if not direct and min(m, n) >= _SPLIT_K:
@@ -687,14 +703,8 @@ def nullspace_mod_p(A, p):
     back-substitution of the free columns only, so the RREF is never
     formed: v[f] = 1 on its free column f, v[pivot_i] = -R[i][f].  A
     float64 A is eliminated in place (see `_cup_mod_p`)."""
-    _check_modulus(p)
-    A = A if getattr(A, "dtype", None) == np.float64 else np.atleast_2d(np.asarray(A, dtype=np.int64))
-    m, n = A.shape
-    if n == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    if m == 0:
-        return np.eye(n, dtype=np.int64)
     U, piv = ref_mod_p(A, p)
+    n = U.shape[1]
     free = _free_columns(piv, n)
     N = np.zeros((len(free), n), dtype=np.int64)
     N[np.arange(len(free)), free] = 1
@@ -705,10 +715,6 @@ def nullspace_mod_p(A, p):
 def rank_mod_p(A, p):
     """Rank over GF(p), 2 <= p < 2^31 (ValueError otherwise): the pivot
     count of the CUP elimination, with no back-substitution."""
-    _check_modulus(p)
-    A = A if getattr(A, "dtype", None) == np.float64 else np.atleast_2d(np.asarray(A, dtype=np.int64))
-    if 0 in A.shape:
-        return 0
     return len(_cup_mod_p(A, p)[1])
 
 
@@ -740,14 +746,6 @@ def _lift_primes(m, n):
     while not _float_exact(m, n, top):
         top -= 1
     return filter(_is_prime, range(max(top, _PRIME_FLOOR), 1, -1))
-
-
-def _mod_rows(int_rows, p):
-    # one prime, row by row into the kernel's layout: a big-int % per entry costs less than limbs
-    X = _column_major((len(int_rows), len(int_rows[0])))
-    for i, row in enumerate(int_rows):
-        X[i] = [v % p for v in row]
-    return X
 
 
 def _split_limbs(int_rows):

@@ -57,6 +57,11 @@ def test_chain_spec_validation():
         BlowupChainSpec((0, 0), [], [])
     with pytest.raises(ValueError):
         BlowupChainSpec((0, 0), [2, -1], [(1, 0)])
+    # only integers, never truncated: 2.7 is not 2 and True is not 1
+    for bad in (2.7, True, "2"):
+        with pytest.raises(ValueError, match="integers"):
+            BlowupChainSpec((0, 0), [bad, 1], [(1, 0)])
+    assert BlowupChainSpec((0, 0), [np.int64(2), 1], [(1, 0)]).mults == [2, 1]
 
 
 def test_chain_spec_json_roundtrip():

@@ -277,6 +277,39 @@ def test_every_key_is_honoured_or_rejected(tmp_path, capsys, job, location, mess
     assert f"{location}: {message}" in capsys.readouterr().err
 
 
+_CHAIN = {"point": [1, 2], "mults": [2, 1], "tangents": [[1, 0]]}
+
+
+@pytest.mark.parametrize("operation, location, message", [
+    # a float or bool multiplicity was truncated, a bool coordinate read as 0 or 1
+    (dict(_POINTS, multiplicities=[2.5]), "job.operations[0]", "multiplicities must be integers, got 2.5"),
+    (dict(_POINTS, multiplicities=[True]), "job.operations[0]", "multiplicities must be integers, got True"),
+    ({"op": "impose-chain", "chains": [dict(_CHAIN, mults=[2.7, 1])]}, "job.operations[0].chains[0]",
+     "multiplicities must be integers, got 2.7"),
+    ({"op": "impose-chain", "chains": [dict(_CHAIN, mults=[2, False])]}, "job.operations[0].chains[0]",
+     "multiplicities must be integers, got False"),
+    ({"op": "impose-chain", "chains": [_CHAIN, dict(_CHAIN, point=[True, 2])]}, "job.operations[0].chains[1]",
+     "bool is not a field element"),
+    ({"op": "impose-chain", "chains": [dict(_CHAIN, tangents=[[1, False]])]}, "job.operations[0].chains[0]",
+     "bool is not a field element"),
+    ({"op": "impose-chain", "chains": [dict(_CHAIN, point=[1.5, 2])]}, "job.operations[0].chains[0]",
+     "cannot coerce 1.5"),
+])
+def test_non_integer_multiplicities_and_bool_coordinates_are_rejected(tmp_path, capsys, operation, location, message):
+    rc = main(["run", write_job(tmp_path, base_job(operations=[operation]))])
+    assert rc == 2
+    assert f"{location}: {message}" in capsys.readouterr().err
+
+
+def test_chain_coordinates_read_ints_and_strings(tmp_path, capsys):
+    job = base_job(system={"degree": 4}, operations=[
+        {"op": "impose-chain", "chains": [dict(_CHAIN, point=[1, "2"], tangents=[["1/2", 1]])]}])
+    rc = main(["run", write_job(tmp_path, job), "--json"])
+    A2 = affine_space(rationals(), 2)
+    direct = impose_chain(LinearSys.complete(A2, 4), [BlowupChainSpec((1, 2), [2, 1], [(1, 2)])])
+    assert rc == 0 and json.loads(capsys.readouterr().out)["nsections"] == direct.nsections() == 11
+
+
 def test_image_system_takes_saturated_with_generators(tmp_path, capsys):
     # the image of the parabola y = x^2 under the identity: the conics
     # through it are the multiples of b - a^2

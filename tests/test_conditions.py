@@ -107,6 +107,17 @@ def test_multiplicity_zero_is_dropped():
     assert impose_points(L, [(1, 1, 1)], [0]) is L
 
 
+def test_multiplicities_must_be_integers():
+    # 2.5 or True was truncated to 2 or 1; numpy integers are integers
+    L = LinearSys.complete(affine_space(QQ, 2), 3)
+    for bad in (2.5, True, np.float64(2.0), "2"):
+        with pytest.raises(ValueError, match="integers"):
+            impose_points(L, [(0, 0)], [bad])
+    with pytest.raises(ValueError, match="nonnegative"):
+        impose_points(L, [(0, 0)], [-1])
+    assert impose_points(L, [(0, 0)], [np.int64(2)]).nsections() == 7
+
+
 def test_sequential_imposition_matches_joint():
     P2 = projective_space(GF(13), 2)
     L = LinearSys.complete(P2, 4)

@@ -903,8 +903,9 @@ _P26_5, _P31_NEXT = 94906249, 2147483659
 
 
 def _spy_on_the_kernel(mp):
-    """Record the primes of every `rref_mod_p` and `nullspace_mod_p` call."""
-    calls = {"rref_mod_p": [], "nullspace_mod_p": []}
+    """Record the primes of every `rref_mod_p`, `rank_mod_p` and
+    `nullspace_mod_p` call."""
+    calls = {"rref_mod_p": [], "rank_mod_p": [], "nullspace_mod_p": []}
     for name, seen in calls.items():
         real = getattr(linalg, name)
         mp.setattr(linalg, name, lambda A, p, real=real, seen=seen: seen.append(p) or real(A, p))
@@ -929,7 +930,8 @@ def test_rref_rank_and_nullspace_match_the_generic_loop(data):
     R, piv = oracles.rref(rows, F)
     assert got == [(R, piv), oracles.rref(rows, F, reverse_cols=True), len(piv), rref_nullspace(rows, F)]
     kernel = m * n > linalg._NUMPY_MIN_ENTRIES
-    assert calls == {"rref_mod_p": [p] * 3 if kernel else [], "nullspace_mod_p": [p] if kernel else []}
+    assert calls == {"rref_mod_p": [p] * 2 if kernel else [], "rank_mod_p": [p] if kernel else [],
+                     "nullspace_mod_p": [p] if kernel else []}
 
 
 @pytest.mark.parametrize("F", [GF(7, 2), GF(_P31_NEXT)], ids=["gf49", "p>2^31"])
@@ -943,7 +945,7 @@ def test_fields_outside_the_kernel_never_reach_it(F, monkeypatch):
     assert (R, piv) == oracles.rref(rows, F) and len(piv) == rank(rows, F) == 18
     assert rref(rows, F, reverse_cols=True) == oracles.rref(rows, F, reverse_cols=True)
     assert nullspace(rows, F) == rref_nullspace(rows, F)
-    assert calls == {"rref_mod_p": [], "nullspace_mod_p": []}
+    assert calls == {"rref_mod_p": [], "rank_mod_p": [], "nullspace_mod_p": []}
 
 
 def test_free_columns_leave_numpy_ma_unimported():
@@ -1140,6 +1142,48 @@ def test_a_float64_working_matrix_is_eliminated_in_place(p):
         for fn in (ref_mod_p, rref_mod_p, rank_mod_p, nullspace_mod_p):
             with pytest.raises(ValueError, match=message):
                 fn(bad, p)
+
+
+@pytest.mark.parametrize("p", [2, 397, 2147483647])
+def test_the_four_gfp_functions_take_one_input_contract(p):
+    """`rank_mod_p`, `ref_mod_p`, `rref_mod_p` and `nullspace_mod_p` on the
+    same matrix in every form they take, against the int64 row loop: an
+    int64 array, rows of Python ints that are negative or beyond 2^63, a
+    reduced float64 working matrix, a flat row, and the empty shapes 0 x n
+    and m x 0 as arrays and as rows."""
+    rng = np.random.default_rng(p % 1000)
+    A = _matrix_mod_p(rng, p, 7, 9, 5)
+    shift = [[int(k) << 64 for k in row] for row in rng.integers(-5, 5, size=A.shape)]
+    just_above = A.tolist()
+    just_above[0][0] += p * ((1 << 63) // p + 1)  # in [2^63, 2^64)
+    # (the form given, the matrix it stands for)
+    forms = [(A, A),
+             ([[v - p + k * p for v, k in zip(row, ks)] for row, ks in zip(A.tolist(), shift)], A),
+             (just_above, A),
+             (A[2].tolist(), A[2:3]),
+             ([-v - (p << 70) for v in A[4].tolist()], np.mod(-A[4:5], p)),
+             (np.zeros((0, 9), dtype=np.int64), np.zeros((0, 9))),
+             (np.zeros((4, 0), dtype=np.int64), np.zeros((4, 0))),
+             ([[]] * 4, np.zeros((4, 0))),
+             ([], np.zeros((0, 0)))]
+    for given_form, matrix in forms:
+        matrix = np.asarray(matrix, dtype=np.int64)
+        R, piv = rowloop_rref_mod_p(matrix, p)
+        N = oracle_basis(R, piv, matrix.shape[1], p)
+        # a float64 working matrix is eliminated in place: a fresh one per call
+        for fresh in (lambda: given_form, lambda: np.asfortranarray(matrix, dtype=np.float64)):
+            assert rank_mod_p(fresh(), p) == len(piv)
+            assert ref_mod_p(fresh(), p)[1] == piv
+            R_got, piv_got = rref_mod_p(fresh(), p)
+            assert piv_got == piv and R_got.dtype == np.int64 and np.array_equal(R_got, R)
+            N_got = nullspace_mod_p(fresh(), p)
+            assert N_got.dtype == np.int64 and np.array_equal(N_got, N)
+    # p is checked first, so an empty input is no exception
+    for bad in (1, 2**31):
+        for form in (A, A.tolist(), [], [[]] * 3, np.zeros((0, 4), dtype=np.int64)):
+            for fn in (rank_mod_p, ref_mod_p, rref_mod_p, nullspace_mod_p):
+                with pytest.raises(ValueError, match="2\\^31"):
+                    fn(form, bad)
 
 
 def test_split_products_are_exact_at_their_bounds():
