@@ -30,7 +30,7 @@ import numpy as np
 from .groebner import groebner_basis, normal_form
 from .linalg import gf_numpy_path, matmul, nullspace, solve_nullspace
 from .linsys import LinearSys
-from .poly import MultiPoly, grevlex_key, monomials_below_degree
+from .poly import MultiPoly, _hasse_tables, grevlex_key, monomials_below_degree
 
 
 class SchemeSpec:
@@ -115,31 +115,6 @@ def _local_directions(ambient, charts):
     chart variable of each projective block."""
     chart_set = {c for c in charts if c is not None}
     return [i for i in range(ambient.total_vars()) if i not in chart_set]
-
-
-def _hasse_tables(field, a, top, tmax):
-    """T[t][e] for t <= tmax and e <= top: the t-th Hasse derivative
-    C(e,t) * a^(e-t) of x^e at a.  Over QQ, with a = n/d and d > 0, the
-    integer C(e,t) * n^(e-t) * d^(top-e), which is that value times
-    d^(top-t)."""
-    if field.kind == "rational":
-        n, d = a.numerator, a.denominator
-        npow, dpow = [1], [1]
-        for _ in range(top):
-            npow.append(npow[-1] * n)
-            dpow.append(dpow[-1] * d)
-        return [
-            [comb(e, t) * npow[e - t] * dpow[top - e] if e >= t else 0 for e in range(top + 1)]
-            for t in range(tmax + 1)
-        ]
-    apow = [field.one]
-    for _ in range(top):
-        apow.append(field.mul(apow[-1], a))
-    return [
-        [field.mul(field.from_int(comb(e, t)), apow[e - t]) if e >= t else field.zero
-         for e in range(top + 1)]
-        for t in range(tmax + 1)
-    ]
 
 
 def point_condition_rows(L, point, multiplicity):

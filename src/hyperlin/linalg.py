@@ -17,10 +17,11 @@ Two tiers, both exact:
   is exact for inner dimensions below 2^21 - 2^15 (enforced on min(m, n)).
   `ref_mod_p`, `rref_mod_p`, `rank_mod_p` and `nullspace_mod_p` all run it
   on a matrix, a batch of one; `_cup_mod_p` alone checks p and copies their
-  input (rows of ints of any size, a flat row, an integer array) to float64,
-  or eliminates a float64 working matrix in place.  `rref_mod_p` also
-  takes a stack of a matrix mod B primes and eliminates it in one pass, by
-  stacked products, with the pivots common to the slices that reach them.
+  input (rows of ints of any size, a flat row, an integer array; an entry
+  with a fraction raises ValueError) to float64, or eliminates a float64
+  working matrix in place.  `rref_mod_p` also takes a stack of a matrix mod
+  B primes and eliminates it in one pass, by stacked products, with the
+  pivots common to the slices that reach them.
 
 On top of the GF(p) kernel sits the certified multi-prime nullspace over
 the rationals, which is `nullspace` over QQ: rank lower bounds from
@@ -259,12 +260,15 @@ def _solve_rational(rows, field, ncols):
 
 
 def _reduce_sym(X, p, invp):
-    """In-place reduction of exact float64 integers |x| < 2^51 to residues
-    |x| <= p // 2, the symmetric range for odd p.  The quotient q = x*invp
-    is within |x/p| * 2^-52 < 1/(2p) of x/p, and for odd p x/p is at least
-    1/(2p) from any half-integer, so rint(q) is the integer nearest to x/p;
-    for p = 2, invp and q are exact.  p and invp are scalars, or arrays
-    that broadcast one modulus to each slice of a stack."""
+    """In-place reduction of the integers in a float array to residues
+    |x| <= p // 2, the symmetric range for odd p, with invp = 1/p in X's
+    dtype.  One rule: exact for |x| < 2^(s-2) with an s-bit significand
+    (2^22 in float32, 2^51 in float64).  invp and q = x*invp round once each,
+    so q is within |x/p| (2^(1-s) + 2^-2s) < 1/(2p) of x/p, and for odd p x/p
+    is at least 1/(2p) from any half-integer, so rint(q) is the integer
+    nearest to x/p and x - rint(q)*p is exact; for p = 2, invp and q are
+    exact.  p and invp are scalars, or arrays that broadcast one modulus to
+    each slice of a stack."""
     q = X * invp
     np.rint(q, out=q)
     q *= p
@@ -548,6 +552,19 @@ def _moduli(p):
     return primes
 
 
+def _int64_exact(A, B):
+    """Whether B, numpy's int64 conversion of A, holds A's entries exactly.
+    numpy truncates a float or a Fraction there and wraps a uint64 above
+    2^63, so A must be an array whose dtype casts safely to int64, or rows
+    whose entries sum to an int: one float or Fraction anywhere makes the
+    sum one too, in one C-level pass over the rows (a type check per entry
+    costs several times more)."""
+    if isinstance(A, np.ndarray):
+        return np.can_cast(A.dtype, np.int64) or not A.size
+    total = sum(map(sum, A)) if B.ndim == 2 else sum(A) if B.ndim == 1 else A
+    return isinstance(total, (int, np.integer))
+
+
 def _cup_mod_p(A, p, order=None):
     """Column-recursive CUP elimination over GF(p) in float64, the scheme of
     FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008; rank
@@ -568,13 +585,16 @@ def _cup_mod_p(A, p, order=None):
     any other float64 A, or a stack of another dtype, raises ValueError.
     With one prime, integers are copied into a float64 working matrix: an
     integer array or rows of ints (a flat row is 1 x n), reduced by numpy,
-    or rows with an int beyond int64, reduced row by row with `%`.  An empty
-    A (0 x n or m x 0) has no pivots.  The pivots are common: a column is a
-    pivot if a live slice has a nonzero in it, and each slice swaps up its
-    own first nonzero row (see `_Elimination.leaf`).  The slices that have a
-    nonzero at every pivot stay live, and the pivots are their column rank
-    profile; every other slice has a lexicographically later one (an unlucky
-    prime), and its result is meaningless.
+    or rows with an int beyond int64, reduced row by row with `%`.  So do
+    rows with a float or a Fraction in them and arrays whose dtype does not
+    cast safely to int64 (float, object, uint64); an integral entry is read
+    as its value, and one with a fraction raises ValueError.
+    An empty A (0 x n or m x 0) has no pivots.  The pivots are common: a
+    column is a pivot if a live slice has a nonzero in it, and each slice
+    swaps up its own first nonzero row (see `_Elimination.leaf`).  The
+    slices that have a nonzero at every pivot stay live, and the pivots are
+    their column rank profile; every other slice has a lexicographically
+    later one (an unlucky prime), and its result is meaningless.
 
     Every product, in the updates, the TRSMs, the leaf inverses, the leaf's
     multiplier scaling and its rank-1 updates, goes through `_product`:
@@ -602,16 +622,25 @@ def _cup_mod_p(A, p, order=None):
             raise ValueError("a float64 matrix or stack must be reduced to [0, p)")
     else:
         try:
-            A = np.atleast_2d(np.asarray(A, dtype=np.int64))
+            B = np.asarray(A, dtype=np.int64)
         except OverflowError:
-            # ints beyond int64: a big-int % per entry costs less than limbs for one prime
-            rows = [A] if np.ndim(A[0]) == 0 else A
+            B = None
+        if B is not None and B.ndim > 2:
+            raise ValueError("matrix required")
+        if B is None or not _int64_exact(A, B):
+            # ints beyond int64 (a big-int % per entry costs less than limbs for
+            # one prime), or entries numpy truncated: their residues keep a fraction
+            rows = A.tolist() if isinstance(A, np.ndarray) else A
+            rows = [rows] if np.ndim(rows[0]) == 0 else rows
             X = _column_major((len(rows), len(rows[0])))
             for i, row in enumerate(rows):
                 X[i] = [v % p for v in row]
+            # in blocks of columns, which X holds contiguously: no temporary of X's size
+            for c in range(0, X.shape[1], 64):
+                if (X[:, c : c + 64] != np.floor(X[:, c : c + 64])).any():
+                    raise ValueError("GF(p) matrix entries must be integers")
         else:
-            if A.ndim != 2:
-                raise ValueError("matrix required")
+            A = np.atleast_2d(B)
             # one pass checks 0 <= A < p: a negative entry reads as a huge uint64
             if A.size and A.view(np.uint64).max() >= p:
                 A = np.mod(A, p)

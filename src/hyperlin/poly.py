@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import re
+from fractions import Fraction
 
 from .fields import FieldElement
 
@@ -370,12 +371,15 @@ class MultiPoly:
         return total
 
     def translate(self, point):
-        """f(x + p): shift each variable by the matching coordinate of p."""
+        """f(x + p): shift each variable by the matching coordinate of p.
+        Over QQ the shift runs in integers (`_translate_rational`)."""
         ring = self.ring
         field = ring.field
         coords = [field.coerce(c) for c in point]
         if len(coords) != ring.nvars:
             raise ValueError("wrong number of coordinates")
+        if field.kind == "rational":
+            return self._translate_rational(coords)
         terms = self.terms
         for i, a in enumerate(coords):
             if field.is_zero(a):
@@ -400,6 +404,37 @@ class MultiPoly:
                     _acc_term(out, ne, field.mul(c, w), field)
             terms = out
         return MultiPoly(ring, dict(terms))
+
+    def _translate_rational(self, coords):
+        """`translate` over QQ in integers.  The coefficients are scaled by
+        the lcm D of their denominators; a variable with a_i = n_i/d_i != 0
+        and largest exponent top_i maps c x_i^e to the terms c T[t][e] x_i^t
+        of `_hasse_tables`, the Hasse derivatives times d_i^(top_i - t), so
+        the coefficient of x^t ends as an int divided once by D and the
+        d_i^(top_i - t_i)."""
+        D = math.lcm(*(c.denominator for c in self.terms.values()))
+        terms = {e: c.numerator * (D // c.denominator) for e, c in self.terms.items()}
+        scales = []
+        for i, a in enumerate(coords):
+            if not a:
+                continue
+            top = max((e[i] for e in terms), default=0)
+            T = _hasse_tables(self.ring.field, a, top, top)
+            out = {}
+            for e, c in terms.items():
+                for t in range(e[i] + 1):
+                    ne = e[:i] + (t,) + e[i + 1 :]
+                    out[ne] = out.get(ne, 0) + c * T[t][e[i]]
+            terms = out
+            scales.append((i, top, a.denominator))
+        out = {}
+        for e, c in terms.items():
+            if c:
+                den = D
+                for i, top, d in scales:
+                    den *= d ** (top - e[i])
+                out[e] = Fraction(c, den)
+        return MultiPoly(self.ring, out)
 
     # -- calculus-flavoured operations ------------------------------------------
 
@@ -544,6 +579,31 @@ def _acc_term(d, e, c, field):
             d[e] = s
     elif not field.is_zero(c):
         d[e] = c
+
+
+def _hasse_tables(field, a, top, tmax):
+    """T[t][e] for t <= tmax and e <= top: the t-th Hasse derivative
+    C(e,t) * a^(e-t) of x^e at a.  Over QQ, with a = n/d and d > 0, the
+    integer C(e,t) * n^(e-t) * d^(top-e), which is that value times
+    d^(top-t)."""
+    if field.kind == "rational":
+        n, d = a.numerator, a.denominator
+        npow, dpow = [1], [1]
+        for _ in range(top):
+            npow.append(npow[-1] * n)
+            dpow.append(dpow[-1] * d)
+        return [
+            [math.comb(e, t) * npow[e - t] * dpow[top - e] if e >= t else 0 for e in range(top + 1)]
+            for t in range(tmax + 1)
+        ]
+    apow = [field.one]
+    for _ in range(top):
+        apow.append(field.mul(apow[-1], a))
+    return [
+        [field.mul(field.from_int(math.comb(e, t)), apow[e - t]) if e >= t else field.zero
+         for e in range(top + 1)]
+        for t in range(tmax + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,12 @@ Enumeration sweeps the projective space chart by chart; each point is visited
 once through its canonical representative (last nonzero coordinate = 1).
 Over a prime field the sweep is vectorized: F is evaluated on the whole
 chart grid by contracting its coefficient tensor with a power table
-x^e mod p, one float64 matmul and one reduction mod p per variable, which
-is exact while (D+1)*(p-1)^2 < 2^51 for exponents up to D (enforced; the
-point limit keeps p <= 254).  The partials are evaluated term by term on
-the survivors only.
+x^e mod p, one matmul and one reduction mod p per variable.  For exponents
+up to D the grid is float32 while (D+1)*(p-1)^2 < 2^22, which holds for
+every degree up to 64 under the point limit (p <= 254), and float64 while
+it is < 2^51 (enforced).  The partials are evaluated on the survivors
+only, in int64 with one reduction each, exact while the unreduced sum of
+the terms stays below 2^63 (enforced).
 
 Everything after the sweep reads Hasse derivatives D^t F(a), the
 coefficients of the Taylor expansion of F at a.  Over GF(p) one int64
@@ -38,7 +40,7 @@ import numpy as np
 
 from .ambient import AmbientPoint, projective_space
 from .conditions import impose_points, taylor_row
-from .linalg import _F51, _INT64_P, _reduce_sym, rank
+from .linalg import _INT64_P, _reduce_sym, rank
 from .linsys import LinearSys
 from .poly import monomials_of_degree
 
@@ -152,26 +154,31 @@ def _sweep_prime(local, p, nfree):
 
 def _contract(terms, pw, p, nfree):
     """Values mod p of the polynomial with the given terms on the whole grid
-    GF(p)^nfree, as a float64 array indexed [x1, .., x_nfree] of residues
-    in the symmetric range.  The coefficient tensor C[e1, .., e_nfree] is
+    GF(p)^nfree, as an array indexed [x1, .., x_nfree] of residues in the
+    symmetric range.  The coefficient tensor C[e1, .., e_nfree] is
     contracted with the power table P[e, x] = x^e mod p one variable at a
     time: one matmul and one reduction mod p per variable.  Each product
     entry is a sum of D+1 products of residues below p, D the largest
-    exponent, so it and its reduction are exact while (D+1)*(p-1)^2 < 2^51,
-    the range of `_reduce_sym`."""
+    exponent, so every partial sum is an integer of magnitude below
+    (D+1)*(p-1)^2.  The grid is float32 while that bound is below 2^22 and
+    float64 while it is below 2^51: with an s-bit significand, 2^(s-2),
+    where the sums are exact and so is `_reduce_sym`.  Beyond that,
+    ValueError."""
     D = len(pw) - 1
-    if (D + 1) * (p - 1) ** 2 >= _F51:
+    bound = (D + 1) * (p - 1) ** 2
+    dtype = next((t for t in (np.float32, np.float64) if bound < 2 ** (np.finfo(t).nmant - 1)), None)
+    if dtype is None:
         raise ValueError(f"GF({p}) with exponents up to {D} is beyond the float64 contraction")
-    C = np.zeros((D + 1,) * nfree)
+    C = np.zeros((D + 1,) * nfree, dtype=dtype)
     for e, c in terms.items():
         C[e] = c
-    P = np.array(pw, dtype=np.float64)
-    invp = 1.0 / p
+    P = np.array(pw, dtype=dtype)
+    invp = dtype(1.0 / p)
     for _ in range(nfree):
         # contract the leading exponent axis; its point axis goes last.  Row
         # blocks keep the reduction's temporaries small.
         A = C.reshape(D + 1, -1).T
-        out = np.empty((A.shape[0], p))
+        out = np.empty((A.shape[0], p), dtype=dtype)
         for b in range(0, A.shape[0], _SWEEP_ROWS):
             _reduce_sym(np.matmul(A[b : b + _SWEEP_ROWS], P, out=out[b : b + _SWEEP_ROWS]), p, invp)
         C = out.reshape(C.shape[1:] + (p,))
@@ -179,17 +186,22 @@ def _contract(terms, pw, p, nfree):
 
 
 def _evaluate(terms, pw, p, idx):
-    """Values mod p of the polynomial with the given terms at the points whose
-    coordinates are idx, one index array per variable: the survivors of an
-    earlier filter, or open-mesh ranges (np.ix_) for a whole grid."""
+    """Values mod p, in [0, p), of the polynomial with the given terms at the
+    points whose coordinates are idx, one index array per variable: the
+    survivors of an earlier filter, or open-mesh ranges (np.ix_) for a whole
+    grid.  Each term is its coefficient times one power value per variable,
+    all below p, and the terms are summed unreduced in int64, with one
+    reduction at the end: exact while len(terms) * (p-1)^(nfree+1) < 2^63,
+    nfree = len(idx) (enforced, else ValueError)."""
+    if len(terms) * (p - 1) ** (len(idx) + 1) >= 1 << 63:
+        raise ValueError(f"GF({p}) with {len(terms)} terms in {len(idx)} variables is beyond the int64 evaluation")
     acc = np.zeros(np.broadcast_shapes(*(ix.shape for ix in idx)), dtype=np.int64)
     for e, c in terms.items():
-        # coefficient times <= 3 power values, plus acc, stays below 2^63
         block = np.int64(c)
         for ix, ei in zip(idx, e):
             block = block * pw[ei][ix]
         acc += block
-        acc %= p
+    acc %= p
     return acc
 
 

@@ -1149,8 +1149,10 @@ def test_the_four_gfp_functions_take_one_input_contract(p):
     """`rank_mod_p`, `ref_mod_p`, `rref_mod_p` and `nullspace_mod_p` on the
     same matrix in every form they take, against the int64 row loop: an
     int64 array, rows of Python ints that are negative or beyond 2^63, a
-    reduced float64 working matrix, a flat row, and the empty shapes 0 x n
-    and m x 0 as arrays and as rows."""
+    uint64 array beyond 2^63, rows of integral floats, a reduced float64
+    working matrix, a flat row, and the empty shapes 0 x n and m x 0 as
+    arrays and as rows.  An entry with a fraction raises ValueError in any
+    form."""
     rng = np.random.default_rng(p % 1000)
     A = _matrix_mod_p(rng, p, 7, 9, 5)
     shift = [[int(k) << 64 for k in row] for row in rng.integers(-5, 5, size=A.shape)]
@@ -1160,6 +1162,8 @@ def test_the_four_gfp_functions_take_one_input_contract(p):
     forms = [(A, A),
              ([[v - p + k * p for v, k in zip(row, ks)] for row, ks in zip(A.tolist(), shift)], A),
              (just_above, A),
+             (np.array(just_above, dtype=np.uint64), A),
+             ([[float(v) for v in row] for row in A.tolist()], A),
              (A[2].tolist(), A[2:3]),
              ([-v - (p << 70) for v in A[4].tolist()], np.mod(-A[4:5], p)),
              (np.zeros((0, 9), dtype=np.int64), np.zeros((0, 9))),
@@ -1178,6 +1182,13 @@ def test_the_four_gfp_functions_take_one_input_contract(p):
             assert piv_got == piv and R_got.dtype == np.int64 and np.array_equal(R_got, R)
             N_got = nullspace_mod_p(fresh(), p)
             assert N_got.dtype == np.int64 and np.array_equal(N_got, N)
+    # an entry that is not an integer is refused, not truncated: rows that
+    # numpy would convert to int64, rows beyond int64, and arrays
+    for form in ([[1.5, 2]], [v + 0.5 for v in A[0].tolist()], [[Fraction(1, 2), 2]],
+                 [[1 << 70, 1.5]], np.array([[0.5, 1]], dtype=np.float32)):
+        for fn in (rank_mod_p, ref_mod_p, rref_mod_p, nullspace_mod_p):
+            with pytest.raises(ValueError, match="integers"):
+                fn(form, p)
     # p is checked first, so an empty input is no exception
     for bad in (1, 2**31):
         for form in (A, A.tolist(), [], [[]] * 3, np.zeros((0, 4), dtype=np.int64)):

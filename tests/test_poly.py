@@ -160,6 +160,28 @@ def test_translate_matches_evaluation():
             assert g.evaluate(pt) == f.evaluate(shifted)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_translate_over_qq_matches_the_expansion_by_ring_powers(data):
+    # the integer shift against sum c * prod (x_i + a_i)^e_i in ring arithmetic
+    R = ring_xyz()
+    fraction = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+    exps = st.tuples(*[st.integers(0, 4)] * 3)
+    terms = data.draw(st.dictionaries(exps, fraction.filter(bool), max_size=8))
+    a = data.draw(st.tuples(*[st.one_of(st.just(Fraction(0)), fraction)] * 3))
+    f = MultiPoly(R, terms)
+    want = R.zero()
+    for e, c in terms.items():
+        term = R.constant(c)
+        for g, ai, k in zip(R.gens(), a, e):
+            term = term * (g + ai) ** k
+        want = want + term
+    got = f.translate(a)
+    assert got == want and all(type(c) is Fraction for c in got.terms.values())
+    assert f.translate((0, 0, 0)) == f
+    assert R.zero().translate(a) == R.zero()
+
+
 def test_translate_in_characteristic_p():
     R = PolyRing(GF(13), ("x", "y"))
     x, y = R.gens()

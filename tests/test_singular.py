@@ -6,7 +6,7 @@ from itertools import product as iproduct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hyperlin.singular as singular
@@ -159,22 +159,33 @@ def _power_table(p, maxexp):
     return pw
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_contraction_matches_term_by_term_evaluation(data):
-    p = data.draw(st.sampled_from([2, 3, 5, 7, 13, 101] + primes_from(240, 2)))
-    nfree = data.draw(st.integers(1, 3 if p <= 101 else 2))
+@st.composite
+def _contraction_cases(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 13, 101] + primes_from(240, 2)))
+    nfree = draw(st.integers(1, 3 if p <= 101 else 2))
     exps = st.lists(st.integers(0, 5), min_size=nfree, max_size=nfree).filter(lambda e: sum(e) <= 5)
-    terms = data.draw(st.dictionaries(exps.map(tuple), st.integers(0, p - 1), max_size=8))
+    terms = draw(st.dictionaries(exps.map(tuple), st.integers(0, p - 1), max_size=8))
+    points = draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * nfree), min_size=3, max_size=3))
+    return p, nfree, terms, points
+
+
+@settings(max_examples=60, deadline=None)
+@given(_contraction_cases())
+# one variable over GF(251), every coefficient 250: exponents up to 66 stay in
+# float32 (67 * 250^2 < 2^22), up to 67 they do not (68 * 250^2 > 2^22)
+@example((251, 1, {(e,): 250 for e in range(67)}, [(250,), (2,), (0,)]))
+@example((251, 1, {(e,): 250 for e in range(68)}, [(250,), (3,), (0,)]))
+def test_contraction_matches_term_by_term_evaluation(case):
+    p, nfree, terms, points = case
     maxexp = max((max(e) for e in terms), default=0)
     pw = _power_table(p, maxexp)
     got = _contract(terms, pw, p, nfree)
     grid = np.ix_(*[np.arange(p)] * nfree)
     assert got.shape == (p,) * nfree
+    assert got.dtype == (np.float32 if (maxexp + 1) * (p - 1) ** 2 < 2 ** 22 else np.float64)
     assert np.array_equal(got % p, _evaluate(terms, pw, p, grid))
     # and at a few points by plain integer arithmetic
-    for _ in range(3):
-        pt = tuple(data.draw(st.integers(0, p - 1)) for _ in range(nfree))
+    for pt in points:
         direct = sum(c * np.prod([pow(x, e, p) for x, e in zip(pt, ex)]) for ex, c in terms.items()) % p
         assert int(got[pt]) % p == direct
 
@@ -233,6 +244,21 @@ def test_contraction_enforces_its_float64_bound():
     p = primes_from(67_108_879, 1)[0]
     with pytest.raises(ValueError, match="float64"):
         _contract({(1,): 1}, [np.ones(1)] * 2, p, 1)
+
+
+def test_evaluation_enforces_its_int64_bound():
+    # len(terms) * (p-1)^(nfree+1) < 2^63: at p = 2^31 - 1 two terms in one
+    # variable are exact at the largest residues, a third is refused
+    p = 2**31 - 1
+    x = np.array([p - 1, p - 2, 0, 1])
+    pw = [np.ones(len(x), dtype=np.int64), x, x * x % p]
+    terms = {(1,): p - 1, (2,): p - 2}
+    want = [((p - 1) * v + (p - 2) * v * v) % p for v in x.tolist()]
+    assert _evaluate(terms, pw, p, (np.arange(len(x)),)).tolist() == want
+    with pytest.raises(ValueError, match="int64"):
+        _evaluate({**terms, (0,): 1}, pw, p, (np.arange(len(x)),))
+    with pytest.raises(ValueError, match="int64"):
+        _evaluate({(1, 1): 1}, pw, p, (np.arange(len(x)),) * 2)
 
 
 # -- classification --------------------------------------------------------------
