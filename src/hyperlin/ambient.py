@@ -142,16 +142,21 @@ class Ambient:
         """Per-block total degree of an exponent tuple."""
         return tuple(sum(exponents[self.block_slice(i)]) for i in range(self.nblocks()))
 
-    def section_fits_degree(self, f, degree):
-        """True if a polynomial belongs to the degree-d system of this ambient:
-        per-block homogeneous of the exact block degree (projective/product),
-        total degree <= d (affine)."""
+    def monomial_fits_degree(self, e, degree):
+        """True if an exponent tuple is a monomial of the degree-d system of
+        this ambient: one nonnegative exponent per variable, of the exact
+        block degree (projective/product) or total degree <= d (affine)."""
         degree = self.degree_tuple(degree)
-        if f.is_zero():
-            return True
+        if len(e) != self.total_vars() or min(e, default=0) < 0:
+            return False
         if self.kind == "affine":
-            return f.total_degree() <= degree[0]
-        return all(self.block_degrees(e) == degree for e in f.terms)
+            return sum(e) <= degree[0]
+        return self.block_degrees(e) == degree
+
+    def section_fits_degree(self, f, degree):
+        """True if every term of a polynomial fits `monomial_fits_degree`."""
+        degree = self.degree_tuple(degree)
+        return all(self.monomial_fits_degree(e, degree) for e in f.terms)
 
     # -- points ------------------------------------------------------------------------
 

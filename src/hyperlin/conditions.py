@@ -236,6 +236,17 @@ def _impose_rows(L, rows):
     return _kernel_subsystem(L, rows)
 
 
+def _vanishing_combinations(L, forms):
+    """Subsystem of L whose coefficient vectors combine the forms, one per
+    section of L, to zero: one condition row per monomial of their support,
+    one column per section.  L itself when every form is zero."""
+    support = sorted({e for f in forms for e in f.terms}, key=grevlex_key, reverse=True)
+    if not support:
+        return L
+    zero = L.ambient.field.zero
+    return _kernel_subsystem(L, [[f.terms.get(e, zero) for f in forms] for e in support])
+
+
 def _kernel_subsystem(L, rows):
     """Subsystem of L whose coefficient vectors in L's basis span the right
     nullspace of the condition rows (one column per section of L)."""
@@ -273,18 +284,7 @@ def impose_containment(L, scheme):
 
     if ambient.kind == "affine":
         G = groebner_basis(scheme.generators)
-        secs = L.sections()
-        forms = [normal_form(s, G) for s in secs]
-        support = sorted(
-            {e for f in forms for e in f.terms}, key=grevlex_key, reverse=True
-        )
-        if not support:
-            return L  # every section already reduces to zero
-        # one row per support monomial of the normal forms, one column per section
-        rows = [
-            [f.terms.get(e, field.zero) for f in forms] for e in support
-        ]
-        return _kernel_subsystem(L, rows)
+        return _vanishing_combinations(L, [normal_form(s, G) for s in L.sections()])
 
     if not scheme.saturated:
         raise ValueError(
@@ -351,14 +351,7 @@ def image_system(components, target, degree, scheme=None):
             if ei:
                 pb = pb * f**ei
         forms.append(normal_form(pb, G) if G else pb)
-    support = sorted(
-        {m for f in forms for m in f.terms}, key=grevlex_key, reverse=True
-    )
-    L = LinearSys.complete(target, degree)
-    if not support:
-        return L  # every pullback lies in the ideal already
-    rows = [[f.terms.get(m, field.zero) for f in forms] for m in support]
-    return _kernel_subsystem(L, rows)
+    return _vanishing_combinations(LinearSys.complete(target, degree), forms)
 
 
 # ---------------------------------------------------------------------------

@@ -565,6 +565,23 @@ def _int64_exact(A, B):
     return isinstance(total, (int, np.integer))
 
 
+def _check_reduced(X, primes):
+    """ValueError unless every entry of the working matrix or stack X is an
+    integer in [0, p) of its slice's prime.  One pass in blocks of columns,
+    which X holds contiguously, of at most 2^15 entries each, so a block
+    stays in cache for its three tests: no temporary of X's size, and about
+    the cost of one min and one max over X."""
+    if not X.size:
+        return
+    step = max(1, (1 << 15) * X.shape[-1] // X.size)
+    for c in range(0, X.shape[-1], step):
+        block = X[..., c : c + step]
+        if (block != np.floor(block)).any():
+            raise ValueError("GF(p) matrix entries must be integers")
+        if block.min() < 0 or (block.max(axis=(-2, -1)) >= primes).any():
+            raise ValueError("a float64 matrix or stack must be reduced to [0, p)")
+
+
 def _cup_mod_p(A, p, order=None):
     """Column-recursive CUP elimination over GF(p) in float64, the scheme of
     FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008; rank
@@ -581,8 +598,9 @@ def _cup_mod_p(A, p, order=None):
     a sequence of B primes, eliminated in one pass by stacked products.  Here
     the four GF(p) functions check p (2 <= p < 2^31, else ValueError, on an
     empty A too) and take their input.  A float64 A laid out by
-    `_column_major`, slice b reduced to [0, p[b]), is eliminated in place;
-    any other float64 A, or a stack of another dtype, raises ValueError.
+    `_column_major`, slice b holding integers in [0, p[b]), is eliminated in
+    place; any other float64 A (one with a fraction too), or a stack of
+    another dtype, raises ValueError.
     With one prime, integers are copied into a float64 working matrix: an
     integer array or rows of ints (a flat row is 1 x n), reduced by numpy,
     or rows with an int beyond int64, reduced row by row with `%`.  So do
@@ -618,8 +636,7 @@ def _cup_mod_p(A, p, order=None):
         X = A
         if X.ndim < 2 or X.shape[:-2] != np.shape(p) or X.dtype != np.float64 or X.size and X.strides[-2] != 8:
             raise ValueError("a float64 matrix, or a stack of one slice per prime, must be column-major")
-        if X.size and (X.min() < 0 or (X.max(axis=(-2, -1)) >= primes).any()):
-            raise ValueError("a float64 matrix or stack must be reduced to [0, p)")
+        _check_reduced(X, primes)
     else:
         try:
             B = np.asarray(A, dtype=np.int64)
@@ -635,10 +652,7 @@ def _cup_mod_p(A, p, order=None):
             X = _column_major((len(rows), len(rows[0])))
             for i, row in enumerate(rows):
                 X[i] = [v % p for v in row]
-            # in blocks of columns, which X holds contiguously: no temporary of X's size
-            for c in range(0, X.shape[1], 64):
-                if (X[:, c : c + 64] != np.floor(X[:, c : c + 64])).any():
-                    raise ValueError("GF(p) matrix entries must be integers")
+            _check_reduced(X, primes)
         else:
             A = np.atleast_2d(B)
             # one pass checks 0 <= A < p: a negative entry reads as a huge uint64

@@ -1,16 +1,18 @@
 """Linear systems of hypersurfaces.
 
-A LinearSys is a subspace of the forms of fixed (multi)degree on an ambient,
-held in whichever representation is cheapest: a complete-system flag, an
-explicit section list, or a coefficient matrix over a monomial list.  Heavy
-data (bases, matrices, solvers) is materialized only on demand; systems
-produced by imposing conditions can carry a certified section count together
-with a deferred factory for the actual basis.
+A LinearSys is a subspace of the forms of fixed (multi)degree on an ambient.
+A complete system is a flag and a count; every other system is stored as
+coefficient rows over a list of monomials, and its sections are a cache
+built from them on demand.  Systems produced by imposing conditions can
+carry a certified section count together with a deferred factory for the
+rows.
 
 Every system stores a basis: its sections (the rows of its matrix) are
 linearly independent, so nsections() == len(sections()) == len(matrix()).
-Input from outside is reduced once, at construction: independent sections or
-rows are kept verbatim, dependent ones are replaced by their echelon rows.
+Input from outside goes through one constructor core, which checks each
+monomial once (one exponent per variable, none negative, none repeated, all
+of the system's degree) and reduces the rows: independent rows are kept
+verbatim, dependent ones are replaced by their echelon rows.
 
 Matrix columns follow the grevlex-descending monomial order; echelonization
 selects pivots scanning columns right to left (smallest monomial first), and
@@ -69,64 +71,65 @@ class LinearSys:
 
     @classmethod
     def from_sections(cls, ambient, sections, degree=None, change_basis=False):
-        """System spanned by the sections; with `change_basis` the stored
-        basis is their echelon form."""
+        """System spanned by the sections: their coefficient rows over their
+        joint support, sorted grevlex-descending.  Independent sections are
+        kept as the cached sections; with `change_basis`, or when they are
+        dependent, the stored basis is their echelon form."""
         sections = list(sections)
-        if not sections:
-            if degree is None:
-                raise ValueError("cannot infer the degree of an empty section list")
-            return cls.empty(ambient, degree)
         for s in sections:
             if not isinstance(s, MultiPoly) or s.ring != ambient.ring:
                 raise ValueError("sections must be polynomials on the ambient ring")
-            if s.is_zero():
-                raise ValueError("zero polynomial cannot be a section")
-        if degree is None:
-            degree = _infer_degree(ambient, sections)
-        L = cls(ambient, degree)
-        for s in sections:
-            if not ambient.section_fits_degree(s, L.degree):
-                raise ValueError(f"section {s} does not have degree {degree}")
-        L._sections = sections
-        L._reduce_to_basis(echelon=change_basis)
-        return L
+        support = sorted({e for s in sections for e in s.terms}, key=grevlex_key, reverse=True)
+        zero = ambient.field.zero
+        rows = [[s.terms.get(e, zero) for e in support] for s in sections]
+        return cls._from_rows(ambient, rows, support, degree, change_basis, sections)
 
     @classmethod
     def from_matrix(cls, ambient, matrix, monomials, degree=None):
-        """System spanned by matrix rows over the given monomial list; sections
-        materialize on demand as row * monomials."""
-        monomials = [tuple(int(x) for x in e) for e in monomials]
+        """System spanned by matrix rows over the given monomial list, kept
+        verbatim when independent; sections materialize on demand as
+        row * monomials."""
         field = ambient.field
         rows = [[field.coerce(v) for v in row] for row in matrix]
+        return cls._from_rows(ambient, rows, [tuple(int(x) for x in e) for e in monomials], degree)
+
+    @classmethod
+    def _from_rows(cls, ambient, rows, monomials, degree, echelon=False, sections=None):
+        """The core of `from_sections`, `from_matrix` and `empty`.  The
+        degree, if not given, is the largest total degree of the monomials
+        (affine) or the block degrees of the first.  Every monomial must fit
+        it and appear once, and no row may be zero.  The rows are stored
+        verbatim, with `sections` as their cache, unless they are dependent
+        or `echelon` asks for the echelon form."""
+        if degree is None:
+            if not monomials:
+                raise ValueError("cannot infer the degree of a system without monomials")
+            affine = ambient.kind == "affine"
+            degree = max(map(sum, monomials)) if affine else ambient.block_degrees(monomials[0])
+        L = cls(ambient, degree)
+        if len(set(monomials)) != len(monomials):
+            raise ValueError("repeated monomial")
+        for e in monomials:
+            if not ambient.monomial_fits_degree(e, L.degree):
+                n = ambient.total_vars()
+                raise ValueError(f"monomial {e} does not fit degree {degree} on {n} variables")
+        field = ambient.field
         for row in rows:
             if len(row) != len(monomials):
                 raise ValueError("matrix width does not match the monomial list")
             if all(field.is_zero(v) for v in row):
                 raise ValueError("zero row would give a zero section")
-        degs = {ambient.block_degrees(e) for e in monomials}
-        if len(degs) > 1:
-            if ambient.kind == "affine":
-                pass  # mixed total degrees are fine on affine ambients
-            else:
-                raise ValueError("monomials of mixed degree")
-        if degree is None:
-            if ambient.kind == "affine":
-                degree = max(sum(e) for e in monomials)
-            else:
-                degree = next(iter(degs))
-        L = cls(ambient, degree)
-        L._matrix = rows
+        R, _ = rref(rows, field, reverse_cols=True)
+        verbatim = not echelon and len(R) == len(rows)
+        L._matrix = rows if verbatim else R
+        L._sections = sections if verbatim else None
         L._monomials = monomials
-        L._reduce_to_basis()
+        L._nsections = len(R)
         return L
 
     @classmethod
     def empty(cls, ambient, degree):
-        L = cls(ambient, degree)
-        L._sections = []
-        L._matrix = []
-        L._nsections = 0
-        return L
+        return cls._from_rows(ambient, [], [], degree, sections=[])
 
     @classmethod
     def from_nullspace(cls, parent, vectors, nsections=None, pending=None):
@@ -144,16 +147,6 @@ class LinearSys:
         L._set_rows(parent, vectors)
         L._nsections = len(L._matrix)
         return L
-
-    def _reduce_to_basis(self, echelon=False):
-        """Make the stored rows a basis of their span: dependent rows (or,
-        with `echelon`, any rows) are replaced by their echelon form."""
-        M = self.matrix()
-        R, _ = rref(M, self.ambient.field, reverse_cols=True)
-        if echelon or len(R) < len(M):
-            self._matrix = R
-            self._sections = None
-        self._nsections = len(R)
 
     # -- materialization ----------------------------------------------------------
 
@@ -177,36 +170,17 @@ class LinearSys:
         if self._monomials is None:
             if self.is_complete:
                 self._monomials = self.ambient.monomial_basis(self.degree)
-            elif self._pending is not None:
-                self._run_pending()
-            elif self._sections is not None:
-                support = set()
-                for s in self._sections:
-                    support.update(s.terms)
-                self._monomials = sorted(support, key=grevlex_key, reverse=True)
             else:
-                raise RuntimeError("linear system has no representation")
+                self._run_pending()
         return self._monomials
 
     def matrix(self):
         """Coefficient matrix (rows = sections) over monomials(), raw values."""
         if self._matrix is None:
             if self.is_complete:
-                field = self.ambient.field
-                n = self.nsections()
-                one, zero = field.one, field.zero
-                self._matrix = [
-                    [one if j == i else zero for j in range(n)] for i in range(n)
-                ]
-            elif self._pending is not None:
-                self._run_pending()
+                self._matrix = identity(self.nsections(), self.ambient.field)
             else:
-                mons = self.monomials()
-                field = self.ambient.field
-                zero = field.zero
-                self._matrix = [
-                    [s.terms.get(e, zero) for e in mons] for s in self._sections
-                ]
+                self._run_pending()
         return self._matrix
 
     def sections(self):
@@ -383,12 +357,13 @@ class LinearSys:
     # -- serialization --------------------------------------------------------------------
 
     def to_json(self):
+        """The ambient, the degree, and either the complete flag or the
+        matrix over its monomials; `from_json` also reads a list of
+        sections."""
         degree = list(self.degree) if self.ambient.kind == "product" else self.degree[0]
         out = {"ambient": self.ambient.to_json(), "degree": degree}
         if self.is_complete:
             out["complete"] = True
-        elif self._sections is not None:
-            out["sections"] = [str(s) for s in self._sections]
         else:
             field = self.ambient.field
             ring = self.ambient.ring
@@ -424,18 +399,6 @@ class LinearSys:
 
 # ---------------------------------------------------------------------------
 # helpers
-
-
-def _infer_degree(ambient, sections):
-    if not sections:
-        raise ValueError("cannot infer the degree of an empty section list")
-    if ambient.kind == "affine":
-        return max(s.total_degree() for s in sections)
-    degs = {ambient.block_degrees(e) for s in sections for e in s.terms}
-    if len(degs) != 1:
-        raise ValueError("sections of mixed degree")
-    d = next(iter(degs))
-    return list(d)
 
 
 def _aligned_pair(A, B):

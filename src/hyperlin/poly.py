@@ -10,6 +10,7 @@ rest of the library uses for matrix columns and leading terms.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -371,70 +372,49 @@ class MultiPoly:
         return total
 
     def translate(self, point):
-        """f(x + p): shift each variable by the matching coordinate of p.
-        Over QQ the shift runs in integers (`_translate_rational`)."""
+        """f(x + p): shift each variable by the matching coordinate of p.  A
+        variable with a_i != 0 and largest exponent top_i maps c x_i^e to the
+        terms c T[t][e] x_i^t of `_hasse_tables`.  Over QQ the coefficients
+        run as integers: scaled by the lcm D of their denominators, with
+        a_i = n_i/d_i the tables carry d_i^(top_i - t), so the coefficient of
+        x^t ends as an int divided once by D and the d_i^(top_i - t_i)."""
         ring = self.ring
         field = ring.field
         coords = [field.coerce(c) for c in point]
         if len(coords) != ring.nvars:
             raise ValueError("wrong number of coordinates")
-        if field.kind == "rational":
-            return self._translate_rational(coords)
-        terms = self.terms
+        rational = field.kind == "rational"
+        if rational:
+            D = math.lcm(*(c.denominator for c in self.terms.values()))
+            terms = {e: c.numerator * (D // c.denominator) for e, c in self.terms.items()}
+            add, mul, zero = operator.add, operator.mul, 0
+        else:
+            terms = self.terms
+            add, mul, zero = field.add, field.mul, field.zero
+        scales = []
         for i, a in enumerate(coords):
             if field.is_zero(a):
                 continue
-            # expand (x_i + a)^e via binomials, one variable at a time
-            expansions = {}
-            out = {}
-            for e, c in terms.items():
-                ei = e[i]
-                if ei == 0:
-                    _acc_term(out, e, c, field)
-                    continue
-                if ei not in expansions:
-                    row = []
-                    apow = field.one
-                    for t in range(ei, -1, -1):
-                        row.append((t, field.mul(field.from_int(math.comb(ei, t)), apow)))
-                        apow = field.mul(apow, a)
-                    expansions[ei] = row
-                for t, w in expansions[ei]:
-                    ne = e[:i] + (t,) + e[i + 1 :]
-                    _acc_term(out, ne, field.mul(c, w), field)
-            terms = out
-        return MultiPoly(ring, dict(terms))
-
-    def _translate_rational(self, coords):
-        """`translate` over QQ in integers.  The coefficients are scaled by
-        the lcm D of their denominators; a variable with a_i = n_i/d_i != 0
-        and largest exponent top_i maps c x_i^e to the terms c T[t][e] x_i^t
-        of `_hasse_tables`, the Hasse derivatives times d_i^(top_i - t), so
-        the coefficient of x^t ends as an int divided once by D and the
-        d_i^(top_i - t_i)."""
-        D = math.lcm(*(c.denominator for c in self.terms.values()))
-        terms = {e: c.numerator * (D // c.denominator) for e, c in self.terms.items()}
-        scales = []
-        for i, a in enumerate(coords):
-            if not a:
-                continue
             top = max((e[i] for e in terms), default=0)
-            T = _hasse_tables(self.ring.field, a, top, top)
+            T = _hasse_tables(field, a, top, top)
             out = {}
             for e, c in terms.items():
                 for t in range(e[i] + 1):
                     ne = e[:i] + (t,) + e[i + 1 :]
-                    out[ne] = out.get(ne, 0) + c * T[t][e[i]]
+                    out[ne] = add(out.get(ne, zero), mul(c, T[t][e[i]]))
             terms = out
-            scales.append((i, top, a.denominator))
+            if rational:
+                scales.append((i, top, a.denominator))
         out = {}
         for e, c in terms.items():
-            if c:
-                den = D
-                for i, top, d in scales:
-                    den *= d ** (top - e[i])
-                out[e] = Fraction(c, den)
-        return MultiPoly(self.ring, out)
+            if not field.is_zero(c):
+                if rational:
+                    den = D
+                    for i, top, d in scales:
+                        den *= d ** (top - e[i])
+                    c = Fraction(c, den)
+                out[e] = c
+        return MultiPoly(ring, out)
 
     # -- calculus-flavoured operations ------------------------------------------
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -270,6 +271,11 @@ _IMAGE = {"op": "image-system", "components": ["x", "y"], "degree": 1,
     (base_job(ambient={"kind": "affine", "dim": 2, "dims": [1, 1]}), "job.ambient", "unknown key(s): dims"),
     (base_job(ambient={"kind": "product", "dims": [1, 1], "dim": 2}), "job.ambient", "unknown key(s): dim"),
     (base_job(ambient={"kind": "projective"}), "job.ambient", "missing key(s): dim"),
+    # a matrix system's monomials: repeated, or off its stated degree
+    (base_job(ambient={"kind": "projective", "dim": 2}, system={"matrix": [[1, 1], [1, 2]],
+              "monomials": ["x^2", "x^2"]}), "job.system", "repeated monomial"),
+    (base_job(ambient={"kind": "projective", "dim": 2}, system={"degree": 3, "matrix": [[1]],
+              "monomials": ["x^2"]}), "job.system", "monomial (2, 0, 0) does not fit degree 3"),
 ])
 def test_every_key_is_honoured_or_rejected(tmp_path, capsys, job, location, message):
     rc = main(["run", write_job(tmp_path, job)])
@@ -354,6 +360,21 @@ def test_repro_tacnode_cusp(capsys):
     assert payload["nsections"] == 4
     assert payload["tacnode"] == [2, 2]
     assert payload["cusp"] == [2, 1, 1]
+
+
+_REPRO_NAMES = ("quadrifolium", "tacnode-cusp", "points-gf397", "plane-deg20", "trace-p6",
+                "quintic-30-31", "quintic-cusps", "sextic-pencil-lift")
+
+
+def test_repro_stdout_is_pinned(capsys):
+    # the eight named reproductions at seed 0, in this order, print exactly
+    # the pinned report: any change in what the library computes shows here
+    out = []
+    for name in _REPRO_NAMES:
+        assert main(["repro", name, "--seed", "0"]) == 0
+        out.append(capsys.readouterr().out)
+    pinned = (Path(__file__).parent / "repro_seed0.txt").read_text()
+    assert "".join(out) == pinned
 
 
 def test_repro_unknown_name_is_a_usage_error(capsys):

@@ -1183,9 +1183,11 @@ def test_the_four_gfp_functions_take_one_input_contract(p):
             N_got = nullspace_mod_p(fresh(), p)
             assert N_got.dtype == np.int64 and np.array_equal(N_got, N)
     # an entry that is not an integer is refused, not truncated: rows that
-    # numpy would convert to int64, rows beyond int64, and arrays
+    # numpy would convert to int64, rows beyond int64, arrays, and a float64
+    # working matrix
     for form in ([[1.5, 2]], [v + 0.5 for v in A[0].tolist()], [[Fraction(1, 2), 2]],
-                 [[1 << 70, 1.5]], np.array([[0.5, 1]], dtype=np.float32)):
+                 [[1 << 70, 1.5]], np.array([[0.5, 1]], dtype=np.float32),
+                 np.asfortranarray([[1.5, 2.0]])):
         for fn in (rank_mod_p, ref_mod_p, rref_mod_p, nullspace_mod_p):
             with pytest.raises(ValueError, match="integers"):
                 fn(form, p)

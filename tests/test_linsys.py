@@ -139,6 +139,26 @@ def test_section_validation_errors():
         LinearSys.from_matrix(P2, [[1, 0], [0, 0]], [(2, 0, 0), (0, 2, 0)])
     with pytest.raises(ValueError):
         LinearSys.from_matrix(P2, [[1, 0, 0]], [(2, 0, 0), (0, 2, 0)])
+    # every monomial is checked: off the stated degree, repeated, one
+    # exponent short, negative
+    F7 = GF(7)
+    for ambient, M, mons, degree, message in [
+        (projective_space(F7, 2), [[1]], [(2, 0, 0)], 3, "does not fit degree 3"),
+        (projective_space(F7, 2), [[1, 1], [1, 2]], [(2, 0, 0), (2, 0, 0)], None, "repeated monomial"),
+        (projective_space(F7, 2), [[1]], [(2, 0)], None, "does not fit"),
+        (affine_space(F7, 2), [[1]], [(-1, 3)], None, "does not fit"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            LinearSys.from_matrix(ambient, M, mons, degree=degree)
+    # JSON spells monomials in the ambient's ring: only the degree and a
+    # repeat can be wrong there
+    for degree, M, mons, message in [
+        (3, [["1"]], ["x^2"], "does not fit degree 3"),
+        (2, [["1", "1"], ["1", "2"]], ["x^2", "x^2"], "repeated monomial"),
+    ]:
+        data = {"ambient": P2.to_json(), "degree": degree, "matrix": M, "monomials": mons}
+        with pytest.raises(ValueError, match=message):
+            LinearSys.from_json(data)
 
 
 def test_coefficient_map_roundtrip():
@@ -418,11 +438,20 @@ def test_random_member():
 
 
 def test_json_roundtrip_sections():
+    # a sections payload is read; every non-complete system writes its matrix
     P2 = quadric_plane()
     ring = P2.ring
     secs = [ring.parse(s) for s in ["x^2+z^2", "y^2-x*z"]]
     L = LinearSys.from_sections(P2, secs)
+    parsed = LinearSys.from_json(
+        {"ambient": P2.to_json(), "degree": 2, "sections": ["x^2+z^2", "y^2-x*z"]}
+    )
+    assert [str(s) for s in parsed.sections()] == ["x^2+z^2", "y^2-x*z"]
     data = L.to_json()
+    assert "sections" not in data and data["monomials"] == ["x^2", "y^2", "x*z", "z^2"]
+    assert data == parsed.to_json()
+    L.sections()
+    assert L.to_json() == data  # the cached sections do not change the form
     L2 = LinearSys.from_json(data)
     assert L2.same_span(L)
     assert json.dumps(data, sort_keys=True) == json.dumps(
@@ -437,6 +466,8 @@ def test_json_roundtrip_matrix():
     )
     data = L.to_json()
     assert "matrix" in data and "monomials" in data
+    L.sections()
+    assert L.to_json() == data  # the cached sections do not change the form
     L2 = LinearSys.from_json(data)
     assert L2.same_span(L)
 
