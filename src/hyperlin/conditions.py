@@ -27,6 +27,7 @@ from math import comb
 
 import numpy as np
 
+from .fields import _integer
 from .groebner import groebner_basis, normal_form
 from .linalg import gf_numpy_path, matmul, nullspace, solve_nullspace
 from .linsys import LinearSys
@@ -216,10 +217,7 @@ def impose_points(L, points, multiplicities):
 
 
 def _multiplicity(m):
-    # a Python or numpy int m >= 0: 2.5 and True are refused, not truncated
-    if isinstance(m, bool) or not hasattr(m, "__index__"):
-        raise ValueError(f"multiplicities must be integers, got {m!r}")
-    if (m := operator.index(m)) < 0:
+    if (m := _integer(m, "multiplicities")) < 0:
         raise ValueError("multiplicities must be nonnegative")
     return m
 

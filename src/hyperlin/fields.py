@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 
@@ -25,6 +26,14 @@ def _as_int(x, what):
     if isinstance(x, bool) or not isinstance(x, int):
         raise ValueError(f"{what} must be an int, got {x!r}")
     return x
+
+
+def _integer(x, what):
+    """x as a Python int, for a Python or numpy int: 2.5 and True are
+    refused, not truncated.  `what` names such values, in the plural."""
+    if isinstance(x, bool) or not hasattr(x, "__index__"):
+        raise ValueError(f"{what} must be integers, got {x!r}")
+    return operator.index(x)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ the subsystem and returns the monomials at the columns it leaves free.
 
 from __future__ import annotations
 
-from .fields import FieldElement
+from .fields import FieldElement, _integer
 from .linalg import identity, matmul, rank, rref
 from .poly import MultiPoly, grevlex_key
 
@@ -86,12 +86,13 @@ class LinearSys:
 
     @classmethod
     def from_matrix(cls, ambient, matrix, monomials, degree=None):
-        """System spanned by matrix rows over the given monomial list, kept
-        verbatim when independent; sections materialize on demand as
-        row * monomials."""
+        """System spanned by matrix rows over the given monomial list (exponent
+        tuples of Python or numpy ints), kept verbatim when independent;
+        sections materialize on demand as row * monomials."""
         field = ambient.field
         rows = [[field.coerce(v) for v in row] for row in matrix]
-        return cls._from_rows(ambient, rows, [tuple(int(x) for x in e) for e in monomials], degree)
+        mons = [tuple(_integer(x, "exponents") for x in e) for e in monomials]
+        return cls._from_rows(ambient, rows, mons, degree)
 
     @classmethod
     def _from_rows(cls, ambient, rows, monomials, degree, echelon=False, sections=None):

@@ -11,6 +11,19 @@ it is < 2^51 (enforced).  The partials are evaluated on the survivors
 only, in int64 with one reduction each, exact while the unreduced sum of
 the terms stays below 2^63 (enforced).
 
+A surface with a diagonal cyclic symmetry (n, weights), x_i -> zeta^(w_i) x_i
+for zeta a primitive n-th root of unity, is swept one point per orbit.  GF(q)
+has the subgroup of order n' = gcd(n, q-1), and F must be semi-invariant
+under it: every term has the same sum(w_i e_i) mod n' (enforced, else
+ValueError), so the zeros of F and of its partials are unions of orbits.  In
+the chart of x_c the group acts by x_i -> zeta^(u_i) x_i, u_i = w_i - w_c; the
+free coordinate x_j whose u_j has the largest order d mod n' runs over 0 and
+one representative of each coset of mu_d in GF(q)*, the others over all of
+GF(q), and each survivor with x_j != 0 is expanded to its d images, a
+bijection onto the chart's points with x_j != 0.  Sorted row-major, the
+points are those of the full sweep in its order; the trivial group (d = 1)
+is the full sweep.
+
 Everything after the sweep reads Hasse derivatives D^t F(a), the
 coefficients of the Taylor expansion of F at a.  Over GF(p) one int64
 evaluator, `_hasse_values`, gives them for every order |t| <= tmax at a
@@ -34,12 +47,13 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import product as iproduct
-from math import comb
+from math import comb, gcd
 
 import numpy as np
 
 from .ambient import AmbientPoint, projective_space
 from .conditions import impose_points, taylor_row
+from .fields import GF, _integer
 from .linalg import _INT64_P, _reduce_sym, rank
 from .linsys import LinearSys
 from .poly import monomials_of_degree
@@ -73,9 +87,17 @@ class SingularPointReport:
 # enumeration
 
 
-def singular_points(F, ambient=None):
+def singular_points(F, ambient=None, symmetry=None):
     """All points of P^3(GF(q)) where F and its four partials vanish,
-    in chart order (x4-chart first) and row-major within each chart."""
+    in chart order (x4-chart first) and row-major within each chart.
+
+    symmetry, if given, is (n, weights): the diagonal action
+    x_i -> zeta^(w_i) x_i, zeta a primitive n-th root of unity, under which
+    F is semi-invariant.  GF(q) has only the subgroup of order
+    n' = gcd(n, q-1), with the weights taken mod n'; ValueError unless every
+    term of F has the same weighted degree sum(w_i e_i) mod n'.  The sweep
+    then visits one point per orbit and returns the same points in the same
+    order as with symmetry=None (the trivial group)."""
     if F.is_zero():
         raise ValueError("the zero polynomial does not define a surface")
     ring = F.ring
@@ -93,6 +115,10 @@ def singular_points(F, ambient=None):
         ambient = projective_space(field, 3, names=ring.names)
     elif ambient.ring != ring:
         raise ValueError("ambient does not match the polynomial ring")
+    n, weights = _subgroup(symmetry, q)
+    if len({sum(w * e for w, e in zip(weights, exps)) % n for exps in F.terms}) > 1:
+        raise ValueError(f"the surface polynomial is not semi-invariant under {symmetry}")
+    elems, E, M = _unit_tables(field, n)
 
     polys = [F] + [F.partial(i) for i in range(4)]
     found = []
@@ -102,12 +128,26 @@ def singular_points(F, ambient=None):
             if all(not terms for terms in local):
                 found.append((field.one, field.zero, field.zero, field.zero))
             continue
+        # the action on the chart's free coordinates, renormalized to x_chart = 1:
+        # x_i -> zeta^(u_i) x_i; x_j, of the largest order d, sweeps only {0}
+        # and one representative of each coset of mu_d in GF(q)*
+        u = np.array([(w - weights[chart]) % n for w in weights[:chart]])
+        orders = [n // gcd(int(ui), n) for ui in u]
+        d = max(orders)
+        j = orders.index(d)
+        values = [np.arange(q)] * chart
+        values[j] = np.sort(np.concatenate(([0], E[: (q - 1) // d])))
         if field.kind == "prime":
-            heads = _sweep_prime(local, field.p, chart)
+            idx = _sweep_prime(local, field.p, values)
         else:
-            heads = _sweep_generic(local, field, chart)
+            idx = _sweep_generic(local, field, values)
+        # survivors with x_j != 0 and their images under zeta^k, k = 1..d-1:
+        # a bijection onto the chart's singular points with x_j != 0
+        moving = idx[:, idx[j] != 0]
+        idx = np.concatenate([idx] + [M[(k * u % n)[:, None], moving] for k in range(1, d)], axis=1)
+        idx = idx[:, np.lexsort(idx[::-1])]
         pad = (field.one,) + (field.zero,) * (3 - chart)
-        found.extend(head + pad for head in heads)
+        found.extend(tuple(elems[i] for i in head) + pad for head in idx.T.tolist())
 
     # the sweep yields raw values with the last nonzero coordinate 1
     points = [AmbientPoint.canonical(ambient, coords) for coords in found]
@@ -122,6 +162,42 @@ def singular_points(F, ambient=None):
     return points
 
 
+def _subgroup(symmetry, q):
+    """(n', weights mod n') for the subgroup of order n' = gcd(n, q-1) of the
+    diagonal action symmetry = (n, weights) that GF(q) has; (1, zeros) for
+    None."""
+    if symmetry is None:
+        return 1, (0,) * 4
+    n, weights = symmetry
+    if _integer(n, "symmetry orders") < 1 or len(weights) != 4:
+        raise ValueError(f"a symmetry is (n >= 1, four weights), got {symmetry!r}")
+    m = gcd(n, q - 1)
+    return m, tuple(_integer(w, "symmetry weights") % m for w in weights)
+
+
+@lru_cache(maxsize=None)
+def _unit_tables(field, n):
+    """Tables over GF(q) in element indices (positions in field.elements()),
+    for n dividing q-1: the raw elements; E, with E[l] the index of g^l for
+    the first generator g of GF(q)*; and M, with M[m, x] the index of
+    zeta^m times element x, zeta = g^((q-1)/n) a primitive n-th root of
+    unity."""
+    elems = list(field.elements())
+    q = len(elems)
+    index = {a: i for i, a in enumerate(elems)}
+    for g in elems[1:]:
+        powers = [field.one]
+        while (a := field.mul(powers[-1], g)) != field.one:
+            powers.append(a)
+        if len(powers) == q - 1:
+            break
+    E = np.array([index[a] for a in powers], dtype=np.intp)
+    M = np.zeros((n, q), dtype=np.intp)
+    for m in range(n):
+        M[m, E] = np.roll(E, -m * (q - 1) // n)
+    return elems, E, M
+
+
 def _dehomogenize(g, chart):
     """Terms of g with the chart variable set to 1 and later variables to 0,
     as a {head-exponent: raw coeff} dict over the first `chart` variables."""
@@ -133,31 +209,35 @@ def _dehomogenize(g, chart):
     return out
 
 
-def _sweep_prime(local, p, nfree):
-    """Common zeros over GF(p)^nfree of the dehomogenized polynomials,
-    as exponent-index tuples in row-major order: the first polynomial on the
-    whole grid by `_contract`, the others on its survivors by `_evaluate`."""
+def _sweep_prime(local, p, values):
+    """Common zeros of the dehomogenized polynomials on the product grid
+    values[0] x .. x values[-1] of GF(p) residues, as an array of their
+    coordinates [variable, point] in the grid's row-major order: the first
+    polynomial on the whole grid by `_contract`, the others on its survivors
+    by `_evaluate`."""
     maxexp = max((max(e) for terms in local for e in terms), default=0)
     vals = np.arange(p, dtype=np.int64)
     pw = [np.ones(p, dtype=np.int64)]
     for _ in range(maxexp):
         pw.append(pw[-1] * vals % p)
     # flat indices: np.nonzero on the n-d mask is several times slower
-    idx = np.unravel_index(np.flatnonzero(_contract(local[0], pw, p, nfree) == 0), (p,) * nfree)
+    grid = _contract(local[0], pw, p, values)
+    pos = np.unravel_index(np.flatnonzero(grid == 0), grid.shape)
+    idx = np.array([v[k] for v, k in zip(values, pos)]).reshape(len(values), -1)
     for terms in local[1:]:
-        if not len(idx[0]):
+        if not idx.shape[1]:
             break
-        keep = _evaluate(terms, pw, p, idx) == 0
-        idx = tuple(ix[keep] for ix in idx)
-    return list(zip(*(ix.tolist() for ix in idx)))
+        idx = idx[:, _evaluate(terms, pw, p, idx) == 0]
+    return idx
 
 
-def _contract(terms, pw, p, nfree):
-    """Values mod p of the polynomial with the given terms on the whole grid
-    GF(p)^nfree, as an array indexed [x1, .., x_nfree] of residues in the
-    symmetric range.  The coefficient tensor C[e1, .., e_nfree] is
-    contracted with the power table P[e, x] = x^e mod p one variable at a
-    time: one matmul and one reduction mod p per variable.  Each product
+def _contract(terms, pw, p, values):
+    """Values mod p of the polynomial with the given terms on the product
+    grid values[0] x .. x values[-1] of residues, as an array indexed by the
+    positions in those lists, of residues in the symmetric range.  The
+    coefficient tensor C[e1, .., e_nfree] is contracted with the power table
+    P[e, x] = x^e mod p, restricted to each variable's values, one variable
+    at a time: one matmul and one reduction mod p per variable.  Each product
     entry is a sum of D+1 products of residues below p, D the largest
     exponent, so every partial sum is an integer of magnitude below
     (D+1)*(p-1)^2.  The grid is float32 while that bound is below 2^22 and
@@ -169,19 +249,20 @@ def _contract(terms, pw, p, nfree):
     dtype = next((t for t in (np.float32, np.float64) if bound < 2 ** (np.finfo(t).nmant - 1)), None)
     if dtype is None:
         raise ValueError(f"GF({p}) with exponents up to {D} is beyond the float64 contraction")
-    C = np.zeros((D + 1,) * nfree, dtype=dtype)
+    C = np.zeros((D + 1,) * len(values), dtype=dtype)
     for e, c in terms.items():
         C[e] = c
     P = np.array(pw, dtype=dtype)
     invp = dtype(1.0 / p)
-    for _ in range(nfree):
+    for v in values:
         # contract the leading exponent axis; its point axis goes last.  Row
         # blocks keep the reduction's temporaries small.
         A = C.reshape(D + 1, -1).T
-        out = np.empty((A.shape[0], p), dtype=dtype)
+        Pv = P[:, v]
+        out = np.empty((A.shape[0], len(v)), dtype=dtype)
         for b in range(0, A.shape[0], _SWEEP_ROWS):
-            _reduce_sym(np.matmul(A[b : b + _SWEEP_ROWS], P, out=out[b : b + _SWEEP_ROWS]), p, invp)
-        C = out.reshape(C.shape[1:] + (p,))
+            _reduce_sym(np.matmul(A[b : b + _SWEEP_ROWS], Pv, out=out[b : b + _SWEEP_ROWS]), p, invp)
+        C = out.reshape(C.shape[1:] + (len(v),))
     return C
 
 
@@ -205,10 +286,13 @@ def _evaluate(terms, pw, p, idx):
     return acc
 
 
-def _sweep_generic(local, field, nfree):
+def _sweep_generic(local, field, values):
+    """`_sweep_prime` in field arithmetic, for any finite field: values are
+    element indices (positions in field.elements()), and so are the
+    returned coordinates."""
     elems = list(field.elements())
     out = []
-    for head in iproduct(range(len(elems)), repeat=nfree):
+    for head in iproduct(*(v.tolist() for v in values)):
         point = [elems[i] for i in head]
         ok = True
         for terms in local:
@@ -223,8 +307,8 @@ def _sweep_generic(local, field, nfree):
                 ok = False
                 break
         if ok:
-            out.append(tuple(point))
-    return out
+            out.append(head)
+    return np.array(out, dtype=np.intp).reshape(-1, len(values)).T
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +577,10 @@ def _family_z6(ambient):
     return mons, fixed, draw
 
 
-_FAMILIES = {"z5": _family_z5, "z6": _family_z6}
+# each family with its diagonal cyclic symmetry (n, weights),
+# x_i -> zeta^(w_i) x_i for zeta a primitive n-th root of unity: z5's
+# r = zeta, and z6's x3 -> -x3 = zeta^3 x3 with r = zeta^2
+_FAMILIES = {"z5": (_family_z5, (5, (0, 2, 1, 1))), "z6": (_family_z6, (6, (4, 2, 3, 0)))}
 
 # named targets: the singular point count they need, all of one class;
 # classification runs only on trials with that count
@@ -506,15 +593,20 @@ def invariant_family_scan(family, q, trials, target, rng=None, stop_after=None):
 
     family is "z5" or "z6"; target is a named target (nodes30, nodes31,
     cusps15: that many singular points, all nodes resp. cusps) or a callable
-    (count, histogram) -> bool.  Each trial draws the family's free double
-    points over GF(q); draws whose imposed system is not a single section are
-    skipped and counted.  A named target classifies the singular points only
-    when their count matches; a callable sees every trial.  stop_after bounds
-    the number of matches collected (None runs every trial)."""
-    from .fields import GF
-
+    (count, histogram) -> bool.  trials is an integer >= 0.  Each trial
+    draws the family's free double points over GF(q); draws whose imposed
+    system is not a single section are skipped and counted.  Every surface
+    is swept by `singular_points` with the family's symmetry, so one point
+    per orbit is evaluated.  A named target classifies the singular points
+    only when their count matches; a callable sees every trial.  stop_after,
+    an integer >= 1, ends the scan at that many matches (None runs every
+    trial)."""
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {sorted(_FAMILIES)}")
+    if _integer(trials, "trial counts") < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
+    if stop_after is not None and _integer(stop_after, "stop_after values") < 1:
+        raise ValueError(f"stop_after must be at least 1, got {stop_after}")
     if callable(target):
         count, predicate = None, target
     elif target in _TARGETS:
@@ -528,7 +620,8 @@ def invariant_family_scan(family, q, trials, target, rng=None, stop_after=None):
         rng = random.Random(0)
     field = GF(q)
     ambient = projective_space(field, 3)
-    mons, fixed, draw = _FAMILIES[family](ambient)
+    build, symmetry = _FAMILIES[family]
+    mons, fixed, draw = build(ambient)
     base = LinearSys.from_sections(ambient, mons, degree=5)
     prefix = impose_points(base, fixed, [2] * len(fixed))
 
@@ -543,7 +636,7 @@ def invariant_family_scan(family, q, trials, target, rng=None, stop_after=None):
             skipped += 1
             continue
         F = L.sections()[0]
-        sing = singular_points(F, ambient)
+        sing = singular_points(F, ambient, symmetry=symmetry)
         if count is not None and len(sing) != count:
             continue
         hist = Counter(r.classification for r in classify(F, sing))

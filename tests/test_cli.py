@@ -276,6 +276,9 @@ _IMAGE = {"op": "image-system", "components": ["x", "y"], "degree": 1,
               "monomials": ["x^2", "x^2"]}), "job.system", "repeated monomial"),
     (base_job(ambient={"kind": "projective", "dim": 2}, system={"degree": 3, "matrix": [[1]],
               "monomials": ["x^2"]}), "job.system", "monomial (2, 0, 0) does not fit degree 3"),
+    # a job's monomials are strings of the ambient's ring: a fractional exponent does not parse
+    (base_job(ambient={"kind": "projective", "dim": 2}, system={"matrix": [[1]],
+              "monomials": ["x^2.5"]}), "job.system.monomials[0]", "cannot parse 'x^2.5'"),
 ])
 def test_every_key_is_honoured_or_rejected(tmp_path, capsys, job, location, message):
     rc = main(["run", write_job(tmp_path, job)])
@@ -413,6 +416,20 @@ def test_scan_cli_reports_matches(capsys):
     assert match["trial"] == 211
     assert match["count"] == 30
     assert match["histogram"] == {"A1": 30}
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--trials", "-2", "trials must be nonnegative, got -2"),
+    ("--stop-after", "0", "stop_after must be at least 1, got 0"),
+    ("--stop-after", "-1", "stop_after must be at least 1, got -1"),
+])
+def test_scan_cli_refuses_negative_trials_and_stop_after(capsys, option, value, message):
+    argv = ["scan", "--family", "z5", "--q", "101", "--trials", "1", "--target", "nodes30"]
+    rc = main(argv + [option, value])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_lift_job_validation(tmp_path, capsys):

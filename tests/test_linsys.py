@@ -2,6 +2,7 @@ import json
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -147,9 +148,15 @@ def test_section_validation_errors():
         (projective_space(F7, 2), [[1, 1], [1, 2]], [(2, 0, 0), (2, 0, 0)], None, "repeated monomial"),
         (projective_space(F7, 2), [[1]], [(2, 0)], None, "does not fit"),
         (affine_space(F7, 2), [[1]], [(-1, 3)], None, "does not fit"),
+        # a fraction or a bool is refused, not truncated to x^2 or read as 1
+        (projective_space(F7, 2), [[1]], [(2.5, -0.5, 0)], None, "exponents must be integers, got 2.5"),
+        (projective_space(F7, 2), [[1]], [(True, 1, 0)], None, "exponents must be integers, got True"),
     ]:
         with pytest.raises(ValueError, match=message):
             LinearSys.from_matrix(ambient, M, mons, degree=degree)
+    # numpy ints are integers
+    L = LinearSys.from_matrix(P2, [[1]], [tuple(np.int64(v) for v in (1, 1, 0))])
+    assert L.monomials() == [(1, 1, 0)] and all(type(v) is int for v in L.monomials()[0])
     # JSON spells monomials in the ambient's ring: only the degree and a
     # repeat can be wrong there
     for degree, M, mons, message in [

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import hyperlin.singular as singular
 from hyperlin.ambient import affine_space, projective_space
-from hyperlin.conditions import taylor_row
+from hyperlin.conditions import impose_points, taylor_row
 from hyperlin.fields import GF, primes_from, rationals
 from hyperlin.linalg import rank
 from hyperlin.linsys import LinearSys
@@ -165,29 +165,33 @@ def _contraction_cases(draw):
     nfree = draw(st.integers(1, 3 if p <= 101 else 2))
     exps = st.lists(st.integers(0, 5), min_size=nfree, max_size=nfree).filter(lambda e: sum(e) <= 5)
     terms = draw(st.dictionaries(exps.map(tuple), st.integers(0, p - 1), max_size=8))
-    points = draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * nfree), min_size=3, max_size=3))
-    return p, nfree, terms, points
+    # each variable's grid: every residue, or a subset in any order
+    residues = st.permutations(range(p)).flatmap(lambda v: st.integers(1, p).map(lambda k: v[:k]))
+    values = draw(st.lists(st.one_of(st.just(list(range(p))), residues), min_size=nfree, max_size=nfree))
+    points = draw(st.lists(st.tuples(*[st.integers(0, len(v) - 1) for v in values]), min_size=3, max_size=3))
+    return p, terms, values, points
 
 
 @settings(max_examples=60, deadline=None)
 @given(_contraction_cases())
 # one variable over GF(251), every coefficient 250: exponents up to 66 stay in
 # float32 (67 * 250^2 < 2^22), up to 67 they do not (68 * 250^2 > 2^22)
-@example((251, 1, {(e,): 250 for e in range(67)}, [(250,), (2,), (0,)]))
-@example((251, 1, {(e,): 250 for e in range(68)}, [(250,), (3,), (0,)]))
+@example((251, {(e,): 250 for e in range(67)}, [list(range(251))], [(250,), (2,), (0,)]))
+@example((251, {(e,): 250 for e in range(68)}, [list(range(251))], [(250,), (3,), (0,)]))
 def test_contraction_matches_term_by_term_evaluation(case):
-    p, nfree, terms, points = case
+    p, terms, values, points = case
+    values = [np.array(v) for v in values]
     maxexp = max((max(e) for e in terms), default=0)
     pw = _power_table(p, maxexp)
-    got = _contract(terms, pw, p, nfree)
-    grid = np.ix_(*[np.arange(p)] * nfree)
-    assert got.shape == (p,) * nfree
+    got = _contract(terms, pw, p, values)
+    assert got.shape == tuple(len(v) for v in values)
     assert got.dtype == (np.float32 if (maxexp + 1) * (p - 1) ** 2 < 2 ** 22 else np.float64)
-    assert np.array_equal(got % p, _evaluate(terms, pw, p, grid))
-    # and at a few points by plain integer arithmetic
-    for pt in points:
+    assert np.array_equal(got % p, _evaluate(terms, pw, p, np.ix_(*values)))
+    # and at a few grid positions by plain integer arithmetic
+    for pos in points:
+        pt = [int(v[k]) for v, k in zip(values, pos)]
         direct = sum(c * np.prod([pow(x, e, p) for x, e in zip(pt, ex)]) for ex, c in terms.items()) % p
-        assert int(got[pt]) % p == direct
+        assert int(got[pos]) % p == direct
 
 
 @settings(max_examples=40, deadline=None)
@@ -230,8 +234,9 @@ def test_forged_survivor_fails_the_exact_recheck(monkeypatch):
     P3, F = quintic_30_nodes()
     real = singular._sweep_prime
 
-    def forged(local, p, nfree):
-        return real(local, p, nfree) + ([(0,) * nfree] if nfree == 3 else [])
+    def forged(local, p, values):
+        found = real(local, p, values)
+        return np.concatenate([found, np.zeros((3, 1), dtype=found.dtype)], axis=1) if len(values) == 3 else found
 
     monkeypatch.setattr(singular, "_sweep_prime", forged)
     assert F.evaluate((0, 0, 0, 1)).raw != 0
@@ -243,7 +248,7 @@ def test_contraction_enforces_its_float64_bound():
     # (D+1)*(p-1)^2 >= 2^51: exponents up to 1 at p ~ 2^26
     p = primes_from(67_108_879, 1)[0]
     with pytest.raises(ValueError, match="float64"):
-        _contract({(1,): 1}, [np.ones(1)] * 2, p, 1)
+        _contract({(1,): 1}, [np.ones(1)] * 2, p, [np.arange(1)])
 
 
 def test_evaluation_enforces_its_int64_bound():
@@ -515,3 +520,124 @@ def test_scan_validations():
         invariant_family_scan("z7", 101, 1, "nodes30")
     with pytest.raises(ValueError, match="target"):
         invariant_family_scan("z5", 101, 1, "nodes99")
+    # a negative or fractional trial count, a stop_after below 1
+    for trials, stop_after, message in [
+        (-3, None, "trials must be nonnegative"),
+        (2.5, None, "must be integers, got 2.5"),
+        (True, None, "must be integers, got True"),
+        (2, 0, "stop_after must be at least 1"),
+        (2, -1, "stop_after must be at least 1"),
+        (2, 1.5, "must be integers, got 1.5"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            invariant_family_scan("z5", 101, trials, "nodes30", stop_after=stop_after)
+    assert invariant_family_scan("z5", 101, np.int64(0), "nodes30").trials == 0
+
+
+# -- the orbit sweep of a diagonal symmetry -------------------------------------------
+
+
+def _member(family, q, coeffs, double_points):
+    """The family's invariant quintic with double points imposed at
+    double_points and the given coefficients on a basis of what is left (None
+    when that is empty), with the family's symmetry."""
+    P3 = projective_space(GF(q), 3)
+    build, symmetry = singular._FAMILIES[family]
+    L = LinearSys.from_sections(P3, build(P3)[0], degree=5)
+    L = impose_points(L, double_points, [2] * len(double_points))
+    F = sum((S * c for S, c in zip(L.sections(), coeffs)), P3.ring.zero())
+    return P3, F, symmetry
+
+
+def _assert_orbit_sweep_is_the_full_sweep(P3, F, symmetry):
+    full = singular_points(F, P3)
+    assert singular_points(F, P3, symmetry=symmetry) == full
+    return full
+
+
+# (family, q): the whole group (z5 at 11, 31, 101; z6 at 31, 37), part of it
+# (z6 at 101: only x3 -> -x3) and none of it (z5 at 7, 13)
+_GROUPS = [("z5", 11), ("z5", 31), ("z5", 101), ("z6", 31), ("z6", 37), ("z6", 101), ("z5", 7), ("z5", 13)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_orbit_sweep_matches_the_full_sweep(data):
+    family, q = data.draw(st.sampled_from(_GROUPS))
+    # coordinates biased to 0, so that points lie in every chart and on x_j = 0
+    coord = st.one_of(st.just(0), st.integers(0, q - 1))
+    points = data.draw(st.lists(st.tuples(coord, coord, coord, coord).filter(any), max_size=2))
+    coeffs = data.draw(st.lists(st.one_of(st.just(0), st.integers(1, q - 1)), min_size=14, max_size=14))
+    P3, F, symmetry = _member(family, q, coeffs, points)
+    if F.is_zero():
+        return
+    full = _assert_orbit_sweep_is_the_full_sweep(P3, F, symmetry)
+    for pt in points:
+        assert P3.point(pt) in full
+
+
+@pytest.mark.parametrize("family, q, point, chart", [
+    # z5 moves x1 in charts 3, 2 and 1; z6 over GF(31) x1 too, over GF(101) x3 in chart 3
+    ("z5", 101, (0, 5, 7, 1), 3),
+    ("z5", 101, (3, 4, 1, 0), 2),
+    ("z5", 101, (2, 1, 0, 0), 1),
+    ("z5", 101, (1, 0, 0, 0), 0),
+    ("z5", 11, (0, 3, 0, 1), 3),
+    ("z6", 31, (0, 2, 9, 1), 3),
+    ("z6", 31, (0, 6, 1, 0), 2),
+    ("z6", 31, (5, 1, 0, 0), 1),
+    ("z6", 101, (4, 8, 0, 1), 3),
+    ("z6", 101, (0, 3, 1, 0), 2),
+    ("z6", 101, (7, 1, 0, 0), 1),
+    ("z6", 37, (1, 0, 0, 0), 0),
+    ("z5", 13, (0, 2, 3, 1), 3),
+])
+def test_orbit_sweep_finds_points_off_the_orbits_and_in_every_chart(family, q, point, chart):
+    # a double point where the swept coordinate x_j is 0 is not expanded;
+    # one in a lower chart is found on that chart's own reduced grid
+    coeffs = random.Random(q).choices(range(1, q), k=14)
+    P3, F, symmetry = _member(family, q, coeffs, [point])
+    assert not F.is_zero()
+    full = _assert_orbit_sweep_is_the_full_sweep(P3, F, symmetry)
+    pt = P3.point(point)
+    assert pt in full and max(i for i, v in enumerate(pt.coords) if v) == chart
+
+
+def test_orbit_sweep_takes_a_semi_invariant_but_not_an_invariant_f():
+    # every term of weight 2 mod 5 under z5's (0, 2, 1, 1): F(g x) = zeta^2 F(x)
+    P3 = projective_space(GF(101), 3)
+    x1, x2, x3, x4 = P3.ring.gens()
+    F = x1 ** 4 * x2 + 3 * x1 ** 3 * x3 * x4 + 5 * x1 ** 3 * x4 ** 2 + 7 * x1 * x2 ** 3 * x3 + x1 ** 3 * x3 ** 2
+    assert _assert_orbit_sweep_is_the_full_sweep(P3, F, (5, (0, 2, 1, 1)))
+
+
+def test_orbit_sweep_refuses_an_f_that_is_not_semi_invariant():
+    P3 = projective_space(GF(101), 3)
+    x1, x2, x3, x4 = P3.ring.gens()
+    F = x1 ** 5 + x2 ** 5 + x1 * x4 ** 4  # weights 0, 0 and 4 mod 5
+    with pytest.raises(ValueError, match="semi-invariant"):
+        singular_points(F, P3, symmetry=(5, (0, 2, 1, 1)))
+    # over GF(31) z6's x3 -> -x3 exists, and x3 * x4^4 changes sign while x4^5 does not
+    Q3 = projective_space(GF(31), 3)
+    y1, y2, y3, y4 = Q3.ring.gens()
+    with pytest.raises(ValueError, match="semi-invariant"):
+        singular_points(y4 ** 5 + y3 * y4 ** 4, Q3, symmetry=(6, (4, 2, 3, 0)))
+    # over GF(7) no element of order 5 exists: every F is semi-invariant under the trivial group
+    R3 = projective_space(GF(7), 3)
+    z1, z2, z3, z4 = R3.ring.gens()
+    G = z1 ** 5 + z2 ** 5 + z1 * z4 ** 4
+    assert singular_points(G, R3, symmetry=(5, (0, 2, 1, 1))) == singular_points(G, R3)
+    for bad in [(0, (0, 0, 0, 0)), (5, (0, 2, 1)), (2.5, (0, 0, 0, 0))]:
+        with pytest.raises(ValueError):
+            singular_points(F, P3, symmetry=bad)
+
+
+def test_orbit_sweep_over_an_extension_field():
+    # GF(9)* has order 8: z6's x3 -> -x3 exists there, and the generic sweep
+    # visits one point per orbit too
+    K = GF(3, 2)
+    P3 = projective_space(K, 3)
+    x1, x2, x3, x4 = P3.ring.gens()
+    u = K.element(K.generator())
+    F = x4 ** 5 + x3 ** 2 * x4 ** 3 * u + x1 * x2 * x4 ** 3 + x3 ** 4 * x4 + x2 ** 3 * x3 ** 2 * (u + 1) + x1 ** 4 * x2
+    assert _assert_orbit_sweep_is_the_full_sweep(P3, F, (6, (4, 2, 3, 0)))
