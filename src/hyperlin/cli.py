@@ -95,11 +95,11 @@ def _load_ambient(data, field, path):
         return Ambient(kind, dims, field, names=data.get("names"))
 
 
-def _parse_poly(ring, text, path):
+def _parse_poly(ring, text, path, parse=None):
     if not isinstance(text, str):
         _fail(path, f"expected a polynomial string, got {text!r}")
     try:
-        return ring.parse(text)
+        return (parse or ring.parse)(text)
     except (ValueError, TypeError) as exc:
         _fail(path, f"cannot parse {text!r}: {exc}")
 
@@ -141,12 +141,10 @@ def _load_system(data, ambient, path):
         with _located(path):
             return LinearSys.from_sections(ambient, secs, degree=data.get("degree"))
     if kind == "matrix":
-        mons = []
-        for i, m in enumerate(data["monomials"]):
-            poly = _parse_poly(ring, m, f"{path}.monomials[{i}]")
-            if len(poly.terms) != 1:
-                _fail(f"{path}.monomials[{i}]", f"{m!r} is not a monomial")
-            mons.append(next(iter(poly.terms)))
+        mons = [
+            _parse_poly(ring, m, f"{path}.monomials[{i}]", ring.parse_monomial)
+            for i, m in enumerate(data["monomials"])
+        ]
         rows = [
             [_parse_coord(field, v, f"{path}.matrix[{i}][{j}]") for j, v in enumerate(row)]
             for i, row in enumerate(data["matrix"])

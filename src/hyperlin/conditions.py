@@ -14,24 +14,27 @@ basis from `linalg.nullspace`, gives the condition rows.
 
 Derivatives are divided-power (Hasse) derivatives throughout, so
 multiplicity conditions are correct in positive characteristic as well.
-`taylor_row` gives one row of them.  `point_condition_rows` builds all the
-rows of a point from per-variable tables; over QQ its rows are integer
-multiples of the Taylor rows (equal to them at integer points), so no
-`Fraction` arithmetic is done and the rational kernels need no clearing.
+Each row C(e, t) a^(e-t) comes from one of two cores: `_taylor_rows` for
+every field, from `poly._hasse_tables` (its QQ rows are integer multiples
+of the Taylor rows, so the rational kernels need no clearing), and the
+numpy `_hasse_rows_mod_p` for GF(p), exact for p < 2^31 (enforced).
 """
 
 from __future__ import annotations
 
 import operator
-from math import comb
+from fractions import Fraction
+from math import prod
 
 import numpy as np
 
 from .fields import _integer
 from .groebner import groebner_basis, normal_form
-from .linalg import gf_numpy_path, matmul, nullspace, solve_nullspace
+from .linalg import _INT64_P, gf_numpy_path, matmul, nullspace, solve_nullspace
 from .linsys import LinearSys
 from .poly import MultiPoly, _hasse_tables, grevlex_key, monomials_below_degree
+
+_HASSE_BLOCK = 1 << 16  # int64 entries (orders x monomials x points) per block of `_hasse_rows_mod_p`
 
 
 class SchemeSpec:
@@ -84,64 +87,23 @@ def taylor_row(monomials, coords, t, field):
     """Row of divided-power derivative values: entry per monomial e is
     prod_i C(e_i, t_i) * a_i^(e_i - t_i), the t-th Hasse derivative of x^e
     evaluated at a."""
-    row = []
-    pow_cache = {}
-
-    def power(i, d):
-        key = (i, d)
-        v = pow_cache.get(key)
-        if v is None:
-            v = field.pow(coords[i], d)
-            pow_cache[key] = v
-        return v
-
-    for e in monomials:
-        val = field.one
-        for i, (ei, ti) in enumerate(zip(e, t)):
-            if ti == 0 and ei == 0:
-                continue
-            c = comb(ei, ti)
-            if c == 0:
-                val = field.zero
-                break
-            val = field.mul(val, power(i, ei - ti))
-            if c != 1:
-                val = field.mul(val, field.from_int(c))
-        row.append(val)
+    columns = [[e[i] for e in monomials] for i in range(len(coords))]
+    (row,) = _taylor_rows(field, coords, columns, [t])
+    if field.kind == "rational":
+        scale = _qq_scale(coords, columns, t)
+        row = [Fraction(v, scale) for v in row]
     return row
 
 
-def _local_directions(ambient, charts):
-    """Indices of the local coordinates at a point: every variable except the
-    chart variable of each projective block."""
-    chart_set = {c for c in charts if c is not None}
-    return [i for i in range(ambient.total_vars()) if i not in chart_set]
-
-
-def point_condition_rows(L, point, multiplicity):
-    """Condition rows (over L's monomials) for vanishing to order
-    `multiplicity` at the point: one row per local order t with |t| below
-    the multiplicity, in `monomials_below_degree` order.
-
-    Over a finite field the row of order t is `taylor_row(..., t, field)`.
-    Over QQ it is that row times the positive integer prod_i d_i^(top_i-t_i),
-    where a_i = n_i/d_i and top_i is the largest exponent of variable i in
-    L.monomials(): a row of ints, equal to the Taylor row at an integer
-    point.  Each entry is a product of lookups in per-variable tables built
-    once per point; the chart variables (coordinate 1, order 0) contribute
-    the factor 1 and are skipped."""
-    ambient = L.ambient
-    field = ambient.field
-    point = ambient.point(point.coords if hasattr(point, "coords") else point)
-    charts, _ = point.affine_chart()
-    local = _local_directions(ambient, charts)
-    mons = L.monomials()
-    orders = monomials_below_degree(len(local), multiplicity)
-    columns = [[e[i] for e in mons] for i in local]
-    tables = [
-        _hasse_tables(field, point.coords[i], max(col, default=0), multiplicity - 1)
-        for i, col in zip(local, columns)
-    ]
+def _taylor_rows(field, coords, columns, orders):
+    """Rows of Hasse derivative values, one per order t, over the monomials
+    whose exponents in variable i are columns[i]: the entry of a monomial e
+    is prod_i T_i[t_i][e_i], one lookup per variable in the tables of
+    `_hasse_tables` at a_i = coords[i], built once per call.  Over a finite
+    field that is the Taylor row; over QQ it is the integer row
+    `_qq_scale(coords, columns, t)` times the Taylor row."""
+    tables = [_hasse_tables(field, a, max(col, default=0), max(ts))
+              for a, col, ts in zip(coords, columns, zip(*orders))]
     mul = operator.mul if field.kind == "rational" else field.mul
     rows = []
     for t in orders:
@@ -156,39 +118,84 @@ def point_condition_rows(L, point, multiplicity):
     return rows
 
 
-def _mass_evaluation_rows(L, points):
-    """Evaluation of every basis monomial at every (simple) point over GF(p)
-    into the kernel's float64 working matrix: points x monomials, in [0, p),
-    column-major.  A block of monomials at a time, in int64: products of
-    power-table entries below p, reduced mod p only where the next factor
-    could take them past 2^63.  Exact for p < 2^31, where a reduced entry
-    times a factor stays below p^2 < 2^62."""
-    p = L.ambient.field.p
-    E = np.array(L.monomials(), dtype=np.int64)
-    X = np.array([pt.coords for pt in points], dtype=np.int64)
-    # power tables: X[r, i]^d for d = 0..max degree in variable i, a row per d
-    tables = [np.ones((int(e.max()) + 1, len(X)), dtype=np.int64) for e in E.T]
-    for tbl, x in zip(tables, X.T):
-        for d in range(1, len(tbl)):
-            tbl[d] = tbl[d - 1] * x % p
-    out = np.empty((len(X), len(E)), order="F")
-    step = max(1, (1 << 16) // len(X))  # monomials per block of 2^16 int64 entries
-    acc = np.empty((step, len(X)), dtype=np.int64)  # transposed: a row per monomial
+def _qq_scale(coords, columns, t):
+    """prod_i d_i^(top_i - t_i), a_i = n_i/d_i and top_i = max(columns[i]):
+    the positive integer by which a QQ row of `_taylor_rows` exceeds the
+    Taylor row of order t.  A t_i above top_i counts as top_i: both rows
+    are zero there."""
+    tops = (max(col, default=0) for col in columns)
+    return prod(a.denominator ** max(top - ti, 0) for a, top, ti in zip(coords, tops, t))
+
+
+def point_condition_rows(L, point, multiplicity):
+    """Condition rows (over L's monomials) for vanishing to order
+    `multiplicity` at the point: one row per local order t with |t| below
+    the multiplicity, in `monomials_below_degree` order.
+
+    The rows of `_taylor_rows` in the local coordinates: over a finite field
+    the row of order t is `taylor_row(..., t, field)`, over QQ that row
+    times the positive integer `_qq_scale`, a row of ints, equal to the
+    Taylor row at an integer point.  The chart variables (coordinate 1,
+    order 0) contribute the factor 1 and are skipped."""
+    ambient = L.ambient
+    point = ambient.point(point.coords if hasattr(point, "coords") else point)
+    charts, _ = point.affine_chart()
+    local = [i for i in range(ambient.total_vars()) if i not in charts]
+    mons = L.monomials()
+    coords = [point.coords[i] for i in local]
+    columns = [[e[i] for e in mons] for i in local]
+    return _taylor_rows(ambient.field, coords, columns, monomials_below_degree(len(local), multiplicity))
+
+
+def _hasse_rows_mod_p(E, X, orders, p, dtype=np.int64):
+    """Hasse derivatives C(e, t) a^(e - t) mod p of every monomial e (rows
+    of E) of every order t (rows of orders) at every point a (rows of X), as
+    a C-ordered [order, monomial, point] array of the dtype; with float64 its
+    [0].T is the column-major working matrix of the GF(p) kernel.  It is
+    allocated after the tables: before them, the heap keeps more free space.
+    One table [t, e, point] per variable; a block of monomials at a time
+    multiplies one entry per variable in int64, reduced mod p only where the
+    next factor could pass 2^63.  The one int64 bound: exact for p < 2^31,
+    where a reduced entry times a factor is below p^2 < 2^62 (enforced)."""
+    if p >= _INT64_P:
+        raise ValueError(f"GF({p}) is beyond the int64 Hasse evaluation (p < 2^31)")
+    orders = np.array(orders, dtype=np.int64)
+    E, X = (np.array(A, dtype=np.int64).reshape(-1, orders.shape[1]) for A in (E, X))
+    X %= p
+    tables = []
+    for e, t, x in zip(E.T, orders.T, X.T):
+        # T[k, d] = C(d, k) x^(d-k), by Pascal's rule
+        T = np.zeros((int(t.max(initial=0)) + 1, int(e.max(initial=0)) + 1, len(x)), dtype=np.int64)
+        T[0, 0] = 1
+        for d in range(1, T.shape[1]):
+            T[:, d] = T[:, d - 1] * x % p
+            T[1:, d] = (T[1:, d] + T[:-1, d - 1]) % p
+        tables.append((T, t[:, None]))
+    out = np.empty((len(orders), len(E), len(X)), dtype=dtype)
+    step = max(1, _HASSE_BLOCK // max(len(orders) * len(X), 1))
     for j in range(0, len(E), step):
         block = E[j : j + step]
-        a = acc[: len(block)]
-        a[...] = 1
+        a = np.ones((len(orders), len(block), len(X)), dtype=np.int64)
         top = 1  # bound on the entries of a
-        for tbl, e in zip(tables, block.T):
+        for (T, t), e in zip(tables, block.T):
             if top * (p - 1) >= 1 << 63:
                 a %= p
                 top = p - 1
-            a *= tbl[e]
+            a *= T[t, e]
             top *= p - 1
         if top >= p:
             a %= p
-        out[:, j : j + len(block)] = a.T
+        out[:, j : j + len(block)] = a
     return out
+
+
+def _mass_evaluation_rows(L, points):
+    """Evaluation of every basis monomial at every (simple) point over GF(p)
+    as the kernel's float64 working matrix: points x monomials, in [0, p),
+    column-major.  The orders {0} of `_hasse_rows_mod_p`, written in place."""
+    order0 = [(0,) * L.ambient.total_vars()]
+    X = [pt.coords for pt in points]
+    return _hasse_rows_mod_p(L.monomials(), X, order0, L.ambient.field.p, np.float64)[0].T
 
 
 def impose_points(L, points, multiplicities):

@@ -389,7 +389,7 @@ class LinearSys:
         if "sections" in data:
             secs = [ring.parse(s) for s in data["sections"]]
             return LinearSys.from_sections(ambient, secs, degree=degree)
-        mons = [next(iter(ring.parse(m).terms)) for m in data["monomials"]]
+        mons = [ring.parse_monomial(m) for m in data["monomials"]]
         rows = [[field.parse(v) for v in row] for row in data["matrix"]]
         return LinearSys.from_matrix(ambient, rows, mons, degree=degree)
 

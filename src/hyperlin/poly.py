@@ -169,6 +169,14 @@ class PolyRing:
         '*' products (optional between a coefficient and a variable), parentheses."""
         return _Parser(self, s).parse()
 
+    def parse_monomial(self, s):
+        """Exponent tuple of a monomial string: it must parse to exactly one
+        term, with coefficient 1, else ValueError naming s."""
+        terms = self.parse(s).terms
+        if len(terms) != 1 or next(iter(terms.values())) != self.field.one:
+            raise ValueError(f"{s!r} is not a monomial (one term with coefficient 1)")
+        return next(iter(terms))
+
 
 class MultiPoly:
     """Immutable-by-convention sparse polynomial bound to a PolyRing."""

@@ -25,13 +25,13 @@ points are those of the full sweep in its order; the trivial group (d = 1)
 is the full sweep.
 
 Everything after the sweep reads Hasse derivatives D^t F(a), the
-coefficients of the Taylor expansion of F at a.  Over GF(p) one int64
-evaluator, `_hasse_values`, gives them for every order |t| <= tmax at a
-whole batch of points from per-variable power and binomial tables, with a
-reduction after every multiply: exact for p < 2^31 (enforced).  Other
-fields take the same values in field arithmetic, `taylor_row` dotted with
-F's coefficients.  Every survivor of the sweep is re-checked exactly from
-its orders <= 1 (F and its four partials), in one batch per surface.
+coefficients of the Taylor expansion of F at a: the rows of the two cores
+of `conditions` over F's terms, dotted with F's coefficients.  Over GF(p)
+`_hasse_values` takes every order |t| <= tmax at a whole batch of points
+from `_hasse_rows_mod_p` (exact for p < 2^31, its one int64 bound,
+enforced); other fields take them point by point from `_taylor_rows`.
+Every survivor of the sweep is re-checked exactly from its orders <= 1
+(F and its four partials), in one batch per surface.
 
 Classification of a double point reads its quadratic part (the orders 2 in
 the local variables of its chart) and its cubic part (the orders 3): rank 3
@@ -45,22 +45,21 @@ rank from the adjugate too.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product as iproduct
-from math import comb, gcd
+from math import gcd
 
 import numpy as np
 
 from .ambient import AmbientPoint, projective_space
-from .conditions import impose_points, taylor_row
+from .conditions import _hasse_rows_mod_p, _qq_scale, _taylor_rows, impose_points
 from .fields import GF, _integer
-from .linalg import _INT64_P, _reduce_sym, rank
+from .linalg import _reduce_sym, rank
 from .linsys import LinearSys
 from .poly import monomials_of_degree
 
 _POINT_LIMIT = 16_500_000  # ~ 254^3, the practical full-enumeration ceiling
 _SWEEP_ROWS = 1024  # grid rows per block of the contraction
-_HASSE_BLOCK = 1 << 18  # entries (points x orders x terms) per block of `_hasse_values`
 
 
 class SingularPointReport:
@@ -324,50 +323,27 @@ def _orders(tmax):
 
 def _hasse_values(F, X, p, tmax):
     """Hasse derivatives D^t F(a) mod p for every order t in `_orders(tmax)`
-    at every row a of X (points of GF(p)^4), as an int64 array [point, order].
-
-    D^t x^e = prod_i C(e_i, t_i) a_i^(e_i - t_i).  Per point and variable the
-    table C(e, t) a^(e-t) mod p is built from a power table; each term is its
-    coefficient times one table entry per variable, reduced after every
-    multiply, so every product stays below p^2 < 2^62 and the sum over the
-    terms below (number of terms) * p: exact for p < 2^31 (enforced)."""
-    if p >= _INT64_P:
-        raise ValueError(f"GF({p}) is beyond the int64 Hasse evaluation (p < 2^31)")
-    orders = np.array(_orders(tmax), dtype=np.intp)
-    E = np.array(list(F.terms), dtype=np.intp).reshape(-1, 4)
-    coeffs = np.array(list(F.terms.values()), dtype=np.int64)
-    top = int(E.max(initial=0))
-    X = np.array(X, dtype=np.int64).reshape(-1, 4) % p
-    pw = np.ones(X.shape + (top + 1,), dtype=np.int64)
-    for d in range(1, top + 1):
-        pw[..., d] = pw[..., d - 1] * X % p
-    # T[point, variable, t, e] = C(e, t) a^(e - t) mod p, 0 for e < t
-    T = np.zeros(X.shape + (tmax + 1, top + 1), dtype=np.int64)
-    for t in range(min(tmax, top) + 1):
-        binom = np.array([comb(e, t) % p for e in range(t, top + 1)], dtype=np.int64)
-        T[..., t, t:] = binom * pw[..., : top + 1 - t] % p
-    out = np.empty((len(X), len(orders)), dtype=np.int64)
-    step = max(1, _HASSE_BLOCK // (len(orders) * max(len(E), 1)))
-    for b in range(0, len(X), step):
-        acc = coeffs
-        for i in range(4):
-            acc = acc * T[b : b + step, i][:, orders[:, i, None], E[None, :, i]] % p
-        out[b : b + step] = acc.sum(axis=2) % p
-    return out
+    at every row a of X (points of GF(p)^4), as an int64 array [point, order]:
+    the rows of `_hasse_rows_mod_p` over F's terms, each reduced times its
+    coefficient (below p^2 < 2^62), summed over the terms and reduced."""
+    H = _hasse_rows_mod_p(list(F.terms), X, _orders(tmax), p)
+    H *= np.array(list(F.terms.values()), dtype=np.int64)[:, None]
+    H %= p
+    return H.sum(axis=1).T % p
 
 
 def _field_hasse_values(F, a, tmax):
     """D^t F(a) for every order t in `_orders(tmax)` in field arithmetic, as
-    `taylor_row` dotted with F's coefficients: the values `_hasse_values`
-    gives over GF(p), for any field."""
+    the rows of `_taylor_rows` over F's terms dotted with F's coefficients
+    (over QQ divided by `_qq_scale`): the values `_hasse_values` gives over
+    GF(p), for any field."""
     field = F.ring.field
-    mons = list(F.terms)
+    columns = [[e[i] for e in F.terms] for i in range(4)]
+    orders = _orders(tmax)
     out = []
-    for t in _orders(tmax):
-        acc = field.zero
-        for v, c in zip(taylor_row(mons, a, t, field), F.terms.values()):
-            acc = field.add(acc, field.mul(v, c))
-        out.append(acc)
+    for row, t in zip(_taylor_rows(field, a, columns, orders), orders):
+        acc = reduce(field.add, map(field.mul, row, F.terms.values()), field.zero)
+        out.append(acc / _qq_scale(a, columns, t) if field.kind == "rational" else acc)
     return out
 
 

@@ -2,7 +2,10 @@
 
 They eliminate with the generic Gauss-Jordan loop itself, never with the
 dispatching `linalg.rref`, so they stay independent of the kernel choice
-they check."""
+they check; the Hasse rows are computed entry by entry, independent of the
+tables that the library's two cores read."""
+
+from math import comb
 
 from hyperlin.linalg import _gauss_jordan, identity
 from hyperlin.linsys import LinearSys, _aligned_pair, _padded_rows
@@ -74,3 +77,35 @@ def stacked_complement(L, sub):
     if not comp:
         return LinearSys.empty(L.ambient, L.degree)
     return LinearSys.from_matrix(L.ambient, comp, mons, degree=L.degree)
+
+
+def taylor_row_by_powers(monomials, coords, t, field):
+    """The t-th Hasse derivative prod_i C(e_i, t_i) a_i^(e_i - t_i) of each
+    monomial x^e at a = coords, in field arithmetic, one entry at a time from
+    a cache of powers a_i^d: the reference of `conditions.taylor_row` and of
+    the rows that `_taylor_rows` and `_hasse_rows_mod_p` build."""
+    row = []
+    pow_cache = {}
+
+    def power(i, d):
+        key = (i, d)
+        v = pow_cache.get(key)
+        if v is None:
+            v = field.pow(coords[i], d)
+            pow_cache[key] = v
+        return v
+
+    for e in monomials:
+        val = field.one
+        for i, (ei, ti) in enumerate(zip(e, t)):
+            if ti == 0 and ei == 0:
+                continue
+            c = comb(ei, ti)
+            if c == 0:
+                val = field.zero
+                break
+            val = field.mul(val, power(i, ei - ti))
+            if c != 1:
+                val = field.mul(val, field.from_int(c))
+        row.append(val)
+    return row

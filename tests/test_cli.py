@@ -286,6 +286,15 @@ def test_every_key_is_honoured_or_rejected(tmp_path, capsys, job, location, mess
     assert f"{location}: {message}" in capsys.readouterr().err
 
 
+def test_a_job_monomial_is_one_term_with_coefficient_one(tmp_path, capsys):
+    # "3*y" was read as y and the job ran
+    job = base_job(field={"kind": "gf", "p": 7}, ambient={"kind": "projective", "dim": 2},
+                   system={"matrix": [["1"]], "monomials": ["3*y"]})
+    rc = main(["run", write_job(tmp_path, job)])
+    assert rc == 2
+    assert "job.system.monomials[0]: " in capsys.readouterr().err
+
+
 _CHAIN = {"point": [1, 2], "mults": [2, 1], "tangents": [[1, 0]]}
 
 

@@ -21,10 +21,11 @@ from hyperlin.conditions import (
     sample_points,
     taylor_row,
 )
-from hyperlin.fields import GF, rationals
+from hyperlin.fields import GF, primes_from, rationals
 from hyperlin.linsys import LinearSys
-from hyperlin.poly import MultiPoly, monomials_below_degree, random_poly
-from oracles import intersect_with_span, rref_nullspace, stacked_complement
+from hyperlin.poly import MultiPoly, monomials_below_degree, monomials_of_degree, random_poly
+from hyperlin.singular import _field_hasse_values, _hasse_values, _orders
+from oracles import intersect_with_span, rref_nullspace, stacked_complement, taylor_row_by_powers
 
 QQ = rationals()
 
@@ -649,3 +650,67 @@ def test_impose_points_gives_the_canonical_basis_of_the_taylor_rows(data):
             J = impose_points(L, pts, mults)
         assert J.nsections() == len(expected)
         assert J.matrix() == expected
+
+
+# QQ, two extension fields, and GF(p) at both int64 edges: p near 2^26.5
+# holds two unreduced factors, 2^31 - 1 only one
+_HASSE_FIELDS = [QQ, GF(7, 2), GF(3, 4), GF(2), GF(397), GF(primes_from(94_906_266, 1)[0]), GF(2 ** 31 - 1)]
+
+
+@pytest.mark.parametrize("field", _HASSE_FIELDS, ids=str)
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_hasse_cores_match_the_power_oracle(field, data):
+    # the sizes come from the seeded rng, which spreads them more evenly
+    # than hypothesis's draws: zero terms and no points included
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+
+    def element():
+        if field.kind == "rational":
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        return field.random(rng)
+
+    ring = projective_space(field, 3).ring
+    mons = monomials_of_degree(4, rng.randint(0, 5))
+    terms = {e: element() for e in rng.sample(mons, rng.randint(0, min(len(mons), 10)))}
+    F = MultiPoly(ring, {e: c for e, c in terms.items() if not field.is_zero(c)})  # maybe no terms
+    X = [[element() for _ in range(4)] for _ in range(rng.randint(0, 4))]
+    tmax = rng.randint(0, 3)
+    orders = _orders(tmax)
+    oracle = [[taylor_row_by_powers(list(F.terms), a, t, field) for t in orders] for a in X]
+
+    def dot(row):
+        acc = field.zero
+        for v, c in zip(row, F.terms.values()):
+            acc = field.add(acc, field.mul(v, c))
+        return acc
+
+    values = [[dot(row) for row in rows] for rows in oracle]
+    L = LinearSys.complete(affine_space(field, 4), 3)
+    for a, rows, vals in zip(X, oracle, values):
+        assert [taylor_row(list(F.terms), a, t, field) for t in orders] == rows
+        assert _field_hasse_values(F, a, tmax) == vals
+        # the conditions of a fat point at a in A^4: over QQ, the oracle
+        # rows times prod_i d_i^(3 - t_i), a row of ints
+        got = point_condition_rows(L, a, tmax + 1)
+        for t, row in zip(monomials_below_degree(4, tmax + 1), got):
+            expected = taylor_row_by_powers(L.monomials(), a, t, field)
+            if field.kind == "rational":
+                scale = prod(c.denominator ** (3 - ti) for c, ti in zip(a, t))
+                expected = [scale * v for v in expected]
+                assert all(type(v) is int for v in row)
+            assert row == expected
+    if field.kind == "prime":
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(conditions, "_HASSE_BLOCK", data.draw(st.sampled_from([1, 500, conditions._HASSE_BLOCK])))
+            H = conditions._hasse_rows_mod_p(list(F.terms), X, orders, field.p)
+            got = _hasse_values(F, X, field.p, tmax)
+        assert H.shape == (len(orders), len(F.terms), len(X)) and H.dtype == np.int64
+        assert H.transpose(2, 0, 1).tolist() == oracle
+        assert got.shape == (len(X), len(orders)) and got.tolist() == values
+
+
+def test_hasse_rows_mod_p_enforce_their_int64_bound():
+    p = primes_from(2 ** 31, 1)[0]
+    with pytest.raises(ValueError, match="int64"):
+        conditions._hasse_rows_mod_p([(1, 0, 0, 0)], [[1, 2, 3, 4]], [(0, 0, 0, 0)], p)

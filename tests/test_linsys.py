@@ -1,4 +1,5 @@
 import json
+import re
 import time
 from fractions import Fraction
 
@@ -166,6 +167,18 @@ def test_section_validation_errors():
         data = {"ambient": P2.to_json(), "degree": degree, "matrix": M, "monomials": mons}
         with pytest.raises(ValueError, match=message):
             LinearSys.from_json(data)
+
+
+def test_json_monomials_are_one_term_with_coefficient_one():
+    # a sum read as its first term, a scalar multiple read as its monomial
+    # and the zero polynomial are refused, each naming the entry
+    P2 = projective_space(GF(7), 2)
+    for mon in ["x+y", "3*y", "0"]:
+        data = {"ambient": P2.to_json(), "degree": 1, "matrix": [["1"]], "monomials": [mon]}
+        with pytest.raises(ValueError, match=rf"'{re.escape(mon)}' is not a monomial"):
+            LinearSys.from_json(data)
+    data = {"ambient": P2.to_json(), "degree": 1, "matrix": [["1"]], "monomials": ["y"]}
+    assert LinearSys.from_json(data).monomials() == [(0, 1, 0)]
 
 
 def test_coefficient_map_roundtrip():

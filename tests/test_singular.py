@@ -208,7 +208,7 @@ def test_hasse_values_match_taylor_rows(data):
     tmax = data.draw(st.integers(0, 3))
     with pytest.MonkeyPatch.context() as mp:
         # small blocks split the points over several passes
-        mp.setattr(singular, "_HASSE_BLOCK", data.draw(st.sampled_from([1, 500, 1 << 18])))
+        mp.setattr("hyperlin.conditions._HASSE_BLOCK", data.draw(st.sampled_from([1, 500, 1 << 18])))
         got = _hasse_values(F, X, p, tmax)
     orders = _orders(tmax)
     assert got.shape == (len(X), len(orders)) and got.dtype == np.int64
