@@ -15,8 +15,9 @@ from __future__ import annotations
 from itertools import product as iproduct
 from math import comb
 
-from .fields import FieldElement
+from .fields import FieldElement, _integer
 from .poly import PolyRing, grevlex_key, monomials_below_degree, monomials_of_degree
+from .schema import check_keys, fail, listed, located
 
 
 def default_names(n):
@@ -33,7 +34,7 @@ class Ambient:
     def __init__(self, kind, dims, field, names=None):
         if kind not in ("affine", "projective", "product"):
             raise ValueError(f"unknown ambient kind {kind!r}")
-        dims = tuple(int(d) for d in dims)
+        dims = tuple(_integer(d, "ambient dimensions") for d in dims)
         if any(d < 1 for d in dims):
             raise ValueError("ambient dimensions must be positive")
         if kind != "product" and len(dims) != 1:
@@ -99,12 +100,13 @@ class Ambient:
     # -- degrees and monomials ------------------------------------------------------
 
     def degree_tuple(self, degree):
-        """Normalize a degree spec to one entry per block."""
-        if isinstance(degree, int):
+        """Normalize a degree spec to one entry per block: integers only, so
+        2.5, True or "3" is refused, not truncated or read."""
+        if not isinstance(degree, (tuple, list)):
             if self.nblocks() != 1:
                 raise ValueError("product ambients need a multidegree sequence")
             degree = (degree,)
-        degree = tuple(int(d) for d in degree)
+        degree = tuple(_integer(d, "degrees") for d in degree)
         if len(degree) != self.nblocks():
             raise ValueError(
                 f"degree spec has {len(degree)} entries for {self.nblocks()} block(s)"
@@ -190,7 +192,7 @@ class Ambient:
     # -- serialization ------------------------------------------------------------------
 
     def to_json(self):
-        out = {"kind": self.kind, "field": self.field.to_json()}
+        out = {"kind": self.kind, "names": list(self.names)}
         if self.kind == "product":
             out["dims"] = list(self.dims)
         else:
@@ -198,10 +200,24 @@ class Ambient:
         return out
 
     @staticmethod
-    def from_json(data, field):
+    def from_json(data, field, path="ambient"):
+        """{"kind": "affine" or "projective", "dim"[, "names"]} or
+        {"kind": "product", "dims"[, "names"]} over field; JobError at path
+        for any other key or value."""
+        check_keys(data, path, ("kind",), ("dim", "dims", "names"))
         kind = data["kind"]
-        dims = data["dims"] if kind == "product" else [data["dim"]]
-        return Ambient(kind, dims, field, names=data.get("names"))
+        if kind in ("affine", "projective"):
+            check_keys(data, path, ("kind", "dim"), ("names",))
+            dims = [data["dim"]]
+        elif kind == "product":
+            check_keys(data, path, ("kind", "dims"), ("names",))
+            dims = data["dims"]
+        else:
+            fail(path, f"unknown ambient kind {kind!r}")
+        if "names" in data:
+            listed(data["names"], f"{path}.names")  # a string is not a list of names
+        with located(path, (ValueError, TypeError)):
+            return Ambient(kind, dims, field, names=data.get("names"))
 
 
 def _projective_reps(field, ncoords):

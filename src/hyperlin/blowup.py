@@ -47,6 +47,7 @@ from .conditions import _impose_rows, _multiplicity, point_condition_rows
 from .linalg import clear_denominators, matmul, nullspace
 from .linsys import LinearSys
 from .poly import MultiPoly, monomials_below_degree
+from .schema import check_keys, listed, located
 
 
 class TangentDirection:
@@ -109,12 +110,17 @@ class BlowupChainSpec:
         }
 
     @staticmethod
-    def from_json(data, field):
-        point = [_coord_parse(v, field) for v in data["point"]]
-        tangents = [
-            [_coord_parse(a, field) for a in t] for t in data.get("tangents", [])
-        ]
-        return BlowupChainSpec(point, data["mults"], tangents)
+    def from_json(data, field, path="chain"):
+        """{"point", "mults"[, "tangents"]} over field; JobError at path for
+        any other key or value."""
+        check_keys(data, path, ("point", "mults"), ("tangents",))
+        with located(path, (ValueError, TypeError, ZeroDivisionError)):
+            point = [_coord_parse(v, field) for _, v in listed(data["point"], f"{path}.point")]
+            tangents = [
+                [_coord_parse(a, field) for _, a in listed(t, tp)]
+                for tp, t in listed(data.get("tangents", []), f"{path}.tangents")
+            ]
+            return BlowupChainSpec(point, data["mults"], tangents)
 
 
 def _coord_json(v):

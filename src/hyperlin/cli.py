@@ -5,6 +5,11 @@
     hyperlin scan --family ...    random search in an invariant quintic family
     hyperlin lift ...             multi-prime pencil scan + rational lift
 
+A job file's field, ambient and system are read by the library's own
+readers (`CoefficientField.from_json`, `Ambient.from_json`,
+`LinearSys.from_system_json`), so the document `LinearSys.to_json` writes
+is a job without operations.
+
 Every command accepts --seed (default 0) and --json.  Identical inputs with
 identical seeds produce byte-identical reports: no timing or host information
 is ever printed.
@@ -13,11 +18,9 @@ is ever printed.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import random
 import sys
-from fractions import Fraction
 
 from . import gallery
 from .ambient import Ambient, projective_space
@@ -27,7 +30,6 @@ from .blowup import (
     multiplicity_sequence,
     pencil_parameter_lift,
     quadrifolium,
-    sextic_pencil_scan,
 )
 from .conditions import (
     SchemeSpec,
@@ -38,132 +40,20 @@ from .conditions import (
 )
 from .fields import GF, CoefficientField, rationals
 from .linsys import LinearSys
+from .schema import JobError, check_keys, fail, listed, located, parse_coord, parse_poly
 from .singular import classify, invariant_family_scan, singular_points
 
 
-class JobError(ValueError):
-    """Schema or content problem in a job file, with its location."""
-
-
-def _fail(path, message):
-    raise JobError(f"{path}: {message}")
-
-
-@contextlib.contextmanager
-def _located(path, errors=ValueError):
-    try:
-        yield
-    except errors as exc:
-        _fail(path, str(exc))
-
-
-def _check_keys(obj, path, required=(), optional=()):
-    if not isinstance(obj, dict):
-        _fail(path, "expected an object")
-    unknown = sorted(set(obj) - set(required) - set(optional))
-    if unknown:
-        _fail(path, f"unknown key(s): {', '.join(unknown)}")
-    missing = sorted(set(required) - set(obj))
-    if missing:
-        _fail(path, f"missing key(s): {', '.join(missing)}")
-
-
 # ---------------------------------------------------------------------------
-# job loading
-
-
-def _load_field(data, path):
-    _check_keys(data, path, required=("kind",), optional=("p", "k"))
-    if data["kind"] != "gf":
-        _check_keys(data, path, required=("kind",))  # p and k are GF's
-    with _located(path, (ValueError, TypeError)):
-        return CoefficientField.from_json(data)
-
-
-def _load_ambient(data, field, path):
-    _check_keys(data, path, required=("kind",), optional=("dim", "dims", "names"))
-    kind = data["kind"]
-    if kind in ("affine", "projective"):
-        _check_keys(data, path, required=("kind", "dim"), optional=("names",))
-        dims = [data["dim"]]
-    elif kind == "product":
-        _check_keys(data, path, required=("kind", "dims"), optional=("names",))
-        dims = data["dims"]
-    else:
-        _fail(path, f"unknown ambient kind {kind!r}")
-    with _located(path, (ValueError, TypeError)):
-        return Ambient(kind, dims, field, names=data.get("names"))
-
-
-def _parse_poly(ring, text, path, parse=None):
-    if not isinstance(text, str):
-        _fail(path, f"expected a polynomial string, got {text!r}")
-    try:
-        return (parse or ring.parse)(text)
-    except (ValueError, TypeError) as exc:
-        _fail(path, f"cannot parse {text!r}: {exc}")
-
-
-def _parse_coord(field, value, path):
-    if isinstance(value, bool) or isinstance(value, float):
-        _fail(path, f"coordinates must be integers or strings, got {value!r}")
-    try:
-        if isinstance(value, int):
-            return field.from_int(value)
-        if isinstance(value, str):
-            return field.parse(value)
-    except (ValueError, TypeError) as exc:
-        _fail(path, f"bad coordinate {value!r}: {exc}")
-    _fail(path, f"bad coordinate {value!r}")
-
-
-# the (required, optional) keys of each kind of starting system, in precedence order
-_SYSTEM_KEYS = {
-    "sections": (("sections",), ("degree",)),
-    "matrix": (("matrix", "monomials"), ("degree",)),
-    "degree": (("degree",), ()),
-}
-
-
-def _load_system(data, ambient, path):
-    kind = next((k for k in _SYSTEM_KEYS if k in data), None) if isinstance(data, dict) else None
-    if kind is None:
-        _check_keys(data, path)  # not an object, or a key of no kind of system
-        _fail(path, "one of 'degree', 'sections' or 'matrix' is required")
-    _check_keys(data, path, *_SYSTEM_KEYS[kind])
-    ring = ambient.ring
-    field = ambient.field
-    if kind == "sections":
-        secs = [
-            _parse_poly(ring, s, f"{path}.sections[{i}]")
-            for i, s in enumerate(data["sections"])
-        ]
-        with _located(path):
-            return LinearSys.from_sections(ambient, secs, degree=data.get("degree"))
-    if kind == "matrix":
-        mons = [
-            _parse_poly(ring, m, f"{path}.monomials[{i}]", ring.parse_monomial)
-            for i, m in enumerate(data["monomials"])
-        ]
-        rows = [
-            [_parse_coord(field, v, f"{path}.matrix[{i}][{j}]") for j, v in enumerate(row)]
-            for i, row in enumerate(data["matrix"])
-        ]
-        with _located(path):
-            return LinearSys.from_matrix(ambient, rows, mons, degree=data.get("degree"))
-    with _located(path):
-        return LinearSys.complete(ambient, data["degree"])
+# jobs
 
 
 def _load_scheme(data, ring, path):
-    gens = [
-        _parse_poly(ring, g, f"{path}.generators[{i}]")
-        for i, g in enumerate(data.get("generators", []))
-    ]
+    gens = [parse_poly(ring, g, gp) for gp, g in listed(data.get("generators", []), f"{path}.generators")]
     saturated = data.get("saturated", False)
     if not isinstance(saturated, bool):
-        _fail(f"{path}.saturated", "expected true or false")
-    with _located(path):
+        fail(f"{path}.saturated", "expected true or false")
+    with located(path):
         return SchemeSpec(gens, saturated=saturated)
 
 
@@ -180,44 +70,40 @@ _OPERATION_KEYS = {
 def _apply_operation(L, data, path):
     op = data.get("op") if isinstance(data, dict) else None
     if not isinstance(op, str) or op not in _OPERATION_KEYS:
-        _check_keys(data, path, required=("op",), optional=data)  # not an object, or no 'op'
-        _fail(path, f"unknown operation {op!r}")
+        check_keys(data, path, required=("op",), optional=data)  # not an object, or no 'op'
+        fail(path, f"unknown operation {op!r}")
     required, optional = _OPERATION_KEYS[op]
-    _check_keys(data, path, ("op", *required), optional)
+    check_keys(data, path, ("op", *required), optional)
     ambient = L.ambient
     field = ambient.field
     if op == "impose-points":
         points = [
-            [_parse_coord(field, v, f"{path}.points[{i}]") for v in pt]
-            for i, pt in enumerate(data["points"])
+            [parse_coord(field, v, vp) for vp, v in listed(pt, pp)]
+            for pp, pt in listed(data["points"], f"{path}.points")
         ]
-        with _located(path):
+        with located(path):
             return impose_points(L, points, data["multiplicities"])
     if op == "impose-chain":
-        specs = []
-        for i, c in enumerate(data["chains"]):
-            cpath = f"{path}.chains[{i}]"
-            _check_keys(c, cpath, required=("point", "mults"), optional=("tangents",))
-            with _located(cpath, (ValueError, TypeError)):
-                specs.append(BlowupChainSpec.from_json(c, field))
-        with _located(path):
+        specs = [
+            BlowupChainSpec.from_json(c, field, cp) for cp, c in listed(data["chains"], f"{path}.chains")
+        ]
+        with located(path):
             return impose_chain(L, specs)
     if op in ("containment", "trace"):
         scheme = _load_scheme(data, ambient.ring, path)
-        with _located(path):
+        with located(path):
             if op == "containment":
                 return impose_containment(L, scheme)
             return L.trace(scheme)
     if op == "image-system":
         if "saturated" in data and "generators" not in data:
-            _fail(path, "'saturated' needs 'generators'")
-        target = _load_ambient(data["target"], field, f"{path}.target")
+            fail(path, "'saturated' needs 'generators'")
+        target = Ambient.from_json(data["target"], field, f"{path}.target")
         comps = [
-            _parse_poly(ambient.ring, c, f"{path}.components[{i}]")
-            for i, c in enumerate(data["components"])
+            parse_poly(ambient.ring, c, cp) for cp, c in listed(data["components"], f"{path}.components")
         ]
         scheme = _load_scheme(data, ambient.ring, path) if "generators" in data else None
-        with _located(path):
+        with located(path):
             return image_system(comps, target, data["degree"], scheme=scheme)
 
 
@@ -233,20 +119,17 @@ def _describe_ambient(ambient):
 
 def run_job(data):
     """Execute a parsed job dict; returns the report payload."""
-    _check_keys(
+    check_keys(
         data, "job", required=("field", "ambient", "system"),
         optional=("operations", "output"),
     )
-    field = _load_field(data["field"], "job.field")
-    ambient = _load_ambient(data["ambient"], field, "job.ambient")
-    L = _load_system(data["system"], ambient, "job.system")
-    ops = data.get("operations", [])
-    if not isinstance(ops, list):
-        _fail("job.operations", "expected a list")
-    for i, opdata in enumerate(ops):
-        L = _apply_operation(L, opdata, f"job.operations[{i}]")
+    field = CoefficientField.from_json(data["field"], "job.field")
+    ambient = Ambient.from_json(data["ambient"], field, "job.ambient")
+    L = LinearSys.from_system_json(data["system"], ambient, "job.system")
+    for opath, opdata in listed(data.get("operations", []), "job.operations"):
+        L = _apply_operation(L, opdata, opath)
     output = data.get("output", {})
-    _check_keys(output, "job.output", optional=("sections",))
+    check_keys(output, "job.output", optional=("sections",))
     show_sections = output.get("sections", False)
     degree = list(L.degree) if ambient.kind == "product" else L.degree[0]
     payload = {
@@ -402,21 +285,22 @@ def _repro_quintic_cusps(seed):
     return _repro_quintics(["cuspidal_quintic_15", "cuspidal_quintic_18"])
 
 
-def _repro_pencil_lift(seed):
-    e1, e2, modulus, primes = pencil_parameter_lift()
-    ok = e1 == gallery.SEXTIC_PENCIL_TRACE and e2 == gallery.SEXTIC_PENCIL_NORM
+def _lift_report(e1, e2, modulus, primes):
+    """The payload and lines of a pencil parameter lift."""
+    payload = {"trace": str(e1), "norm": str(e2), "modulus": modulus, "primes": primes}
     lines = [
         f"primes: {', '.join(str(p) for p in primes)}",
         f"modulus: {modulus}",
         f"P(x) = x^2 - ({e1})*x + {e2}",
-        f"expected P(x) = x^2 - ({gallery.SEXTIC_PENCIL_TRACE})*x + {gallery.SEXTIC_PENCIL_NORM}",
     ]
-    payload = {
-        "trace": str(e1),
-        "norm": str(e2),
-        "modulus": modulus,
-        "primes": primes,
-    }
+    return payload, lines
+
+
+def _repro_pencil_lift(seed):
+    e1, e2, modulus, primes = pencil_parameter_lift()
+    ok = e1 == gallery.SEXTIC_PENCIL_TRACE and e2 == gallery.SEXTIC_PENCIL_NORM
+    payload, lines = _lift_report(e1, e2, modulus, primes)
+    lines.append(f"expected P(x) = x^2 - ({gallery.SEXTIC_PENCIL_TRACE})*x + {gallery.SEXTIC_PENCIL_NORM}")
     return ok, payload, lines
 
 
@@ -476,7 +360,7 @@ def _run_scan(args):
 def _positive_int(data, key, least):
     value = data[key]
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        _fail(f"job.{key}", f"expected an integer >= {least}, got {value!r}")
+        fail(f"job.{key}", f"expected an integer >= {least}, got {value!r}")
     return value
 
 
@@ -485,12 +369,12 @@ def _run_lift(args):
     options = {}
     if args.job:
         data = _read_json(args.job)
-        _check_keys(
+        check_keys(
             data, "job", required=("task",),
             optional=("start_prime", "target_modulus", "max_primes", "primes"),
         )
         if data["task"] != "sextic-pencil-lift":
-            _fail("job.task", f"unknown lift task {data['task']!r}")
+            fail("job.task", f"unknown lift task {data['task']!r}")
         primes = data.get("primes")
         for key, least in (("start_prime", 2), ("target_modulus", 1), ("max_primes", 1)):
             if key in data:
@@ -500,19 +384,7 @@ def _run_lift(args):
             primes = [int(p) for p in args.primes.split(",") if p.strip()]
         except ValueError:
             raise JobError(f"--primes: cannot parse {args.primes!r}")
-    e1, e2, modulus, used = pencil_parameter_lift(primes=primes, **options)
-    lines = [
-        f"primes: {', '.join(str(p) for p in used)}",
-        f"modulus: {modulus}",
-        f"P(x) = x^2 - ({e1})*x + {e2}",
-    ]
-    payload = {
-        "trace": str(e1),
-        "norm": str(e2),
-        "modulus": modulus,
-        "primes": used,
-    }
-    return payload, lines
+    return _lift_report(*pencil_parameter_lift(primes=primes, **options))
 
 
 def _read_json(path):

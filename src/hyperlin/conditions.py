@@ -32,7 +32,7 @@ from .fields import _integer
 from .groebner import groebner_basis, normal_form
 from .linalg import _INT64_P, gf_numpy_path, matmul, nullspace, solve_nullspace
 from .linsys import LinearSys
-from .poly import MultiPoly, _hasse_tables, grevlex_key, monomials_below_degree
+from .poly import _hasse_tables, grevlex_key, monomials_below_degree
 
 _HASSE_BLOCK = 1 << 16  # int64 entries (orders x monomials x points) per block of `_hasse_rows_mod_p`
 
@@ -62,17 +62,6 @@ class SchemeSpec:
         return any(
             not g.is_zero() and g.total_degree() == 0 for g in self.generators
         )
-
-    def to_json(self):
-        return {
-            "generators": [str(g) for g in self.generators],
-            "saturated": self.saturated,
-        }
-
-    @staticmethod
-    def from_json(data, ring):
-        gens = [ring.parse(s) for s in data.get("generators", [])]
-        return SchemeSpec(gens, saturated=data.get("saturated", False))
 
     def __repr__(self):
         flag = ", saturated" if self.saturated else ""

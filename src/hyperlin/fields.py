@@ -17,6 +17,8 @@ import math
 import operator
 from fractions import Fraction
 
+from .schema import check_keys, fail, located
+
 
 class FieldMismatchError(ValueError):
     """Raised when elements of two different fields are combined."""
@@ -254,7 +256,7 @@ class CoefficientField:
                     raise ValueError("extension field needs k >= 2")
                 if modulus is None:
                     modulus = _default_modulus(p, k)
-                modulus = tuple(int(c) % p for c in modulus)
+                modulus = tuple(_integer(c, "modulus coefficients") % p for c in modulus)
                 if len(modulus) != k:
                     raise ValueError("modulus tail must have k coefficients")
                 if not _is_irreducible(list(modulus), p):
@@ -580,18 +582,23 @@ class CoefficientField:
             return {"kind": "rationals"}
         obj = {"kind": "gf", "p": self.p}
         if self.k > 1:
-            obj["k"] = self.k
+            obj.update(k=self.k, modulus=list(self.modulus))
         return obj
 
     @staticmethod
-    def from_json(obj):
-        if not isinstance(obj, dict) or "kind" not in obj:
-            raise ValueError(f"bad field spec {obj!r}")
-        if obj["kind"] in ("rationals", "rational", "QQ"):
+    def from_json(data, path="field"):
+        """{"kind": "rationals"} or {"kind": "gf", "p"[, "k"[, "modulus"]]},
+        modulus the tail of u^k + ... (default: `_default_modulus`);
+        JobError at path for any other key or value."""
+        check_keys(data, path, ("kind",), ("p", "k", "modulus"))
+        if data["kind"] == "rationals":
+            check_keys(data, path, ("kind",))  # p, k and modulus are GF's
             return rationals()
-        if obj["kind"] == "gf":
-            return GF(obj["p"], obj.get("k", 1))
-        raise ValueError(f"unknown field kind {obj['kind']!r}")
+        if data["kind"] != "gf":
+            fail(path, f"unknown field kind {data['kind']!r}")
+        check_keys(data, path, ("kind", "p"), ("k", "modulus"))
+        with located(path, (ValueError, TypeError)):
+            return GF(data["p"], data.get("k", 1), data.get("modulus"))
 
 
 _FR_ZERO = Fraction(0)
@@ -608,7 +615,7 @@ def rationals():
 def GF(p, k=1, modulus=None):
     """Finite field with p^k elements; modulus is the tail of a monic degree-k
     polynomial (defaults to a deterministic irreducible one)."""
-    if k == 1:
+    if _as_int(k, "k") == 1:
         if modulus is not None:
             raise ValueError("GF(p) takes no modulus")
         return CoefficientField("prime", p)

@@ -29,9 +29,18 @@ the subsystem and returns the monomials at the columns it leaves free.
 
 from __future__ import annotations
 
-from .fields import FieldElement, _integer
+from .ambient import Ambient
+from .fields import CoefficientField, FieldElement, _integer
 from .linalg import identity, matmul, rank, rref
 from .poly import MultiPoly, grevlex_key
+from .schema import check_keys, fail, listed, located, parse_coord, parse_poly
+
+# the (required, optional) keys of each kind of system document, in precedence order
+_SYSTEM_KEYS = {
+    "sections": (("sections",), ("degree",)),
+    "matrix": (("matrix", "monomials"), ("degree",)),
+    "degree": (("degree",), ()),
+}
 
 
 class LinearSys:
@@ -358,40 +367,56 @@ class LinearSys:
     # -- serialization --------------------------------------------------------------------
 
     def to_json(self):
-        """The ambient, the degree, and either the complete flag or the
-        matrix over its monomials; `from_json` also reads a list of
-        sections."""
-        degree = list(self.degree) if self.ambient.kind == "product" else self.degree[0]
-        out = {"ambient": self.ambient.to_json(), "degree": degree}
-        if self.is_complete:
-            out["complete"] = True
-        else:
-            field = self.ambient.field
-            ring = self.ambient.ring
-            out["matrix"] = [[field.to_str(v) for v in row] for row in self.matrix()]
-            out["monomials"] = [str(ring.monomial(e)) for e in self.monomials()]
-        return out
+        """The document `from_json` reads: a job file without operations or
+        output, whose system is {"degree"} when complete and otherwise the
+        matrix over its monomials."""
+        ambient = self.ambient
+        system = {"degree": list(self.degree) if ambient.kind == "product" else self.degree[0]}
+        if not self.is_complete:
+            field, ring = ambient.field, ambient.ring
+            system["matrix"] = [[field.to_str(v) for v in row] for row in self.matrix()]
+            system["monomials"] = [str(ring.monomial(e)) for e in self.monomials()]
+        return {"field": ambient.field.to_json(), "ambient": ambient.to_json(), "system": system}
 
-    @staticmethod
-    def from_json(data, field=None):
-        from .fields import CoefficientField
+    @classmethod
+    def from_json(cls, data):
+        """Read {"field", "ambient", "system"} with the readers of a job file;
+        JobError, naming the offending path, for anything else."""
+        check_keys(data, "linsys", ("field", "ambient", "system"))
+        field = CoefficientField.from_json(data["field"], "linsys.field")
+        ambient = Ambient.from_json(data["ambient"], field, "linsys.ambient")
+        return cls.from_system_json(data["system"], ambient, "linsys.system")
 
-        amb_data = data["ambient"]
-        if field is None:
-            field = CoefficientField.from_json(amb_data["field"])
-        from .ambient import Ambient
-
-        ambient = Ambient.from_json(amb_data, field)
-        degree = data["degree"]
-        if data.get("complete"):
-            return LinearSys.complete(ambient, degree)
-        ring = ambient.ring
-        if "sections" in data:
-            secs = [ring.parse(s) for s in data["sections"]]
-            return LinearSys.from_sections(ambient, secs, degree=degree)
-        mons = [ring.parse_monomial(m) for m in data["monomials"]]
-        rows = [[field.parse(v) for v in row] for row in data["matrix"]]
-        return LinearSys.from_matrix(ambient, rows, mons, degree=degree)
+    @classmethod
+    def from_system_json(cls, data, ambient, path="system"):
+        """Read a system on ambient: {"degree"} for the complete system,
+        {"sections"[, "degree"]} with polynomial strings, or
+        {"matrix", "monomials"[, "degree"]} with entries that are integers or
+        field strings and monomials of coefficient 1; JobError at path for
+        any other key or value."""
+        kind = next((k for k in _SYSTEM_KEYS if k in data), None) if isinstance(data, dict) else None
+        if kind is None:
+            check_keys(data, path)  # not an object, or a key of no kind of system
+            fail(path, "one of 'degree', 'sections' or 'matrix' is required")
+        check_keys(data, path, *_SYSTEM_KEYS[kind])
+        ring, field, degree = ambient.ring, ambient.field, data.get("degree")
+        if kind == "sections":
+            secs = [parse_poly(ring, s, sp) for sp, s in listed(data["sections"], f"{path}.sections")]
+            with located(path, (ValueError, TypeError)):
+                return cls.from_sections(ambient, secs, degree=degree)
+        if kind == "matrix":
+            mons = [
+                parse_poly(ring, m, mp, ring.parse_monomial)
+                for mp, m in listed(data["monomials"], f"{path}.monomials")
+            ]
+            rows = [
+                [parse_coord(field, v, vp) for vp, v in listed(row, rp)]
+                for rp, row in listed(data["matrix"], f"{path}.matrix")
+            ]
+            with located(path, (ValueError, TypeError)):
+                return cls.from_matrix(ambient, rows, mons, degree=degree)
+        with located(path, (ValueError, TypeError)):
+            return cls.complete(ambient, degree)
 
     def __repr__(self):
         shape = "complete " if self.is_complete else ""

@@ -122,7 +122,9 @@ def singular_points(F, ambient=None, symmetry=None):
     polys = [F] + [F.partial(i) for i in range(4)]
     found = []
     for chart in (3, 2, 1, 0):
-        local = [_dehomogenize(g, chart) for g in polys]
+        # dehomogenized one at a time: each check stops at the first
+        # polynomial that leaves no survivors
+        local = (_dehomogenize(g, chart) for g in polys)
         if chart == 0:
             if all(not terms for terms in local):
                 found.append((field.one, field.zero, field.zero, field.zero))
@@ -209,24 +211,31 @@ def _dehomogenize(g, chart):
 
 
 def _sweep_prime(local, p, values):
-    """Common zeros of the dehomogenized polynomials on the product grid
-    values[0] x .. x values[-1] of GF(p) residues, as an array of their
-    coordinates [variable, point] in the grid's row-major order: the first
-    polynomial on the whole grid by `_contract`, the others on its survivors
-    by `_evaluate`."""
-    maxexp = max((max(e) for terms in local for e in terms), default=0)
+    """Common zeros of the dehomogenized polynomials that `local` yields on
+    the product grid values[0] x .. x values[-1] of GF(p) residues, as an
+    array of their coordinates [variable, point] in the grid's row-major
+    order: the first polynomial on the whole grid by `_contract`, the others
+    on its survivors by `_evaluate`, each drawn from `local` only while
+    survivors remain."""
+    local = iter(local)
     vals = np.arange(p, dtype=np.int64)
     pw = [np.ones(p, dtype=np.int64)]
-    for _ in range(maxexp):
-        pw.append(pw[-1] * vals % p)
+
+    def powers(terms):
+        # the table pw[e] = x^e mod p, up to the largest exponent of terms
+        for _ in range(len(pw), max((max(e) for e in terms), default=0) + 1):
+            pw.append(pw[-1] * vals % p)
+        return pw
+
+    first = next(local)
     # flat indices: np.nonzero on the n-d mask is several times slower
-    grid = _contract(local[0], pw, p, values)
+    grid = _contract(first, powers(first), p, values)
     pos = np.unravel_index(np.flatnonzero(grid == 0), grid.shape)
     idx = np.array([v[k] for v, k in zip(values, pos)]).reshape(len(values), -1)
-    for terms in local[1:]:
+    for terms in local:
         if not idx.shape[1]:
             break
-        idx = idx[:, _evaluate(terms, pw, p, idx) == 0]
+        idx = idx[:, _evaluate(terms, powers(terms), p, idx) == 0]
     return idx
 
 
@@ -290,24 +299,22 @@ def _sweep_generic(local, field, values):
     element indices (positions in field.elements()), and so are the
     returned coordinates."""
     elems = list(field.elements())
-    out = []
-    for head in iproduct(*(v.tolist() for v in values)):
-        point = [elems[i] for i in head]
-        ok = True
-        for terms in local:
-            acc = field.zero
-            for e, c in terms.items():
-                v = c
-                for i, ei in enumerate(e):
-                    if ei:
-                        v = field.mul(v, field.pow(point[i], ei))
-                acc = field.add(acc, v)
-            if not field.is_zero(acc):
-                ok = False
-                break
-        if ok:
-            out.append(head)
-    return np.array(out, dtype=np.intp).reshape(-1, len(values)).T
+
+    def vanishes(terms, head):
+        acc = field.zero
+        for e, c in terms.items():
+            for i, ei in zip(head, e):
+                if ei:
+                    c = field.mul(c, field.pow(elems[i], ei))
+            acc = field.add(acc, c)
+        return field.is_zero(acc)
+
+    heads = iproduct(*(v.tolist() for v in values))
+    for terms in local:
+        heads = [head for head in heads if vanishes(terms, head)]
+        if not heads:
+            break
+    return np.array(heads, dtype=np.intp).reshape(-1, len(values)).T
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,8 @@ def test_random_scalar_equivalence():
 def test_ambient_json_round_trip():
     P = projective_space(GF(397), 3)
     data = P.to_json()
-    assert data == {"kind": "projective", "dim": 3, "field": {"kind": "gf", "p": 397}}
-    P2 = Ambient.from_json(data, GF(397))
-    assert P2 == P
+    assert data == {"kind": "projective", "dim": 3, "names": ["x1", "x2", "x3", "x4"]}
+    assert Ambient.from_json(data, GF(397)) == P
+    Q = product_projective(QQ, [1, 2], names=["s", "t", "a", "b", "c"])
+    assert Q.to_json() == {"kind": "product", "dims": [1, 2], "names": ["s", "t", "a", "b", "c"]}
+    assert Ambient.from_json(Q.to_json(), QQ) == Q

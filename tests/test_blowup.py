@@ -24,6 +24,7 @@ from hyperlin.fields import GF, rationals
 from hyperlin.linalg import identity, matmul, rank
 from hyperlin.linsys import LinearSys
 from hyperlin.poly import monomials_below_degree
+from hyperlin.schema import JobError
 from oracles import rref_nullspace
 
 QQ = rationals()
@@ -73,6 +74,20 @@ def test_chain_spec_json_roundtrip():
     back = BlowupChainSpec.from_json(data, QQ)
     assert back.point == (Fraction(1, 5), Fraction(7, 10))
     assert back.mults == [2, 1]
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"point": [0, 0], "mults": [1], "weight": 2}, "chain: unknown key(s): weight"),
+    ({"point": [0, 0]}, "chain: missing key(s): mults"),
+    # a string was read as its characters, the point (1, 2)
+    ({"point": "12", "mults": [1]}, "chain.point: expected a list"),
+    ({"point": [0, 0], "mults": [2, 1], "tangents": ["10"]}, "chain.tangents[0]: expected a list"),
+    ({"point": ["1/0", 0], "mults": [1]}, "chain: "),
+])
+def test_chain_spec_json_refusals_are_located(data, message):
+    with pytest.raises(JobError) as exc:
+        BlowupChainSpec.from_json(data, QQ)
+    assert str(exc.value).startswith(message)
 
 
 # -- multiplicity sequences of classical singularities ------------------------

@@ -135,6 +135,30 @@ def test_field_json_roundtrip():
         assert CoefficientField.from_json(F.to_json()) == F
 
 
+def test_field_json_keeps_the_modulus():
+    # the modulus was dropped, so the field came back with u^2 + 1
+    K = GF(7, 2, modulus=(2, 0))
+    assert K.to_json() == {"kind": "gf", "p": 7, "k": 2, "modulus": [2, 0]}
+    assert CoefficientField.from_json(K.to_json()) == K != GF(7, 2)
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"kind": "rationals", "k": 2}, "field: unknown key(s): k"),
+    ({"kind": "QQ"}, "field: unknown field kind 'QQ'"),
+    ({"kind": "gf"}, "field: missing key(s): p"),
+    ({"kind": "gf", "p": 7, "k": True}, "field: k must be an int, got True"),
+    ({"kind": "gf", "p": 7, "k": 2.0}, "field: k must be an int, got 2.0"),
+    ({"kind": "gf", "p": 7, "modulus": [1]}, "field: GF(p) takes no modulus"),
+    ({"kind": "gf", "p": 7, "k": 2, "modulus": [1, 2]}, "field: u^2 + [1, 2] is not irreducible"),
+    ({"kind": "gf", "p": 7, "k": 2, "modulus": [2.5, 0]}, "field: modulus coefficients must be integers"),
+    ({"kind": "gf", "p": 7, "k": 2, "modulus": [2]}, "field: modulus tail must have k coefficients"),
+])
+def test_field_json_refusals_are_located(data, message):
+    with pytest.raises(ValueError) as exc:
+        CoefficientField.from_json(data)
+    assert str(exc.value).startswith(message)
+
+
 # ---------------------------------------------------------------------------
 # CRT
 

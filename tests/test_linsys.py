@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperlin.ambient import affine_space, product_projective, projective_space
+from hyperlin.ambient import Ambient, affine_space, product_projective, projective_space
 from hyperlin.blowup import BlowupChainSpec, impose_chain
 from hyperlin.cli import main
 from hyperlin.conditions import SchemeSpec, impose_containment, impose_points
@@ -16,6 +16,7 @@ import hyperlin.linalg as linalg
 from hyperlin.fields import GF, rationals
 from hyperlin.linalg import rref
 from hyperlin.linsys import LinearSys, poly_gcd
+from hyperlin.schema import JobError
 from oracles import stacked_complement
 
 import random
@@ -25,6 +26,11 @@ QQ = rationals()
 
 def quadric_plane():
     return projective_space(QQ, 2)
+
+
+def document(ambient, **system):
+    """A LinearSys document: a job file without operations or output."""
+    return {"field": ambient.field.to_json(), "ambient": ambient.to_json(), "system": system}
 
 
 def test_complete_is_lazy():
@@ -95,9 +101,7 @@ def test_dependent_input_is_stored_as_a_basis(tmp_path, capsys):
     L = LinearSys.from_matrix(A2, M, mons)
     x = A2.ring.gens()[0]
     assert_basis(L, 2)
-    parsed = LinearSys.from_json(
-        {"ambient": A2.to_json(), "degree": 1, "sections": ["x", "2*x", "y"]}
-    )
+    parsed = LinearSys.from_json(document(A2, degree=1, sections=["x", "2*x", "y"]))
     assert_basis(parsed, 2)
     cut = [
         impose_points(L, [(1, 1)], [1]),
@@ -164,9 +168,8 @@ def test_section_validation_errors():
         (3, [["1"]], ["x^2"], "does not fit degree 3"),
         (2, [["1", "1"], ["1", "2"]], ["x^2", "x^2"], "repeated monomial"),
     ]:
-        data = {"ambient": P2.to_json(), "degree": degree, "matrix": M, "monomials": mons}
         with pytest.raises(ValueError, match=message):
-            LinearSys.from_json(data)
+            LinearSys.from_json(document(P2, degree=degree, matrix=M, monomials=mons))
 
 
 def test_json_monomials_are_one_term_with_coefficient_one():
@@ -174,10 +177,10 @@ def test_json_monomials_are_one_term_with_coefficient_one():
     # and the zero polynomial are refused, each naming the entry
     P2 = projective_space(GF(7), 2)
     for mon in ["x+y", "3*y", "0"]:
-        data = {"ambient": P2.to_json(), "degree": 1, "matrix": [["1"]], "monomials": [mon]}
+        data = document(P2, degree=1, matrix=[["1"]], monomials=[mon])
         with pytest.raises(ValueError, match=rf"'{re.escape(mon)}' is not a monomial"):
             LinearSys.from_json(data)
-    data = {"ambient": P2.to_json(), "degree": 1, "matrix": [["1"]], "monomials": ["y"]}
+    data = document(P2, degree=1, matrix=[["1"]], monomials=["y"])
     assert LinearSys.from_json(data).monomials() == [(0, 1, 0)]
 
 
@@ -463,12 +466,14 @@ def test_json_roundtrip_sections():
     ring = P2.ring
     secs = [ring.parse(s) for s in ["x^2+z^2", "y^2-x*z"]]
     L = LinearSys.from_sections(P2, secs)
-    parsed = LinearSys.from_json(
-        {"ambient": P2.to_json(), "degree": 2, "sections": ["x^2+z^2", "y^2-x*z"]}
-    )
+    parsed = LinearSys.from_json(document(P2, degree=2, sections=["x^2+z^2", "y^2-x*z"]))
     assert [str(s) for s in parsed.sections()] == ["x^2+z^2", "y^2-x*z"]
     data = L.to_json()
-    assert "sections" not in data and data["monomials"] == ["x^2", "y^2", "x*z", "z^2"]
+    assert data["system"] == {
+        "degree": 2,
+        "matrix": [["1", "0", "0", "1"], ["0", "1", "-1", "0"]],
+        "monomials": ["x^2", "y^2", "x*z", "z^2"],
+    }
     assert data == parsed.to_json()
     L.sections()
     assert L.to_json() == data  # the cached sections do not change the form
@@ -485,7 +490,11 @@ def test_json_roundtrip_matrix():
         P2, [[1, 12], [0, 5]], [(2, 0, 0), (1, 1, 0)], degree=2
     )
     data = L.to_json()
-    assert "matrix" in data and "monomials" in data
+    assert data == {
+        "field": {"kind": "gf", "p": 13},
+        "ambient": {"kind": "projective", "dim": 2, "names": ["x", "y", "z"]},
+        "system": {"degree": 2, "matrix": [["1", "12"], ["0", "5"]], "monomials": ["x^2", "x*y"]},
+    }
     L.sections()
     assert L.to_json() == data  # the cached sections do not change the form
     L2 = LinearSys.from_json(data)
@@ -496,10 +505,92 @@ def test_json_roundtrip_complete():
     P3 = projective_space(QQ, 3)
     L = LinearSys.complete(P3, 50)
     data = L.to_json()
-    assert data["complete"] is True
+    assert data["system"] == {"degree": 50}
     L2 = LinearSys.from_json(data)
     assert L2.is_complete and L2.nsections() == L.nsections()
     assert L2._monomials is None  # still lazy after the roundtrip
+
+
+_JSON_FIELDS = [QQ, GF(7), GF(101), GF(7, 2, modulus=(2, 0))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_json_round_trip_reproduces_the_system(data):
+    # the document of any system reads back as the same field, ambient
+    # (names included), degree, monomials in order and matrix
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    field = data.draw(st.sampled_from(_JSON_FIELDS))
+    kind = data.draw(st.sampled_from(["affine", "projective", "product"]))
+    dims = [rng.randint(1, 2) for _ in range(2 if kind == "product" else 1)]
+    ambient = Ambient(kind, dims, field)
+    if data.draw(st.booleans()):
+        ambient = Ambient(kind, dims, field, names=[f"{c}{i}" for i, c in enumerate("stuvwx"[: ambient.total_vars()])])
+    degree = [rng.randint(0, 2) for _ in dims]
+    degree = degree if kind == "product" else degree[0]
+    if data.draw(st.booleans()):
+        L = LinearSys.complete(ambient, degree)
+    else:
+        basis = ambient.monomial_basis(degree)
+        mons = rng.sample(basis, rng.randint(1, len(basis)))
+        draw = (lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4))) if field == QQ else (lambda: field.random(rng))
+        rows = [[draw() for _ in mons] for _ in range(rng.randint(0, 4))]
+        rows = [row for row in rows if any(not field.is_zero(v) for v in row)]
+        L = LinearSys.from_matrix(ambient, rows, mons, degree=degree) if rows else LinearSys.empty(ambient, degree)
+    L2 = LinearSys.from_json(json.loads(json.dumps(L.to_json())))
+    assert L2.ambient.field == field and L2.ambient == ambient  # names included
+    assert L2.is_complete == L.is_complete and L2.degree == L.degree
+    assert L2.monomials() == L.monomials() and L2.matrix() == L.matrix()
+
+
+def test_json_keeps_the_ambient_names():
+    # the names were dropped, so "a" was an unknown variable on reading back
+    P2 = projective_space(GF(7), 2, names=["a", "b", "c"])
+    L = LinearSys.from_sections(P2, [P2.ring.parse("a^2+3*b*c")])
+    L2 = LinearSys.from_json(L.to_json())
+    assert L2.ambient.names == ("a", "b", "c") and L2.same_span(L)
+
+
+def test_json_keeps_the_modulus():
+    # the modulus was dropped, so GF(7^2) came back with its default modulus
+    K = GF(7, 2, modulus=(2, 0))
+    L = LinearSys.from_matrix(affine_space(K, 1), [[K.generator(), 1]], [(1,), (0,)])
+    L2 = LinearSys.from_json(L.to_json())
+    assert L2.ambient.field == K and L2.matrix() == L.matrix()
+
+
+def test_json_matrix_entries_may_be_integers():
+    # an int entry raised AttributeError: 'int' object has no attribute 'strip'
+    P2 = projective_space(GF(7), 2)
+    L = LinearSys.from_json(document(P2, matrix=[[1, 10], ["3", 0]], monomials=["x", "y"]))
+    assert L.matrix() == [[1, 3], [3, 0]]
+
+
+@pytest.mark.parametrize("data, message", [
+    # a missing key was a bare KeyError, a misspelt or ignored one passed
+    (document(projective_space(QQ, 2), matrix=[["1"]]), "linsys.system: missing key(s): monomials"),
+    (document(projective_space(QQ, 2), degree=2, complete=True), "linsys.system: unknown key(s): complete"),
+    (dict(document(projective_space(QQ, 2), degree=2), output={}), "linsys: unknown key(s): output"),
+    # the old nested form: the field inside the ambient, the system's keys at the top
+    ({"ambient": {"kind": "projective", "dim": 2, "field": {"kind": "rationals"}}, "degree": 2,
+      "complete": True}, "linsys: unknown key(s): complete, degree"),
+    (dict(document(projective_space(QQ, 2), degree=2), ambient={"kind": "projective", "dim": 2,
+          "field": {"kind": "rationals"}}), "linsys.ambient: unknown key(s): field"),
+    # entries that were misread or truncated
+    (document(projective_space(QQ, 2), degree=2.5), "linsys.system: degrees must be integers"),
+    (document(projective_space(QQ, 2), degree="2"), "linsys.system: degrees must be integers, got '2'"),
+    (document(projective_space(QQ, 2), sections="x"), "linsys.system.sections: expected a list"),
+    (document(projective_space(QQ, 2), matrix=[[True]], monomials=["x"]), "linsys.system.matrix[0][0]: "),
+    (document(projective_space(QQ, 2), matrix=[["1/0"]], monomials=["x"]), "linsys.system.matrix[0][0]: "),
+    (dict(document(projective_space(QQ, 2), degree=1), ambient={"kind": "projective", "dim": 2, "names": "xyz"}),
+     "linsys.ambient.names: expected a list"),
+    (dict(document(projective_space(QQ, 2), degree=1), ambient={"kind": "projective", "dim": 2.5}),
+     "linsys.ambient: ambient dimensions must be integers, got 2.5"),
+])
+def test_json_refusals_are_located(data, message):
+    with pytest.raises(JobError) as exc:
+        LinearSys.from_json(data)
+    assert str(exc.value).startswith(message)
 
 
 @settings(max_examples=60, deadline=None)

@@ -207,7 +207,7 @@ def test_hasse_values_match_taylor_rows(data):
     X = [[rng.randrange(p) for _ in range(4)] for _ in range(data.draw(st.integers(1, 6)))]
     tmax = data.draw(st.integers(0, 3))
     with pytest.MonkeyPatch.context() as mp:
-        # small blocks split the points over several passes
+        # small `_hasse_rows_mod_p` blocks split the monomials over several passes
         mp.setattr("hyperlin.conditions._HASSE_BLOCK", data.draw(st.sampled_from([1, 500, 1 << 18])))
         got = _hasse_values(F, X, p, tmax)
     orders = _orders(tmax)
