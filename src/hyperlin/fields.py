@@ -295,6 +295,8 @@ class CoefficientField:
             return "QQ"
         if self.kind == "prime":
             return f"GF({self.p})"
+        if self.modulus != _default_modulus(self.p, self.k):
+            return f"GF({self.p}^{self.k}, modulus={self.modulus})"
         return f"GF({self.p}^{self.k})"
 
     @property

@@ -7,14 +7,16 @@ Two tiers, both exact:
   GF(p^k), p >= 2^31 and small GF(p) matrices, `rref` and `rank` over QQ;
 - one numpy kernel over GF(p) for every 2 <= p < 2^31: a column-recursive
   float64 CUP elimination (as in FFLAS-FFPACK) whose updates are matrix
-  products, with a blocked back-substitution for the RREF and the nullspace
-  basis.  Its products have two exactness regimes (`_product`).  The
-  direct regime, while min(m, n)*h^2 + p - 1 < 2^51 with h = p // 2
-  (`_float_exact`), is one product with delayed reduction: an entry is
-  reduced only where it becomes an operand.  The split regime, otherwise,
-  writes operands in halves x1 2^15 + x0 and combines their partial
-  products by Horner in base 2^15 with a reduction after each step, which
-  is exact for inner dimensions below 2^21 - 2^15 (enforced on min(m, n)).
+  products, and whose leaves factor their top block in int64 and get the
+  multipliers below it in one product, with a blocked back-substitution
+  for the RREF and the nullspace basis.  Its products have two exactness
+  regimes (`_product`).  The direct regime, while min(m, n)*h^2 + p - 1 <
+  2^51 with h = p // 2 (`_float_exact`), is one product with delayed
+  reduction: an entry is reduced only where it becomes an operand.  The
+  split regime, otherwise, writes operands in halves x1 2^15 + x0 and
+  combines their partial products by Horner in base 2^15 with a reduction
+  after each step, which is exact for inner dimensions below 2^21 - 2^15
+  (enforced on min(m, n)).
   `ref_mod_p`, `rref_mod_p`, `rank_mod_p` and `nullspace_mod_p` all run it
   on a matrix, a batch of one; `_cup_mod_p` alone checks p and copies their
   input (rows of ints of any size, a flat row, an integer array; an entry
@@ -81,8 +83,8 @@ _INT64_P = 1 << 31  # p bound of the GF(p) kernel and the int64 evaluators (prod
 _F51 = 2**51
 _MAX_PRIMES = 1024  # primes the multimodular nullspace tries before giving up
 _PRIME_FLOOR = 1 << 20  # lowest start of the multimodular primes: the 1024 below it exceed 2^19
-_UPDATE_ROWS = 256  # row block of the float64 kernel's matrix products, over all slices of a stack
-_LEAF = 16  # widest column range the float64 kernel eliminates pivot by pivot
+_UPDATE_ENTRIES = 3 << 17  # float64 entries of a row block of the kernel's updates (3 MB), over all slices of a stack
+_LEAF = 32  # widest column range of a leaf of the float64 kernel
 _HALF = 2.0**15  # base of the split regime's operand halves
 _SPLIT_K = 2**21 - 2**15  # split products are exact for inner dimensions below this
 _ONE_SIDED_K = 64  # split products split one operand up to this inner dimension
@@ -404,16 +406,15 @@ class _Elimination:
     def unit_inverse(self, M):
         """(I + M)^-1 for a strictly triangular k x k matrix M, or a stack
         of them, reduced: the product (I - M)(I + M^2)(I + M^4)... of
-        ceil(log2 k) factors, since M^k = 0."""
+        ceil(log2 k) factors, since M^k = 0.  M is reduced, and so are its
+        powers, which `mul` returns, and their diagonals are 0: each factor
+        is reduced as it is."""
         k = M.shape[-1]
         eye = np.eye(k)
         inv = eye - M
-        self.reduce(inv)
         for _ in range(max(k - 1, 0).bit_length() - 1):
             M = self.mul(M, M)
-            factor = eye + M
-            self.reduce(factor)
-            inv = self.mul(inv, factor)
+            inv = self.mul(inv, eye + M)
         return inv
 
     def block(self, r0, r1, cols):
@@ -425,10 +426,10 @@ class _Elimination:
 
     def update(self, C, r0, cols, B):
         # C -= X[r0:r0+len(C), cols] @ B by row blocks, each product written
-        # to a small column-major buffer laid out like C; a block of a stack
-        # takes _UPDATE_ROWS rows over all its slices
+        # to a small column-major buffer laid out like C; a block holds at
+        # most _UPDATE_ENTRIES entries over all the slices of a stack
         h = C.shape[-2]
-        step = max(1, _UPDATE_ROWS // len(self.slices))
+        step = max(1, _UPDATE_ENTRIES // (len(self.slices) * C.shape[-1]))
         T = _column_major(C.shape[:-2] + (min(h, step), C.shape[-1]))
         for b in range(0, h, step):
             Cb = C[..., b : b + step, :]
@@ -467,56 +468,140 @@ class _Elimination:
         self.trsm(h, r1, B[..., h - r0 :, :])
 
     def leaf(self, r, c0, c1):
-        """Pivot by pivot: reduce the next column; where a slice has a zero
-        in the pivot row, swap up its first nonzero row below, and its entry
-        of `order`; scale the multipliers below the pivot, one rank-1 update
-        of the panel to its right.  Then the inverse of the leaf's unit
-        lower triangle is stored for the TRSMs of its pivot rows.
+        """Eliminate the panel of columns c0:c1 in the rows r:, whose entries
+        may be unreduced: the block path (`top_block`) takes the pivots it
+        can; at the column where it stops, the step loop (`step`) takes that
+        one column, searching the whole height of the panel, and the block
+        path resumes right of it, below the pivots found so far.  No work is
+        redone: each of them leaves every row of the panel updated by its
+        pivots.  Then the inverse of the leaf's unit lower triangle is
+        stored for the TRSMs of its pivot rows."""
+        m, w = self.X.shape[-2], c1 - c0
+        P = self.X[..., r:, c0:c1]
+        k = j = 0
+        while j < w and r + k < m:
+            g = self.top_block(P[..., k:, j:], r + k)
+            self.pivots += range(c0 + j, c0 + j + g)
+            k, j = k + g, j + g
+            if j < w and r + k < m:
+                k += self.step(P, r, k, c0, j)
+                j += 1
+        if k:
+            self.leaves.append(r)
+            self.lower_inverses[r] = self.unit_inverse(np.tril(self.block(r, r + k, self.pivots[r:]), -1))
+        return k
+
+    def top_block(self, Q, r0):
+        """The block path of a leaf on Q (rows x w), the part of its panel
+        right of the columns done and below the pivots found, which starts
+        at row r0 of X.  Returns g, the number of pivots it takes: the first
+        g columns of Q.
+
+        The top block T = Q[:t], t = min(rows, w), of every slice is
+        factored in int64 by the step loop's own rule with no search below
+        T: at column i, a slice with a zero diagonal entry swaps up its
+        first nonzero row of T (whole rows of X and their entries of
+        `order`, as `step` does), and the block stops at the first column
+        where a slice has none in T.  Every row of T below the pivots holds
+        their updates, so these are the step loop's pivots and swaps; where
+        the block stops, `step` searches the whole column and decides which
+        slices die.  An entry of T is reduced mod its slice's prime where it
+        becomes an operand, in a pivot row or column, and all of T every
+        `lag` pivots: a product of two residues is at most (p - 1)^2 < 2^62,
+        and an entry that takes `lag` of them stays above -2^63, so the
+        block is exact for every p < 2^31.
+
+        T, which holds U11, L11 and the updated rows below them, is written
+        back reduced.  The multipliers of the rows below T are then
+        L21 = A21 U11^-1, one product, with U11 = D (I + M) for D its
+        diagonal, so that U11^-1 = (I + M)^-1 D^-1 by `unit_inverse`; if
+        g < w, one rank-g update of the rest of the panel follows."""
+        t = min(Q.shape[-2:])
+        p = np.array(self.primes, dtype=np.int64).reshape(-1, 1, 1)
+        top = max(self.primes) - 1
+        lag = ((1 << 63) - 1 - top) // max(1, top * top)
+        Q3 = Q if Q.ndim == 3 else Q[None]
+        T = Q3[:, :t].astype(np.int64)
+        inverses = []
+        for i in range(t):
+            if i % lag == 0:
+                T[:, i:, i:] %= p
+            T[:, i:, i : i + 1] %= p
+            D = T[:, i, i].tolist()
+            if 0 in D:
+                # the step loop's swaps, where each slice's first nonzero row is in T
+                first = T[:, i:, i].astype(bool).argmax(axis=-1).tolist()
+                if not all(T[b, i + s, i] for b, s in enumerate(first)):
+                    break
+                for b, s in enumerate(first):
+                    if s:
+                        self.swap(b, r0 + i, s)
+                        T[b, [i, i + s]] = T[b, [i + s, i]]
+                D = T[:, i, i].tolist()
+            T[:, i : i + 1, i + 1 :] %= p
+            inverses.append([_inverse(d, q) for d, q in zip(D, self.primes)])
+            col = T[:, i + 1 :, i : i + 1]
+            col *= np.array(inverses[-1], dtype=np.int64).reshape(p.shape)
+            col %= p
+            T[:, i + 1 :, i + 1 :] -= col * T[:, i : i + 1, i + 1 :]
+        g = len(inverses)
+        if g:
+            T[:, g:, g:] %= p
+            Q3[:, :t] = T
+            self.reduce(Q3[:, :t])
+        if g and t < Q.shape[-2]:
+            d = np.array(inverses).T.reshape(Q.shape[:-2] + (g, 1))
+            M = np.triu(self.mul(d, Q[..., :g, :g]), 1)
+            U_inverse = self.mul(self.unit_inverse(M), np.eye(g) * d.swapaxes(-1, -2))
+            L = Q[..., t:, :g]
+            self.reduce(L)
+            L[...] = self.mul(L, U_inverse)
+            if g < Q.shape[-1]:
+                Q[..., t:, g:] -= self.product(L, Q[..., :g, g:])
+        return g
+
+    def swap(self, b, t, i):
+        # rows t and t + i of slice b, whole, and their entries of `order`
+        self.slices[b, [t, t + i]] = self.slices[b, [t + i, t]]
+        self.order[b, [t, t + i]] = self.order[b, [t + i, t]]
+
+    def step(self, P, r, k, c0, j):
+        """The step loop on column j of the leaf panel P (the rows r:, the
+        columns from c0), below its k pivots: reduce the column; where a
+        slice has a zero in the pivot row, swap up its first nonzero row
+        below (`swap`); scale the multipliers below the pivot, one rank-1
+        update of the panel to its right.  Returns 1 for a pivot, 0 for
+        none.
 
         A column is a pivot if a live slice has a nonzero in it.  A live
         slice without one has a lexicographically later pivot tuple: it
         dies, and runs on with a unit pivot in place of the zero, so that
         every slice stays invertible on the common pivots."""
-        S, m = self.slices, self.X.shape[-2]
-        P = self.X[..., r:, c0:c1]
-        self.reduce(P)
-        k = 0
-        for j in range(c1 - c0):
-            # P is reduced on entry: the pivot column and row need reducing
-            # only after a rank-1 update
-            col = P[..., k:, j : j + 1]
-            if k:
-                self.reduce(col)
-            t = r + k
+        S = self.slices
+        col = P[..., k:, j : j + 1]
+        self.reduce(col)
+        t = r + k
+        D = S[:, t, c0 + j : c0 + j + 1].tolist()
+        if [0.0] in D:
+            for b, i in enumerate(col.astype(bool).argmax(axis=-2).ravel().tolist()):
+                if i:
+                    self.swap(b, t, i)
             D = S[:, t, c0 + j : c0 + j + 1].tolist()
-            if [0.0] in D:
-                for b, i in enumerate(col.astype(bool).argmax(axis=-2).ravel().tolist()):
-                    if i:
-                        S[b, [t, t + i]] = S[b, [t + i, t]]
-                        self.order[b, [t, t + i]] = self.order[b, [t + i, t]]
-                D = S[:, t, c0 + j : c0 + j + 1].tolist()
-            if [0.0] in D:
-                found = np.array(D)[:, 0] != 0
-                if not (found & self.live).any():
-                    continue
-                self.live &= found
-                S[~found, t, c0 + j] = 1
-                D = [[d or 1.0] for d, in D]
-            f = P[..., k + 1 :, j : j + 1]
-            self.mul(f, self.inverses(D), out=f)
-            if j + 1 < c1 - c0:
-                row = P[..., k : k + 1, j + 1 :]
-                if k:
-                    self.reduce(row)
-                P[..., k + 1 :, j + 1 :] -= self.product(f, row)
-            self.pivots.append(c0 + j)
-            k += 1
-            if r + k == m:
-                break
-        if k:
-            self.leaves.append(r)
-            self.lower_inverses[r] = self.unit_inverse(np.tril(self.block(r, r + k, self.pivots[r:]), -1))
-        return k
+        if [0.0] in D:
+            found = np.array(D)[:, 0] != 0
+            if not (found & self.live).any():
+                return 0
+            self.live &= found
+            S[~found, t, c0 + j] = 1
+            D = [[d or 1.0] for d, in D]
+        f = P[..., k + 1 :, j : j + 1]
+        self.mul(f, self.inverses(D), out=f)
+        if j + 1 < P.shape[-1]:
+            row = P[..., k : k + 1, j + 1 :]
+            self.reduce(row)
+            P[..., k + 1 :, j + 1 :] -= self.product(f, row)
+        self.pivots.append(c0 + j)
+        return 1
 
     def solve_upper(self, k0, k1, B, inverses):
         """B <- T^-1 B, reduced, for the upper triangle T of the rows k0:k1
@@ -589,10 +674,12 @@ def _cup_mod_p(A, p, order=None):
     factored by factoring its left half, solving the unit lower triangle of
     the left half's pivots against the right half's top rows (TRSM), updating
     the rows below by one matrix product, and factoring the right half.
-    Ranges of at most `_LEAF` columns are eliminated pivot by pivot; row
-    swaps move whole rows.  Each such leaf then inverts its unit lower
-    triangle once, and every TRSM over its pivot rows is one product with
-    that inverse.
+    Ranges of at most `_LEAF` columns are leaves (`_Elimination.leaf`): a
+    leaf factors its top block in int64, takes the multipliers below it in
+    one product, and steps pivot by pivot, with a search down the whole
+    column, only at a column where the block meets no nonzero; row swaps
+    move whole rows.  Each leaf then inverts its unit lower triangle once,
+    and every TRSM over its pivot rows is one product with that inverse.
 
     A is a matrix and p a prime, a batch of one, or a stack (B x m x n) and
     a sequence of B primes, eliminated in one pass by stacked products.  Here
@@ -614,13 +701,14 @@ def _cup_mod_p(A, p, order=None):
     their column rank profile; every other slice has a lexicographically
     later one (an unlucky prime), and its result is meaningless.
 
-    Every product, in the updates, the TRSMs, the leaf inverses, the leaf's
-    multiplier scaling and its rank-1 updates, goes through `_product`:
-    direct while `_float_exact` holds for the largest prime, split
-    otherwise (p < 2^31 and min(m, n) < `_SPLIT_K`, else ValueError).  An
-    entry is reduced only where it becomes an operand: on entry to a leaf
-    panel, as a leaf's pivot column or pivot row, and as a right-hand side
-    of a TRSM.
+    Every float64 product, in the updates, the TRSMs, the inverses, a
+    leaf's multipliers and its rank-g and rank-1 updates, goes through
+    `_product`: direct while `_float_exact` holds for the largest prime,
+    split otherwise (p < 2^31 and min(m, n) < `_SPLIT_K`, else ValueError).
+    An entry is reduced only where it becomes an operand: in a leaf's top
+    block (in int64), as the block's A21, as a step's pivot column or pivot
+    row, and as a right-hand side of a TRSM.  Each pivot adds at most one
+    product to an entry, so the entry stays where `_float_exact` holds.
 
     Returns (X, pivots, live): X the eliminated matrix or stack, pivots the
     common column rank profile (the pivots of the RREF), live the bool mask

@@ -135,6 +135,17 @@ def test_field_json_roundtrip():
         assert CoefficientField.from_json(F.to_json()) == F
 
 
+def test_repr_tells_two_presentations_apart():
+    # a modulus other than the default one is shown, so that a mismatch
+    # between two presentations of GF(7^2) reads as one
+    K, L = GF(7, 2), GF(7, 2, modulus=(2, 0))
+    assert K.modulus != L.modulus
+    assert repr(K) == repr(GF(7, 2, modulus=K.modulus)) == "GF(7^2)"
+    assert repr(L) == "GF(7^2, modulus=(2, 0))"
+    with pytest.raises(FieldMismatchError, match=r"element of GF\(7\^2\) used in GF\(7\^2, modulus=\(2, 0\)\)$"):
+        L.coerce(K.element((0, 1)))
+
+
 def test_field_json_keeps_the_modulus():
     # the modulus was dropped, so the field came back with u^2 + 1
     K = GF(7, 2, modulus=(2, 0))

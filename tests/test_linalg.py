@@ -214,7 +214,7 @@ def test_blocked_kernel_agrees_with_rowloop_on_larger_instance(monkeypatch):
     # the direct regime's bound for a 300 x 260 matrix; 5885843, the next
     # prime, takes the split regime, whose updates have inner dimensions
     # above 64 and so split both operands
-    for p, leaf in ((397, 1), (397, 5), (5885833, 8), (5885843, 8)):
+    for p, leaf in ((397, 1), (397, 5), (397, linalg._LEAF), (5885833, 8), (5885843, 8), (5885843, linalg._LEAF)):
         monkeypatch.setattr(linalg, "_LEAF", leaf)
         rng = np.random.default_rng(2)
         A = rng.integers(0, p, size=(300, 260)).astype(np.int64)
@@ -823,7 +823,7 @@ def test_ref_mod_p_and_backsolve_match_rref_mod_p(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     A = rng.integers(0, p, size=(m, r)) @ rng.integers(0, p, size=(r, n)) % p
     A[:, zero_cols] = 0
-    leaf = data.draw(st.integers(1, 8))  # narrow leaves exercise the recursion
+    leaf = data.draw(st.sampled_from([*range(1, 9), linalg._LEAF]))  # narrow leaves exercise the recursion
     _check_ref_mod_p(A, p, leaf)
     R, piv = rref_mod_p(A, p)
     R_oracle, piv_oracle = rowloop_rref_mod_p(A, p)
@@ -878,7 +878,7 @@ def test_gfp_kernel_matches_the_int64_oracle(data):
         # gapped pivots: zero columns and columns that repeat an earlier one
         for c in data.draw(st.lists(st.integers(0, n - 1), max_size=n // 2)):
             A[:, c] = 0 if c % 2 or c == 0 else A[:, c - 1] * 3 % p
-    leaf = data.draw(st.integers(1, 8))
+    leaf = data.draw(st.sampled_from([*range(1, 9), linalg._LEAF]))
     one_sided_k = data.draw(st.sampled_from([0, linalg._ONE_SIDED_K]))
     _check_ref_mod_p(A, p, leaf, one_sided_k)
     R_oracle, piv_oracle = rowloop_rref_mod_p(A, p)
@@ -968,7 +968,7 @@ def _stack(A, primes):
     return X
 
 
-def _check_stack(A, primes, leaf, one_sided_k=None, update_rows=None):
+def _check_stack(A, primes, leaf, one_sided_k=None, update_entries=None):
     """The stacked rref_mod_p against the int64 oracle of each slice: the
     pivots are the earliest of the slices' rank profiles (a profile that
     lacks a column another one has is later), the slices with those pivots
@@ -982,8 +982,8 @@ def _check_stack(A, primes, leaf, one_sided_k=None, update_rows=None):
         mp.setattr(linalg, "_LEAF", leaf)
         if one_sided_k is not None:
             mp.setattr(linalg, "_ONE_SIDED_K", one_sided_k)
-        if update_rows is not None:
-            mp.setattr(linalg, "_UPDATE_ROWS", update_rows)
+        if update_entries is not None:
+            mp.setattr(linalg, "_UPDATE_ENTRIES", update_entries)
         Y, piv, live = rref_mod_p(_stack(A, primes), primes)
         flat = [rref_mod_p(A, p) for p in primes]
     assert piv == pivots and Y.dtype == np.int64 and Y.shape == (len(primes), len(piv), n - len(piv))
@@ -1001,7 +1001,7 @@ def test_stacked_kernel_matches_the_int64_oracle_slice_by_slice(data):
     """One pass over a stack of 1-6 primes, drawn from `_KERNEL_PRIMES` or
     from the first lift primes of the shape: both product regimes (a stack
     is direct only if its largest prime is), leaf widths 1-8, and updates
-    in one row block or in blocks of a few rows over the stack.  Entries
+    in one row block or in blocks of one or a few rows over the stack.  Entries
     that vanish mod one prime only make its slice swap other rows; a column
     that vanishes mod one prime only makes its slice die."""
     m, n = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 40))
@@ -1017,7 +1017,7 @@ def test_stacked_kernel_matches_the_int64_oracle_slice_by_slice(data):
     if data.draw(st.booleans()):
         A[:, rng.integers(n)] = data.draw(st.sampled_from(primes)) * rng.integers(-3, 4, size=m)
     _check_stack(A, primes, data.draw(st.integers(1, 8)), data.draw(st.sampled_from([0, linalg._ONE_SIDED_K])),
-                 data.draw(st.sampled_from([12, linalg._UPDATE_ROWS])))
+                 data.draw(st.sampled_from([1, 100, linalg._UPDATE_ENTRIES])))
 
 
 def test_stacked_kernel_kills_the_slice_of_an_unlucky_prime():
@@ -1041,6 +1041,90 @@ def test_stacked_kernel_kills_the_slice_of_an_unlucky_prime():
         rref_mod_p(np.ascontiguousarray(_stack(A, [p, s])), [p, s])
     with pytest.raises(ValueError, match="column-major"):
         rref_mod_p(_stack(A, [p, s]), [p])
+
+
+def _step_loop_only(mp):
+    # the leaf with its block path never taken: every column goes to the
+    # step loop, the elimination before the block path
+    mp.setattr(linalg._Elimination, "top_block", lambda self, Q, r0: 0)
+
+
+def _both_leaves(A, p, leaf):
+    """rref_mod_p of A (a matrix, or a stack with a sequence of primes) and
+    its recorded row order, with the block path and with the step loop
+    alone, at leaf width `leaf`; ref_mod_p's U mod p too for a matrix."""
+    results = []
+    for step_only in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_LEAF", leaf)
+            if step_only:
+                _step_loop_only(mp)
+            order = np.empty(A.shape[:-1], dtype=np.intp)
+            X = linalg._column_major(A.shape) if np.ndim(p) else A.copy()
+            X[...] = A
+            got = rref_mod_p(X, p, order=order)
+            U = () if np.ndim(p) else (np.mod(ref_mod_p(A, p)[0], p),)
+        results.append((*got, order, *U))
+    return results
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_the_block_path_takes_the_step_loops_pivots_and_swaps(data):
+    """The leaf's block path against the step loop alone and against the
+    int64 row loop, for a matrix and for a stack: the same pivots, RREF,
+    live slices and recorded row order, and the same U.  p is 397, the
+    largest prime of the direct regime for the shape (the first of
+    `_lift_primes`), or 2^31 - 1 (split).  The integer matrix has a run of
+    rows whose entries up to a drawn column c are combinations of the rows
+    above, so that the top block meets a zero diagonal entry at c, and its
+    first nonzero row lies in the block or below it; it is rank deficient
+    or not; the leaf is narrower or wider than the rows left; a shape may
+    be empty (no panel has a column, or a row); and in a stack, a column
+    that vanishes mod one prime only makes that slice die inside a block."""
+    m, n = data.draw(st.integers(0, 40)), data.draw(st.integers(0, 40))
+    direct = next(linalg._lift_primes(max(m, 1), max(n, 1)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    r = data.draw(st.integers(0, min(m, n)))
+    A = rng.integers(-40, 41, size=(m, r)) @ rng.integers(-40, 41, size=(r, n))
+    if min(m, n):
+        c = data.draw(st.integers(0, min(m, n) - 1))
+        run = data.draw(st.integers(1, m - c))
+        A[c : c + run, : c + 1] = rng.integers(-3, 4, size=(run, c)) @ A[:c, : c + 1]
+    leaf = data.draw(st.sampled_from([1, 2, 3, 5, 8, linalg._LEAF]))
+    p = data.draw(st.sampled_from([397, direct, 2**31 - 1]))
+    block, steps = _both_leaves(np.mod(A, p), p, leaf)
+    R, piv = rowloop_rref_mod_p(A, p)
+    assert block[1] == steps[1] == piv
+    assert np.array_equal(block[0], R) and np.array_equal(steps[0], R)
+    assert np.array_equal(block[2], steps[2]) and np.array_equal(block[3], steps[3])
+    primes = data.draw(st.lists(st.sampled_from([397, 401, direct, 2**31 - 1]), min_size=1, max_size=4))
+    if n and data.draw(st.booleans()):
+        A[:, rng.integers(n)] = data.draw(st.sampled_from(primes)) * rng.integers(-3, 4, size=m)
+    block, steps = _both_leaves(_stack(A, primes), primes, leaf)
+    for got, expected in zip(block, steps):
+        assert np.array_equal(got, expected)
+    assert block[2].tolist() == _check_stack(A, primes, leaf).tolist()
+
+
+def test_few_columns_of_a_generic_matrix_reach_the_step_loop(monkeypatch):
+    """On a generic 600 x 601 matrix over GF(397) the block path takes the
+    pivots: a column reaches the step loop only where its top block has no
+    nonzero at or below the diagonal, so at most a handful do (none for
+    this matrix), where before the block path every column did.  A row
+    that is zero in its first 300 columns, as the row of a point on a
+    coordinate plane is in the mass evaluation, is swapped one row down at
+    each of them by the first-nonzero-row rule; the block path makes those
+    swaps within its top block, so the step loop sees about one of these
+    columns a leaf (18 or 19 columns wide at `_LEAF` = 32), not 300."""
+    steps = []
+    real = linalg._Elimination.step
+    monkeypatch.setattr(linalg._Elimination, "step", lambda self, *args: steps.append(args[-1]) or real(self, *args))
+    A = np.random.default_rng(0).integers(0, 397, size=(600, 601))
+    assert rref_mod_p(A, 397)[1] == list(range(600)) and len(steps) <= 5
+    steps.clear()
+    A[0, :300] = 0
+    assert rref_mod_p(A, 397)[1] == list(range(600)) and len(steps) <= 20
 
 
 def _echelon_combinations(rng, m, n, r, u):
